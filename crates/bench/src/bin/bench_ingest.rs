@@ -10,18 +10,26 @@
 //!    from scratch on the extended relation. This is the algorithmic
 //!    claim behind `/v1/ingest`: the rebuild is quadratic in the
 //!    dictionary, the append touches only the new rows' values.
-//! 2. **WAL overhead** — the same committed batches with the
-//!    CRC-framed, fsynced log write in front, as `renuver ingest` and
-//!    the server run them. The delta is the durability tax.
-//! 3. **Recovery** — replaying a WAL of many small records into a
-//!    freshly loaded snapshot, plus one compaction, the cold-restart
-//!    cost an operator actually waits on.
+//! 2. **WAL overhead** — `Registry::ingest` of the same batch on a
+//!    one-shard durable registry (the CRC-framed, fsynced shard-log
+//!    write in front of the commit, as `renuver ingest` and the server
+//!    run it) vs on an in-memory registry. The delta is the durability
+//!    tax.
+//! 3. **Recovery** — reopening a one-shard durable registry whose log
+//!    holds many small records (shard snapshot merge plus replay), plus
+//!    one compaction: the cold-restart cost an operator actually waits
+//!    on.
 
-use renuver_bench::{median_ms, out_path, quick_mode, synthetic_shops, write_bench_json};
+use std::path::Path;
+use std::time::Instant;
+
+use renuver_bench::{
+    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+};
 use renuver_core::{Engine, RenuverConfig};
 use renuver_data::{Relation, Tuple};
 use renuver_rfd::{Constraint, Rfd, RfdSet};
-use renuver_serve::{artifact, Durable, DurabilityOptions};
+use renuver_serve::{artifact, DurabilityOptions, Registry, ShardRecovery, Wal};
 
 fn sigma() -> RfdSet {
     // The planted City→Zip / Zip→City dependencies of the fixture.
@@ -35,6 +43,37 @@ fn split(rel: &Relation, base_rows: usize) -> (Relation, Vec<Tuple>) {
     let base: Vec<Tuple> = rel.tuples().take(base_rows).cloned().collect();
     let rest: Vec<Tuple> = rel.tuples().skip(base_rows).cloned().collect();
     (Relation::new(rel.schema().clone(), base).unwrap(), rest)
+}
+
+/// Opens the one-shard durable registry beside `model` (writing its
+/// layout on the first open, recovering it afterwards).
+fn open(model: &Path, config: &RenuverConfig) -> (Registry, ShardRecovery) {
+    let opts = DurabilityOptions::beside(model, "bench");
+    Registry::open_durable(
+        artifact::load(model).unwrap(),
+        config.clone(),
+        1,
+        opts.layout,
+        "bench",
+        opts.compact_bytes,
+        opts.compact_records,
+    )
+    .unwrap()
+}
+
+/// Median milliseconds of `timed` over `runs`, each run on fresh state
+/// from the untimed `setup`.
+fn median_timed<S>(runs: usize, mut setup: impl FnMut() -> S, mut timed: impl FnMut(S)) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let state = setup();
+            let start = Instant::now();
+            timed(state);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -60,62 +99,60 @@ fn main() {
         drop(Engine::prepare(full.clone(), sigma(), config.clone()));
     });
 
-    // 2. The durability tax: the same commit with the fsynced WAL write
-    // in front, through the real Durable store.
+    // 2. The durability tax: the same batch through `Registry::ingest`,
+    // with and without the shard log in front of the commit.
     let dir = std::env::temp_dir().join(format!("renuver-bench-ingest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let snapshot = dir.join("model.rnv");
-    std::fs::write(&snapshot, &bytes).unwrap();
-    let durable_ms = median_ms(runs, || {
-        let _ = std::fs::remove_file(dir.join("model.rnv.wal"));
-        let mut e = artifact::decode(&bytes).unwrap().into_engine(config.clone());
-        let (mut durable, _) =
-            Durable::recover(&mut e, 0, DurabilityOptions::beside(&snapshot, "bench")).unwrap();
-        durable.append(&batch).unwrap();
-        let _ = e.commit_tuples(batch.clone()).unwrap();
+    let model = dir.join("model.rnv");
+    let fresh_layout = || {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&model, &bytes).unwrap();
+        open(&model, &config).0
+    };
+    let durable_ms = median_timed(runs, fresh_layout, |reg| {
+        reg.ingest(batch.clone(), &config).unwrap();
     });
+    let in_memory_ms = median_timed(
+        runs,
+        || Registry::from_engine(artifact::decode(&bytes).unwrap().into_engine(config.clone()), 1),
+        |reg| {
+            reg.ingest(batch.clone(), &config).unwrap();
+        },
+    );
 
-    // 3. Cold recovery: replay `wal_records` one-row records, then fold
-    // them into the snapshot.
-    let _ = std::fs::remove_file(dir.join("model.rnv.wal"));
-    {
-        let mut e = artifact::decode(&bytes).unwrap().into_engine(config.clone());
-        let (mut durable, _) =
-            Durable::recover(&mut e, 0, DurabilityOptions::beside(&snapshot, "bench")).unwrap();
+    // 3. Cold recovery: `wal_records` one-row records in the shard log,
+    // replayed on reopen (which also folds them into the shard snapshot),
+    // then one compaction of the recovered registry.
+    let logged_layout = || {
+        let schema_fp = fresh_layout().schema_fp();
+        let wal_path = renuver_serve::ShardLayout::beside(&model).shard_wal(0, 0);
+        let (mut wal, _) = Wal::open(wal_path, schema_fp, 0, full.arity()).unwrap();
         for t in batch.iter().cycle().take(wal_records) {
-            durable.append(std::slice::from_ref(t)).unwrap();
-            e.commit_tuples(vec![t.clone()]).unwrap();
+            wal.append(std::slice::from_ref(t)).unwrap();
         }
-    }
-    let replay_ms = median_ms(runs, || {
-        let mut e = artifact::decode(&bytes).unwrap().into_engine(config.clone());
-        let (_, report) =
-            Durable::recover(&mut e, 0, DurabilityOptions::beside(&snapshot, "bench")).unwrap();
+    };
+    let replay_ms = median_timed(runs, logged_layout, |()| {
+        let (_, report) = open(&model, &config);
         assert_eq!(report.replayed, wal_records);
     });
-    let compact_ms = {
-        let mut e = artifact::decode(&bytes).unwrap().into_engine(config.clone());
-        let (mut durable, _) =
-            Durable::recover(&mut e, 0, DurabilityOptions::beside(&snapshot, "bench")).unwrap();
-        let start = std::time::Instant::now();
-        durable.compact(&e).unwrap();
-        start.elapsed().as_secs_f64() * 1e3
-    };
+    let compact_ms = median_timed(runs, || open(&model, &config).0, |reg| {
+        reg.compact().unwrap();
+    });
     let _ = std::fs::remove_dir_all(&dir);
 
     let batch_per_s = |ms: f64| if ms > 0.0 { batch_rows as f64 / (ms / 1e3) } else { 0.0 };
     let json = format!(
-        "{{\n  \"rows\": {rows},\n  \"batch_rows\": {batch_rows},\n  \"runs_per_measurement\": {runs},\n  \
+        "{{\n  \"rows\": {rows},\n  \"machine_cores\": {},\n  \"batch_rows\": {batch_rows},\n  \"runs_per_measurement\": {runs},\n  \
          \"append\": {{\n    \"commit_ms\": {commit_only_ms:.3},\n    \"commit_rows_per_s\": {:.1},\n    \
          \"rebuild_ms\": {rebuild_ms:.3},\n    \"speedup_vs_rebuild\": {:.3}\n  }},\n  \
-         \"durability\": {{\n    \"wal_commit_ms\": {durable_ms:.3},\n    \
-         \"overhead_ms\": {:.3}\n  }},\n  \
+         \"durability\": {{\n    \"shards\": 1,\n    \"ingest_ms\": {in_memory_ms:.3},\n    \
+         \"wal_ingest_ms\": {durable_ms:.3},\n    \"overhead_ms\": {:.3}\n  }},\n  \
          \"recovery\": {{\n    \"wal_records\": {wal_records},\n    \"replay_ms\": {replay_ms:.3},\n    \
          \"records_per_s\": {:.1},\n    \"compact_ms\": {compact_ms:.3}\n  }}\n}}\n",
+        available_cores(),
         batch_per_s(commit_only_ms),
         if commit_only_ms > 0.0 { rebuild_ms / commit_only_ms } else { 0.0 },
-        (durable_ms - commit_only_ms).max(0.0),
+        (durable_ms - in_memory_ms).max(0.0),
         if replay_ms > 0.0 { wal_records as f64 / (replay_ms / 1e3) } else { 0.0 },
     );
     write_bench_json(&out_path("BENCH_ingest.json"), &json);

@@ -29,7 +29,7 @@ use std::time::Instant;
 use renuver_bench::{median_ms, out_path, quick_mode, synthetic_shops, write_bench_json};
 use renuver_core::{Engine, IndexMode, RenuverConfig};
 use renuver_rfd::discovery::{discover, DiscoveryConfig};
-use renuver_serve::{artifact, Ctx, FlightOptions, ModelInfo, Registry, ServeConfig, Server};
+use renuver_serve::{artifact, Ctx, FlightOptions, ModelInfo, ServeConfig, Server};
 
 /// What `renuver serve <dataset>` does before it can answer a request:
 /// RFD discovery plus the oracle/index build.
@@ -99,109 +99,8 @@ fn measure_level(
     (latencies.len() as f64 / wall, pct(0.50), pct(0.99))
 }
 
-/// `--shards`: the shard-registry sweep. A single engine serializes
-/// every impute behind a mutex; the sharded registry answers from an
-/// immutable `Arc` snapshot, so concurrent requests run truly in
-/// parallel. The sweep serves the same model at 1/2/4 shards, hammers
-/// `/v1/impute` at fixed concurrency, and records req/s per count plus
-/// the speedup over the 1-shard baseline in `BENCH_shards.json`.
-///
-/// The ≥1.5× floor at 4 shards only holds when the machine can actually
-/// run shards in parallel, so `machine_cores` is recorded honestly and
-/// the floor is asserted only on multi-core, non-quick runs.
-fn shard_sweep(quick: bool) {
-    let n = if quick { 1_000 } else { 5_000 };
-    let per_conn = if quick { 50 } else { 200 };
-    let concurrency = 8usize;
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let rel = synthetic_shops(n);
-    let rfds = discover(&rel, &DiscoveryConfig::with_limit(3.0));
-    let config = RenuverConfig { index_mode: IndexMode::Indexed, ..RenuverConfig::default() };
-    let body = r#"{"tuples": [["Shop-0007", "City07", null, 3]]}"#;
-
-    let mut levels = Vec::new();
-    let mut baseline = 0.0f64;
-    let mut rps_at_4 = 0.0f64;
-    for shards in [1usize, 2, 4] {
-        let registry = Registry::build(&rel, rfds.clone(), config.clone(), shards);
-        let ctx = Arc::new(Ctx::new_sharded(
-            registry,
-            ModelInfo {
-                source: "bench:synthetic_shops".into(),
-                schema_fingerprint: artifact::schema_fingerprint(rel.schema()),
-                artifact_bytes: 0,
-            },
-            None,
-            60_000,
-        ));
-        let server = Server::bind(
-            ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                workers: concurrency,
-                queue: 64,
-                ..ServeConfig::default()
-            },
-            Arc::clone(&ctx),
-        )
-        .expect("bind");
-        let addr = server.local_addr().expect("local_addr");
-        let stop = server.shutdown_handle();
-        let server_thread = std::thread::spawn(move || server.run().expect("server run"));
-        let (rps, p50, p99) = measure_level(addr, body, concurrency, per_conn);
-        stop.store(true, Ordering::Relaxed);
-        let shed = server_thread.join().expect("join server");
-        assert_eq!(shed, 0, "benchmark load must not be shed");
-        if shards == 1 {
-            baseline = rps;
-        }
-        if shards == 4 {
-            rps_at_4 = rps;
-        }
-        let speedup = rps / baseline;
-        eprintln!(
-            "shards={shards}: {rps:.0} req/s ({speedup:.2}x vs 1 shard), \
-             p50 {p50:.2} ms, p99 {p99:.2} ms"
-        );
-        levels.push(format!(
-            "{{\n    \"shards\": {shards},\n    \"requests\": {},\n    \
-             \"req_per_s\": {rps:.1},\n    \"p50_ms\": {p50:.3},\n    \
-             \"p99_ms\": {p99:.3},\n    \"speedup_vs_1shard\": {speedup:.3}\n  }}",
-            concurrency * per_conn
-        ));
-    }
-
-    let speedup_4 = rps_at_4 / baseline;
-    if !quick && cores >= 2 {
-        assert!(
-            speedup_4 >= 1.5,
-            "4 shards must serve at least 1.5x the 1-shard throughput on a \
-             multi-core machine ({cores} cores), got {speedup_4:.2}x"
-        );
-    } else if cores < 2 {
-        eprintln!(
-            "note: single-core machine — recording throughput without asserting the \
-             4-shard speedup floor"
-        );
-    }
-
-    let json = format!(
-        "{{\n  \
-         \"rows\": {n},\n  \
-         \"machine_cores\": {cores},\n  \
-         \"concurrency\": {concurrency},\n  \
-         \"speedup_floor_asserted\": {},\n  \
-         \"throughput\": [{}]\n}}\n",
-        !quick && cores >= 2,
-        levels.join(", "),
-    );
-    write_bench_json(&out_path("BENCH_shards.json"), &json);
-}
-
 fn main() {
     let quick = quick_mode();
-    if std::env::args().any(|a| a == "--shards") {
-        return shard_sweep(quick);
-    }
     let runs = if quick { 3 } else { 5 };
     let n = if quick { 1_000 } else { 5_000 };
     let per_conn = if quick { 50 } else { 200 };

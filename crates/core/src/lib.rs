@@ -39,7 +39,5 @@ pub use result::{
     CellExplain, CellOutcome, DryReason, ExplainWinner, ImputationResult, ImputationStats,
     ImputedCell, TraceEvent,
 };
-pub use shard::{
-    commit_sharded, impute_sharded, partition, partition_attrs, partition_by, shard_of, ShardPlan,
-};
+pub use shard::{assign, partition_attrs, shard_of};
 pub use verify::{is_faultless, VerifyPlan};

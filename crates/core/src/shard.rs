@@ -1,62 +1,16 @@
-//! Horizontal sharding of the engine: relation partitioning plus a
-//! sharded imputation path that is **bit-identical** to the single-engine
-//! batch path (`Engine::impute_batch`).
+//! Row-to-shard routing for the durable on-disk layout.
 //!
-//! A shard set is a partition of the donor relation into N disjoint part
-//! relations. Rows are assigned by hashing the partition attributes —
-//! the LHS of the lowest-index *key* RFD when one exists (those rows can
-//! never be LHS-similar across buckets of an exact key, so the split
-//! follows the dependency structure), the union of all LHS attributes
-//! otherwise. The assignment only shapes load distribution; results never
-//! depend on it, because every scan below runs over the *global* row
-//! order 0..n reconstructed through the `locate` table.
-//!
-//! [`impute_sharded`] re-runs the RENUVER per-cell loop (Algorithms 1/2)
-//! over that global view with plain value-level distances
-//! ([`renuver_distance::value_distance_bounded`], the exact function the
-//! [`renuver_distance::DistanceOracle`] computes through its caches), so
-//! candidate lists, verification verdicts, tie-breaks, stats, and explain
-//! records match the single engine byte for byte — `tests/
-//! shard_differential.rs` pins the equivalence across shard counts,
-//! index modes, and batch-verification settings. Candidate and witness
-//! scans fan out across the shard parts on scoped threads (merged with
-//! the same `(distance, row)` total order), which is what buys the
-//! multi-shard speedup without a determinism tax.
+//! A shard set is a partition of the donor relation's rows into N
+//! disjoint groups, persisted as one snapshot and one write-ahead log per
+//! shard. Rows are assigned by hashing the partition attributes — the LHS
+//! of the lowest-index *key* RFD when one exists, the union of all LHS
+//! attributes otherwise. The assignment only shapes how the relation is
+//! laid out on disk; imputation always runs on one prepared
+//! [`crate::Engine`] over the whole relation in global row order, so
+//! answers never depend on it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use renuver_budget::BudgetTrip;
-use renuver_obs::FieldValue;
-use renuver_data::{AttrId, Cell, DataError, Relation, Tuple, Value};
-use renuver_distance::value_distance_bounded;
-use renuver_rfd::{Rfd, RfdSet};
-
-use crate::candidates::{sort_candidates, Candidate};
-use crate::config::{ClusterOrder, ImputationOrder, RenuverConfig, VerifyScope};
-use crate::engine::BatchResult;
-use crate::result::{
-    CellExplain, CellOutcome, DryReason, ExplainWinner, ImputationStats, ImputedCell,
-};
-
-/// Row-count threshold below which per-cluster scans stay sequential:
-/// thread spawns cost more than they save on small relations.
-const PAR_MIN_ROWS: usize = 4096;
-
-/// A partition of a relation into shard parts, with the `locate` table
-/// mapping each original (global) row id to its `(shard, local)` home.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// The attributes whose rendered values are hashed for assignment.
-    pub attrs: Vec<AttrId>,
-    /// The part relations, all sharing the source schema.
-    pub parts: Vec<Relation>,
-    /// `locate[g] = (shard, local)` for every original row `g`, in the
-    /// original row order. Part-local order is therefore a subsequence of
-    /// the global order.
-    pub locate: Vec<(u32, u32)>,
-}
+use renuver_data::{AttrId, Relation, Tuple, Value};
+use renuver_rfd::RfdSet;
 
 /// The partition attributes for `rel` under `sigma`: the LHS of the
 /// lowest-index key RFD when one exists, else the union of all LHS
@@ -104,726 +58,44 @@ pub fn shard_of(tuple: &[Value], attrs: &[AttrId], n_shards: usize) -> usize {
     (h % n_shards as u64) as usize
 }
 
-/// Partitions `rel` into `n_shards` parts using [`partition_attrs`].
-pub fn partition(rel: &Relation, sigma: &RfdSet, n_shards: usize) -> ShardPlan {
-    let attrs = partition_attrs(rel, sigma);
-    partition_by(rel, &attrs, n_shards)
+/// The owning shard of each tuple, in order — the row assignment of a
+/// relation (`assign(rel.tuples(), ..)`) or the routing step of a
+/// commit.
+pub fn assign<'a>(
+    tuples: impl IntoIterator<Item = &'a Tuple>,
+    attrs: &[AttrId],
+    n_shards: usize,
+) -> Vec<u32> {
+    tuples.into_iter().map(|t| shard_of(t, attrs, n_shards) as u32).collect()
 }
 
-/// Partitions `rel` by hashing the given attributes.
-pub fn partition_by(rel: &Relation, attrs: &[AttrId], n_shards: usize) -> ShardPlan {
-    let n_shards = n_shards.max(1);
-    let mut parts: Vec<Relation> =
-        (0..n_shards).map(|_| Relation::empty(rel.schema().clone())).collect();
-    let mut locate = Vec::with_capacity(rel.len());
-    for g in 0..rel.len() {
-        let k = shard_of(rel.tuple(g), attrs, n_shards);
-        locate.push((k as u32, parts[k].len() as u32));
-        parts[k].push(rel.tuple(g).clone()).expect("partition preserves the schema");
-    }
-    ShardPlan { attrs: attrs.to_vec(), parts, locate }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use renuver_data::{AttrType, Schema};
 
-/// The owning shard of each tuple in a batch, in batch order — the
-/// routing step of a sharded ingest commit.
-pub fn assign(tuples: &[Tuple], attrs: &[AttrId], n_shards: usize) -> Vec<usize> {
-    tuples.iter().map(|t| shard_of(t, attrs, n_shards)).collect()
-}
-
-/// Commits a repaired batch into the shard set: each tuple is routed to
-/// its owning shard and the `locate` table grows in strict batch order,
-/// so the global ids the tuples receive are exactly the ids
-/// `Engine::commit_tuples` would hand them on the unsharded relation.
-pub fn commit_sharded(plan: &mut ShardPlan, tuples: &[Tuple]) {
-    let n = plan.parts.len();
-    for t in tuples {
-        let k = shard_of(t, &plan.attrs, n);
-        plan.locate.push((k as u32, plan.parts[k].len() as u32));
-        plan.parts[k].push(t.clone()).expect("committed tuples match the schema");
-    }
-}
-
-// --------------------------------------------------------------- global view
-
-/// Read-only view of the sharded relation in the original global row
-/// order: rows `0..base` resolve through `locate` into the parts, rows
-/// `base..len` into the per-request scratch relation holding the batch.
-struct View<'a> {
-    parts: &'a [&'a Relation],
-    locate: &'a [(u32, u32)],
-    scratch: &'a Relation,
-    /// Per-part scan-time accumulators (nanoseconds), one slot per shard
-    /// part, charged by the parallel scan fan-outs below. `None` when the
-    /// run is untraced, so the hot path never reads a clock. Sequential
-    /// scans (small relations) and the scratch group are unattributed.
-    legs: Option<&'a [AtomicU64]>,
-}
-
-impl<'a> View<'a> {
-    fn len(&self) -> usize {
-        self.locate.len() + self.scratch.len()
+    fn rel() -> Relation {
+        let schema = Schema::new([("City", AttrType::Text), ("Zip", AttrType::Text)]).unwrap();
+        let t = |c: &str, z: &str| vec![Value::from(c), Value::from(z)];
+        Relation::new(schema, vec![t("a", "1"), t("b", "2"), t("a", "3")]).unwrap()
     }
 
-    fn arity(&self) -> usize {
-        self.scratch.arity()
+    #[test]
+    fn key_rfd_lhs_wins_the_partition_attrs() {
+        let rel = rel();
+        // Zip is a key here (all distinct); City is not.
+        let sigma = RfdSet::from_text("City(<=0) -> Zip(<=0)\nZip(<=0) -> City(<=0)", rel.schema())
+            .unwrap();
+        assert_eq!(partition_attrs(&rel, &sigma), vec![1]);
     }
 
-    fn value(&self, row: usize, attr: AttrId) -> &'a Value {
-        match row.checked_sub(self.locate.len()) {
-            Some(local) => self.scratch.value(local, attr),
-            None => {
-                let (s, l) = self.locate[row];
-                self.parts[s as usize].value(l as usize, attr)
-            }
-        }
+    #[test]
+    fn one_shard_takes_every_row_and_routing_is_stable() {
+        let rel = rel();
+        assert_eq!(assign(rel.tuples(), &[0], 1), vec![0, 0, 0]);
+        let twice = (assign(rel.tuples(), &[0], 4), assign(rel.tuples(), &[0], 4));
+        assert_eq!(twice.0, twice.1);
+        // Equal partition values always share a shard.
+        assert_eq!(twice.0[0], twice.0[2]);
     }
-
-    fn is_missing(&self, row: usize, attr: AttrId) -> bool {
-        self.value(row, attr).is_null()
-    }
-
-    /// `δ_A(t_i[A], t_j[A])` bounded by `thr` — exactly what the oracle's
-    /// `distance_bounded` computes through its caches.
-    fn dist(&self, attr: AttrId, i: usize, j: usize, thr: f64) -> Option<f64> {
-        value_distance_bounded(self.value(i, attr), self.value(j, attr), thr)
-    }
-
-    /// The global row ids each scan task owns: one slice per part (in
-    /// part-local order, which ascends globally) plus the scratch rows.
-    fn scan_groups(&self) -> Vec<Vec<usize>> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.parts.len() + 1];
-        for (g, &(s, _)) in self.locate.iter().enumerate() {
-            groups[s as usize].push(g);
-        }
-        groups[self.parts.len()].extend(self.locate.len()..self.len());
-        groups
-    }
-
-    fn parallel(&self) -> bool {
-        self.parts.len() > 1 && self.len() >= PAR_MIN_ROWS
-    }
-
-    /// Runs `work` for scan group `gi`, charging its wall time to the
-    /// group's leg-clock slot when a clock is attached. The scratch
-    /// group (index `parts.len()`) has no slot and runs unclocked.
-    fn time_group<T>(&self, gi: usize, work: impl FnOnce() -> T) -> T {
-        match self.legs.and_then(|legs| legs.get(gi)) {
-            Some(slot) => {
-                let t0 = Instant::now();
-                let out = work();
-                slot.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out
-            }
-            None => work(),
-        }
-    }
-
-    /// Runs `f` over every global row, fanned out per shard part on scoped
-    /// threads when the relation is large enough, and returns the matches
-    /// concatenated in group order. Callers must not depend on output
-    /// order (candidate lists are sorted afterwards; witness lists are
-    /// existence-checked only).
-    fn scan<T: Send>(&self, f: impl Fn(usize) -> Option<T> + Sync) -> Vec<T> {
-        if !self.parallel() {
-            return (0..self.len()).filter_map(f).collect();
-        }
-        let groups = self.scan_groups();
-        let f = &f;
-        let mut out = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .enumerate()
-                .map(|(gi, rows)| {
-                    scope.spawn(move || {
-                        self.time_group(gi, || {
-                            rows.iter().filter_map(|&g| f(g)).collect::<Vec<T>>()
-                        })
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("shard scan worker panicked"));
-            }
-        });
-        out
-    }
-}
-
-// ------------------------------------------------------- pair predicates
-
-fn pair_satisfies_lhs(view: &View<'_>, rfd: &Rfd, i: usize, j: usize) -> bool {
-    rfd.lhs().iter().all(|c| view.dist(c.attr, i, j, c.threshold).is_some())
-}
-
-/// Key-RFD test over the global view — verdict-identical to
-/// `renuver_rfd::check::is_key_with`, including the equality-bucket fast
-/// path for zero-threshold LHS constraints.
-fn is_key(view: &View<'_>, rfd: &Rfd) -> bool {
-    let n = view.len();
-    if let Some(eq) = rfd.lhs().iter().find(|c| c.threshold == 0.0) {
-        let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-        for row in 0..n {
-            let v = view.value(row, eq.attr);
-            if !v.is_null() {
-                buckets.entry(v.render()).or_default().push(row);
-            }
-        }
-        for rows in buckets.values() {
-            for (a, &i) in rows.iter().enumerate() {
-                for &j in &rows[a + 1..] {
-                    if pair_satisfies_lhs(view, rfd, i, j) {
-                        return false;
-                    }
-                }
-            }
-        }
-        return true;
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if pair_satisfies_lhs(view, rfd, i, j) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn stays_key_after_update(view: &View<'_>, rfd: &Rfd, row: usize) -> bool {
-    (0..view.len())
-        .all(|j| j == row || !pair_satisfies_lhs(view, rfd, row.min(j), row.max(j)))
-}
-
-// ------------------------------------------------------------ verification
-
-/// One compiled witness set: reject a donor whose value's within-ness of
-/// any listed row (w.r.t. `thr` on the imputed attribute) equals `close`.
-struct WitnessSet {
-    thr: f64,
-    rows: Vec<usize>,
-    close: bool,
-}
-
-/// Mirror of `VerifyPlan` (see `crate::verify`): witness rows collected
-/// once per cell, candidate-dependent distance checks deferred to
-/// [`admits`]. The bitset/matrix encodings of the original are skipped —
-/// they are proven-equal encodings of exactly this row loop.
-struct Plan {
-    sets: Vec<WitnessSet>,
-}
-
-fn close_witness(view: &View<'_>, row: usize, attr: AttrId, rfd: &Rfd, j: usize) -> bool {
-    if j == row || view.value(j, attr).is_null() {
-        return false;
-    }
-    for c in rfd.lhs() {
-        if c.attr == attr {
-            continue;
-        }
-        if view.dist(c.attr, row, j, c.threshold).is_none() {
-            return false;
-        }
-    }
-    let rhs = rfd.rhs();
-    !view.value(j, rhs.attr).is_null() && view.dist(rhs.attr, row, j, rhs.threshold).is_none()
-}
-
-fn far_witness(view: &View<'_>, row: usize, attr: AttrId, rfd: &Rfd, j: usize) -> bool {
-    if j == row || view.value(j, attr).is_null() {
-        return false;
-    }
-    rfd.lhs().iter().all(|c| view.dist(c.attr, row, j, c.threshold).is_some())
-}
-
-fn collect_rows(
-    view: &View<'_>,
-    restrict: Option<&[usize]>,
-    pred: impl Fn(usize) -> bool + Sync,
-) -> Vec<usize> {
-    match restrict {
-        Some(rows) => rows.iter().copied().filter(|&j| pred(j)).collect(),
-        None => view.scan(|j| pred(j).then_some(j)),
-    }
-}
-
-fn build_plan(
-    view: &View<'_>,
-    row: usize,
-    attr: AttrId,
-    sigma: &RfdSet,
-    scope: VerifyScope,
-    restrict: Option<&[usize]>,
-) -> Plan {
-    let mut sets = Vec::new();
-    for rfd in sigma.iter() {
-        if rfd.lhs_contains(attr) {
-            if view.value(row, rfd.rhs().attr).is_null() {
-                continue; // RHS not evaluable → cannot violate
-            }
-            let Some(attr_thr) = rfd.lhs().iter().find(|c| c.attr == attr).map(|c| c.threshold)
-            else {
-                continue;
-            };
-            let rows = collect_rows(view, restrict, |j| close_witness(view, row, attr, rfd, j));
-            if !rows.is_empty() {
-                sets.push(WitnessSet { thr: attr_thr, rows, close: true });
-            }
-        } else if scope == VerifyScope::Full && rfd.rhs_attr() == attr {
-            let rows = collect_rows(view, restrict, |j| far_witness(view, row, attr, rfd, j));
-            if !rows.is_empty() {
-                sets.push(WitnessSet { thr: rfd.rhs_threshold(), rows, close: false });
-            }
-        }
-    }
-    Plan { sets }
-}
-
-fn admits(view: &View<'_>, plan: &Plan, attr: AttrId, donor_row: usize) -> bool {
-    plan.sets.iter().all(|set| {
-        !set.rows
-            .iter()
-            .any(|&j| view.dist(attr, donor_row, j, set.thr).is_some() == set.close)
-    })
-}
-
-// ------------------------------------------------------------- candidates
-
-/// Mirror of `find_candidate_tuples_with` / `ClusterScorer` over the
-/// global view, with the per-donor arithmetic copied verbatim so scores
-/// are float-identical. The scan fans out per shard part; the caller's
-/// `sort_candidates` restores the canonical `(distance, row)` order.
-fn find_candidates(view: &View<'_>, row: usize, attr: AttrId, cluster: &[&Rfd]) -> Vec<Candidate> {
-    let m = view.arity();
-    let mut max_thr: Vec<Option<f64>> = vec![None; m];
-    for rfd in cluster {
-        for c in rfd.lhs() {
-            let slot = &mut max_thr[c.attr];
-            *slot = Some(slot.map_or(c.threshold, |t: f64| t.max(c.threshold)));
-        }
-    }
-    let score = |j: usize, dist_buf: &mut [Option<f64>]| -> Option<Candidate> {
-        if j == row || view.is_missing(j, attr) {
-            return None;
-        }
-        for (a, slot) in dist_buf.iter_mut().enumerate() {
-            *slot = max_thr[a].and_then(|thr| view.dist(a, row, j, thr));
-        }
-        let mut dist_min = f64::INFINITY;
-        let mut via = 0usize;
-        for (idx, rfd) in cluster.iter().enumerate() {
-            let lhs = rfd.lhs();
-            let satisfied =
-                lhs.iter().all(|c| matches!(dist_buf[c.attr], Some(d) if d <= c.threshold));
-            if satisfied {
-                let sum: f64 = lhs.iter().map(|c| dist_buf[c.attr].unwrap()).sum();
-                let dist = sum / lhs.len() as f64;
-                if dist < dist_min {
-                    dist_min = dist;
-                    via = idx;
-                }
-            }
-        }
-        dist_min.is_finite().then_some(Candidate { row: j, distance: dist_min, via })
-    };
-    if !view.parallel() {
-        let mut dist_buf: Vec<Option<f64>> = vec![None; m];
-        return (0..view.len()).filter_map(|j| score(j, &mut dist_buf)).collect();
-    }
-    let groups = view.scan_groups();
-    let score = &score;
-    let mut out = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, rows)| {
-                scope.spawn(move || {
-                    view.time_group(gi, || {
-                        let mut dist_buf: Vec<Option<f64>> = vec![None; m];
-                        rows.iter().filter_map(|&j| score(j, &mut dist_buf)).collect::<Vec<_>>()
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("shard candidate scan worker panicked"));
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------- the main loop
-
-fn ordered_cells(view: &View<'_>, rows: &[usize], order: ImputationOrder) -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    for &row in rows {
-        for attr in 0..view.arity() {
-            if view.is_missing(row, attr) {
-                cells.push(Cell::new(row, attr));
-            }
-        }
-    }
-    match order {
-        ImputationOrder::RowMajor => {}
-        ImputationOrder::ColumnMajor => {
-            cells.sort_by_key(|c| (c.col, c.row));
-        }
-        ImputationOrder::FewestMissingFirst => {
-            let mut per_row = vec![0usize; view.len()];
-            for c in &cells {
-                per_row[c.row] += 1;
-            }
-            cells.sort_by_key(|c| (per_row[c.row], c.row, c.col));
-        }
-    }
-    cells
-}
-
-/// What one cell's attempt produced (mirror of the private `CellAttempt`
-/// in `crate::algorithm`).
-struct Attempt {
-    imputed: Option<ImputedCell>,
-    clusters: usize,
-    candidates: usize,
-    generating_rfds: Vec<usize>,
-    winner: Option<ExplainWinner>,
-    dried_up: Option<DryReason>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn impute_missing_value(
-    parts: &[&Relation],
-    locate: &[(u32, u32)],
-    scratch: &mut Relation,
-    row: usize,
-    attr: AttrId,
-    sigma: &RfdSet,
-    config: &RenuverConfig,
-    active: &[bool],
-    restrict: Option<&[usize]>,
-    explain_on: bool,
-    legs: Option<&[AtomicU64]>,
-    stats: &mut ImputationStats,
-) -> Attempt {
-    let mut clusters: Vec<(f64, Vec<usize>)> = Vec::new();
-    for (i, rfd) in sigma.iter().enumerate() {
-        if !active[i] || rfd.rhs_attr() != attr {
-            continue;
-        }
-        let thr = rfd.rhs_threshold();
-        match clusters.iter_mut().find(|(t, _)| *t == thr) {
-            Some((_, v)) => v.push(i),
-            None => clusters.push((thr, vec![i])),
-        }
-    }
-    clusters.sort_by(|a, b| a.0.total_cmp(&b.0));
-    if config.cluster_order == ClusterOrder::Descending {
-        clusters.reverse();
-    }
-    let mut attempt = Attempt {
-        imputed: None,
-        clusters: clusters.len(),
-        candidates: 0,
-        generating_rfds: Vec::new(),
-        winner: None,
-        dried_up: None,
-    };
-    if clusters.is_empty() {
-        attempt.dried_up = Some(DryReason::NoActiveRfds);
-        return attempt;
-    }
-
-    // Selection phase: walk clusters and candidates over an immutable
-    // view; the admitted donor's value is written to the scratch only
-    // after the view's borrow ends.
-    let base = locate.len();
-    let selection = {
-        let view = View { parts, locate, scratch: &*scratch, legs };
-        let plan = build_plan(&view, row, attr, sigma, config.verify_scope, restrict);
-        let mut found: Option<(Value, usize, f64, f64, usize)> = None;
-        'clusters: for (cluster_threshold, members) in &clusters {
-            stats.clusters_visited += 1;
-            let rfds: Vec<&Rfd> = members.iter().map(|&i| sigma.get(i)).collect();
-            let mut candidates = find_candidates(&view, row, attr, &rfds);
-            stats.candidates_scored += candidates.len();
-            attempt.candidates += candidates.len();
-            if explain_on {
-                for cand in &candidates {
-                    attempt.generating_rfds.push(members[cand.via]);
-                }
-            }
-            sort_candidates(&mut candidates);
-            if let Some(cap) = config.max_candidates_per_cluster {
-                candidates.truncate(cap);
-            }
-            for (pos, cand) in candidates.iter().enumerate() {
-                stats.verifications += 1;
-                if admits(&view, &plan, attr, cand.row) {
-                    if explain_on {
-                        // Winner detail against the pre-imputation view.
-                        let via_rfd = members[cand.via];
-                        let lhs_distances = sigma
-                            .get(via_rfd)
-                            .lhs()
-                            .iter()
-                            .map(|c| {
-                                view.dist(c.attr, row, cand.row, c.threshold)
-                                    .unwrap_or(f64::NAN)
-                            })
-                            .collect();
-                        attempt.winner = Some(ExplainWinner {
-                            donor_row: cand.row,
-                            distance: cand.distance,
-                            via_rfd,
-                            lhs_distances,
-                            runner_up_margin: candidates
-                                .get(pos + 1)
-                                .map(|next| next.distance - cand.distance),
-                        });
-                    }
-                    let value = view.value(cand.row, attr).clone();
-                    found =
-                        Some((value, cand.row, cand.distance, *cluster_threshold, members[cand.via]));
-                    break 'clusters;
-                }
-                stats.verification_failures += 1;
-            }
-        }
-        found
-    };
-    match selection {
-        Some((value, donor_row, distance, cluster_threshold, via_idx)) => {
-            scratch.set_value(row - base, attr, value.clone());
-            attempt.imputed = Some(ImputedCell {
-                cell: Cell::new(row, attr),
-                value,
-                donor_row,
-                distance,
-                cluster_threshold,
-                via: sigma.get(via_idx).clone(),
-            });
-        }
-        None => {
-            attempt.dried_up = Some(if attempt.candidates == 0 {
-                DryReason::NoCandidates
-            } else {
-                DryReason::AllRejected
-            });
-        }
-    }
-    attempt.generating_rfds.sort_unstable();
-    attempt.generating_rfds.dedup();
-    attempt
-}
-
-/// Runs one request batch against the shard parts and returns a
-/// [`BatchResult`] bit-identical to `Engine::impute_batch` on the
-/// unsharded relation: same repaired tuples, outcomes, imputed records
-/// (donor rows as global ids), explains, and stats. The parts are
-/// read-only — the batch lives in a per-request scratch relation, so
-/// concurrent requests never contend.
-pub fn impute_sharded(
-    parts: &[&Relation],
-    locate: &[(u32, u32)],
-    sigma: &RfdSet,
-    config: &RenuverConfig,
-    tuples: Vec<Tuple>,
-) -> Result<BatchResult, DataError> {
-    let schema = parts
-        .first()
-        .map(|p| p.schema().clone())
-        .expect("impute_sharded needs at least one shard part");
-    let mut scratch = Relation::empty(schema);
-    for t in tuples {
-        scratch.push(t)?;
-    }
-    let base = locate.len();
-    let len = base + scratch.len();
-
-    let budget = &config.budget;
-    let tracer = &config.tracer;
-    let run_span = tracer.span("core::impute");
-    let explain_on = config.explain || tracer.is_enabled();
-    let mut stats = ImputationStats::default();
-
-    // Per-shard scan-time legs (nanoseconds), charged by the parallel
-    // scan fan-outs and reported as `shard_leg` trace events. Allocated
-    // only when traced so the untraced path never touches a clock.
-    let legs: Option<Vec<AtomicU64>> =
-        tracer.is_enabled().then(|| (0..parts.len()).map(|_| AtomicU64::new(0)).collect());
-
-    // Pre-processing (Algorithm 1 lines 1-6) over the global view; the
-    // loop mirrors `RfdSet::partition_keys_budgeted_with`, including the
-    // budget poll per RFD.
-    let (non_keys, keys) = {
-        let _span = run_span.child("core::partition_keys");
-        let view = View { parts, locate, scratch: &scratch, legs: legs.as_deref() };
-        let mut non_keys = Vec::new();
-        let mut keys = Vec::new();
-        let mut cut = false;
-        for (i, rfd) in sigma.iter().enumerate() {
-            if !cut && budget.check("rfd::partition_keys").is_err() {
-                cut = true;
-            }
-            if !cut && is_key(&view, rfd) {
-                keys.push(i);
-            } else {
-                non_keys.push(i);
-            }
-        }
-        (non_keys, keys)
-    };
-    stats.keys_filtered = keys.len();
-    let mut active = vec![false; sigma.len()];
-    for &i in &non_keys {
-        active[i] = true;
-    }
-    let mut dormant_keys = keys;
-
-    let incomplete: Vec<usize> = {
-        let view = View { parts, locate, scratch: &scratch, legs: legs.as_deref() };
-        (base..len).filter(|&r| (0..view.arity()).any(|a| view.is_missing(r, a))).collect()
-    };
-    let mut imputed: Vec<ImputedCell> = Vec::new();
-    let mut explains: Vec<CellExplain> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new();
-
-    let cells_span = run_span.child("core::impute_cells");
-    let cells = {
-        let view = View { parts, locate, scratch: &scratch, legs: legs.as_deref() };
-        ordered_cells(&view, &incomplete, config.imputation_order)
-    };
-    let mut outcomes: Vec<(Cell, CellOutcome)> = Vec::with_capacity(cells.len());
-    for Cell { row, col: attr } in cells {
-        if !scratch.is_missing(row - base, attr) {
-            continue;
-        }
-        let cell = Cell::new(row, attr);
-        stats.missing_total += 1;
-        if let Err(trip) = budget.check("core::cell") {
-            let outcome = if trip == BudgetTrip::Cancelled {
-                stats.cancelled += 1;
-                CellOutcome::Cancelled
-            } else {
-                stats.skipped_budget += 1;
-                CellOutcome::SkippedBudget
-            };
-            stats.unimputed += 1;
-            outcomes.push((cell, outcome));
-            if config.explain && config.explain_sample.admits(stats.missing_total - 1, false) {
-                explains.push(CellExplain {
-                    cell,
-                    outcome,
-                    clusters: 0,
-                    candidates: 0,
-                    generating_rfds: Vec::new(),
-                    winner: None,
-                    dried_up: Some(if outcome == CellOutcome::Cancelled {
-                        DryReason::Cancelled
-                    } else {
-                        DryReason::Budget(trip)
-                    }),
-                });
-            }
-            continue;
-        }
-        let degraded = budget.is_limited() && budget.pressure() >= config.degrade_at;
-        let attempt = impute_missing_value(
-            parts,
-            locate,
-            &mut scratch,
-            row,
-            attr,
-            sigma,
-            config,
-            &active,
-            degraded.then_some(touched.as_slice()),
-            explain_on,
-            legs.as_deref(),
-            &mut stats,
-        );
-        let outcome = match attempt.imputed {
-            Some(cell_rec) => {
-                imputed.push(cell_rec);
-                stats.imputed += 1;
-                outcomes.push((cell, CellOutcome::Imputed));
-                if !touched.contains(&row) {
-                    touched.push(row);
-                }
-                if !config.skip_key_reevaluation && !degraded {
-                    let view = View { parts, locate, scratch: &scratch, legs: legs.as_deref() };
-                    dormant_keys.retain(|&k| {
-                        if stays_key_after_update(&view, sigma.get(k), row) {
-                            true
-                        } else {
-                            active[k] = true;
-                            stats.keys_reactivated += 1;
-                            false
-                        }
-                    });
-                }
-                CellOutcome::Imputed
-            }
-            None => {
-                stats.unimputed += 1;
-                outcomes.push((cell, CellOutcome::NoCandidates));
-                CellOutcome::NoCandidates
-            }
-        };
-        if config.explain
-            && config.explain_sample.admits(stats.missing_total - 1, outcome == CellOutcome::Imputed)
-        {
-            explains.push(CellExplain {
-                cell,
-                outcome,
-                clusters: attempt.clusters,
-                candidates: attempt.candidates,
-                generating_rfds: attempt.generating_rfds,
-                winner: attempt.winner,
-                dried_up: attempt.dried_up,
-            });
-        }
-    }
-    drop(cells_span);
-
-    // One `shard_leg` event per part: the scan time the fan-out charged
-    // to that part's clock (zero when scans stayed sequential).
-    if let Some(legs) = &legs {
-        for (k, slot) in legs.iter().enumerate() {
-            let scan_us = slot.load(Ordering::Relaxed) / 1_000;
-            run_span.event("shard_leg", || {
-                vec![
-                    ("shard", FieldValue::U64(k as u64)),
-                    ("scan_us", FieldValue::U64(scan_us)),
-                ]
-            });
-        }
-    }
-
-    let mut report = budget.report();
-    if tracer.is_enabled() {
-        report.phases = renuver_obs::flamegraph::phase_totals(&tracer.records());
-    }
-
-    // Rebase to batch-relative cells exactly as `Engine::impute_batch`
-    // does; donor rows stay global.
-    let rebase = |c: Cell| Cell::new(c.row - base, c.col);
-    let out_tuples: Vec<Tuple> = (0..scratch.len()).map(|i| scratch.tuple(i).clone()).collect();
-    let outcomes = outcomes.into_iter().map(|(c, o)| (rebase(c), o)).collect();
-    let imputed = imputed
-        .into_iter()
-        .map(|mut rec| {
-            rec.cell = rebase(rec.cell);
-            rec
-        })
-        .collect();
-    let explains = explains
-        .into_iter()
-        .map(|mut exp| {
-            exp.cell = rebase(exp.cell);
-            exp
-        })
-        .collect();
-    Ok(BatchResult { tuples: out_tuples, outcomes, imputed, explains, stats, budget: report })
 }

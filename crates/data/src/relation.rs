@@ -153,6 +153,11 @@ impl Relation {
         self.tuples.iter()
     }
 
+    /// Consumes the relation, yielding its tuples in row order.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
+    }
+
     /// `true` iff cell `(row, col)` holds a missing value (`t[A] = _`).
     #[inline]
     pub fn is_missing(&self, row: usize, col: AttrId) -> bool {

@@ -481,15 +481,22 @@ impl DistanceOracle {
                 dict[code as usize] = value.clone();
             }
             let chars: Vec<Vec<char>> = dict.iter().map(|s| s.chars().collect()).collect();
-            // Embed the old matrix, then fill the new band. Both kernels
-            // are exact, so pairing each new value's pattern against every
-            // earlier value answers the same integers the build's
-            // upper-triangle fill would.
-            let mut grown = vec![0.0f32; k2 * k2];
-            for a in 0..k {
-                grown[a * k2..a * k2 + k].copy_from_slice(&data[a * k..(a + 1) * k]);
+            // Grow the matrix in place (a reallocation, not a second
+            // matrix beside the first) and re-stride the old rows from
+            // `k` to `k2`, last row first: a row only ever moves to a
+            // higher offset, past every row not yet moved. Then fill the
+            // new band, whose entries and zero diagonal overwrite every
+            // slot the re-stride left stale. Both kernels are exact, so
+            // pairing each new value's pattern against every earlier
+            // value answers the same integers the build's upper-triangle
+            // fill would.
+            let mut grown = std::mem::take(data);
+            grown.resize(k2 * k2, 0.0);
+            for a in (1..k).rev() {
+                grown.copy_within(a * k..(a + 1) * k, a * k2);
             }
             for b in k..k2 {
+                grown[b * k2 + b] = 0.0;
                 let pattern = (kernels::myers_wins(chars[b].len(), None))
                     .then(|| kernels::MyersPattern::new(&chars[b]));
                 for (a, other) in chars.iter().enumerate().take(b) {

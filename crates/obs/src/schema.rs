@@ -149,13 +149,9 @@ pub const SPEC: &[KindSpec] = &[
         &[("counters", Ty::Obj), ("gauges", Ty::Obj), ("histograms", Ty::Obj)],
         &[],
     ),
-    // One per shard fan-out leg of a traced sharded impute: cumulative
-    // candidate-scan time attributed to that shard over the request.
-    ("shard_leg", &[("shard", Ty::U64), ("scan_us", Ty::U64)], &[]),
     // One per served request: the flight recorder's access-log summary.
     // `phases` (budget phase self-times) is present when the request ran
-    // with an enabled tracer (`?trace=1` or a limited budget); `shards`
-    // lists the fan-out legs a traced sharded request touched.
+    // with an enabled tracer (`?trace=1` or a limited budget).
     (
         "access",
         &[
@@ -171,12 +167,11 @@ pub const SPEC: &[KindSpec] = &[
             ("phases", Ty::Obj),
             ("cells_imputed", Ty::U64),
             ("cells_missing", Ty::U64),
-            ("shards", Ty::U64Arr),
             ("trace_events", Ty::U64),
         ],
     ),
     // Server lifecycle: recovery done, model swap (with the layout
-    // generation when sharded+durable), compaction, shard degradation
+    // generation when durable), compaction, shard degradation
     // and heal, accept-loop shed, read-deadline timeout, WAL fault trip.
     (
         "server_event",
@@ -315,8 +310,7 @@ mod tests {
             r#"{"ts_us":1,"kind":"cell","span":3,"row":5,"attr":1,"outcome":"no_candidates","reason":"all_rejected"}"#,
             r#"{"ts_us":1,"kind":"budget_trip","span":0,"trip":"DeadlineExceeded","phase":"core::cell"}"#,
             r#"{"ts_us":1,"kind":"metrics","span":0,"counters":{"a":1},"gauges":{},"histograms":{}}"#,
-            r#"{"ts_us":1,"kind":"shard_leg","span":4,"shard":2,"scan_us":120}"#,
-            r#"{"ts_us":1,"kind":"access","span":0,"v":1,"id":"9f3a-1","endpoint":"impute","status":200,"latency_us":850,"bytes_in":64,"bytes_out":512,"phases":{"core::scan":500},"cells_imputed":1,"cells_missing":2,"shards":[0,3]}"#,
+            r#"{"ts_us":1,"kind":"access","span":0,"v":1,"id":"9f3a-1","endpoint":"impute","status":200,"latency_us":850,"bytes_in":64,"bytes_out":512,"phases":{"core::scan":500},"cells_imputed":1,"cells_missing":2,"trace_events":7}"#,
             r#"{"ts_us":1,"kind":"access","span":0,"v":1,"id":"x","endpoint":"error","status":400,"latency_us":5}"#,
             r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"swap","seq":9,"generation":2}"#,
             r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"shard_degraded","shard":1,"detail":"wal append failed"}"#,

@@ -233,37 +233,7 @@ pub fn encode(
     source: &str,
     committed_seq: u64,
 ) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(&MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u64(schema_fingerprint(rel.schema()));
-
-    // Schema.
-    w.u32(rel.arity() as u32);
-    for attr in rel.schema().attrs() {
-        w.str(&attr.name);
-        w.u8(type_tag(attr.ty));
-    }
-    w.str(source);
-    w.u64(committed_seq);
-
-    // Relation.
-    w.u32(rel.len() as u32);
-    for tuple in rel.tuples() {
-        for v in tuple {
-            w.value(v);
-        }
-    }
-
-    // RFDs.
-    w.u32(rfds.len() as u32);
-    for rfd in rfds.iter() {
-        w.u32(rfd.lhs().len() as u32);
-        for &c in rfd.lhs() {
-            w.constraint(c);
-        }
-        w.constraint(rfd.rhs());
-    }
+    let mut w = encode_head(rel.schema(), rel.len(), rel.tuples(), rfds, source, committed_seq);
 
     // Oracle column tables.
     for col in oracle.to_snapshot() {
@@ -320,9 +290,82 @@ pub fn encode(
         }
     }
 
+    finish(w)
+}
+
+/// Header, schema, provenance, relation rows and RFD set — the part of
+/// the payload every artifact shares; the caller appends the distance
+/// tables and index, then [`finish`].
+fn encode_head<'a>(
+    schema: &Schema,
+    n_rows: usize,
+    rows: impl Iterator<Item = &'a Tuple>,
+    rfds: &RfdSet,
+    source: &str,
+    committed_seq: u64,
+) -> Writer {
+    let mut w = Writer::new();
+    w.buf.extend_from_slice(&MAGIC);
+    w.u32(FORMAT_VERSION);
+    w.u64(schema_fingerprint(schema));
+
+    // Schema.
+    w.u32(schema.arity() as u32);
+    for attr in schema.attrs() {
+        w.str(&attr.name);
+        w.u8(type_tag(attr.ty));
+    }
+    w.str(source);
+    w.u64(committed_seq);
+
+    // Relation.
+    w.u32(n_rows as u32);
+    for tuple in rows {
+        for v in tuple {
+            w.value(v);
+        }
+    }
+
+    // RFDs.
+    w.u32(rfds.len() as u32);
+    for rfd in rfds.iter() {
+        w.u32(rfd.lhs().len() as u32);
+        for &c in rfd.lhs() {
+            w.constraint(c);
+        }
+        w.constraint(rfd.rhs());
+    }
+    w
+}
+
+/// Appends the checksum and returns the artifact bytes.
+fn finish(mut w: Writer) -> Vec<u8> {
     let crc = crc32(&w.buf);
     w.u32(crc);
     w.buf
+}
+
+/// The artifact of `rows` (tuples over `schema`) with no distance cache
+/// and no index: every text column is written direct, without
+/// materializing the rows as a relation. Shard snapshots are written
+/// this way, cut straight from the serving engine's relation; recovery
+/// reads back only their rows, RFDs and seq.
+pub fn encode_uncached<'a, I>(
+    schema: &Schema,
+    rows: I,
+    rfds: &RfdSet,
+    source: &str,
+    committed_seq: u64,
+) -> Vec<u8>
+where
+    I: Iterator<Item = &'a Tuple> + Clone,
+{
+    let mut w = encode_head(schema, rows.clone().count(), rows, rfds, source, committed_seq);
+    for a in 0..schema.arity() {
+        w.u8(u8::from(schema.ty(a) == AttrType::Text));
+    }
+    w.u8(0);
+    finish(w)
 }
 
 /// [`encode`] straight from a prepared engine.
@@ -599,6 +642,29 @@ mod tests {
         let oracle = DistanceOracle::build(&rel, 3000);
         let ix = index.then(|| SimilarityIndex::build(&rel, &oracle));
         encode(&rel, &rfds, &oracle, ix.as_ref(), "tests/model.csv", 7)
+    }
+
+    #[test]
+    fn uncached_rows_round_trip() {
+        let (mut rel, rfds) = model();
+        // Row 4 leaves Name without any value.
+        rel.push(vec![Value::Null, Value::from("Malibu"), Value::Null, Value::Null]).unwrap();
+        for rows in [vec![0, 1, 2, 3], vec![1, 3], vec![4], vec![]] {
+            let bytes = encode_uncached(
+                rel.schema(),
+                rows.iter().map(|&r| rel.tuple(r)),
+                &rfds,
+                "shard",
+                3,
+            );
+            let art = decode(&bytes).unwrap_or_else(|e| panic!("rows {rows:?}: {e}"));
+            assert_eq!(art.committed_seq, 3);
+            assert_eq!(art.relation.schema(), rel.schema());
+            let want: Vec<&Tuple> = rows.iter().map(|&r| rel.tuple(r)).collect();
+            assert_eq!(art.relation.tuples().collect::<Vec<_>>(), want, "rows {rows:?}");
+            assert_eq!(art.rfds, rfds);
+            assert!(art.index.is_none());
+        }
     }
 
     #[test]

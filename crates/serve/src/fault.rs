@@ -25,16 +25,18 @@
 //! | `wal.append.mid_write`   | honours `short:<n>`: partial frame, abort   |
 //! | `wal.append.pre_fsync`   | frame written, not yet fsynced              |
 //! | `wal.append.post_fsync`  | frame durable, caller not yet acknowledged  |
-//! | `compact.pre_write`      | before the temp snapshot file is written    |
+//! | `compact.pre_write`      | before a shard's temp snapshot is written   |
 //! | `compact.pre_rename`     | temp file complete, rename not yet issued   |
-//! | `compact.post_rename`    | snapshot live, WAL not yet truncated        |
-//! | `compact.pre_truncate`   | alias point directly before the WAL reset   |
-//! | `compact.shard_done`     | sharded only: one shard snapshot renamed,   |
-//! |                          | siblings and the manifest still old         |
-//! | `registry.append.shard<k>` | sharded only: the ingest fan-out reaches  |
-//! |                          | shard `k` — earlier logs hold the frame     |
-//! | `swap.pre_commit`        | sharded only: the new generation's files    |
-//! |                          | are all written, manifest not yet flipped   |
+//! | `compact.shard_done`     | one shard snapshot renamed, later shards    |
+//! |                          | and the manifest still old                  |
+//! | `compact.post_rename`    | manifest live, WALs not yet reset           |
+//! | `compact.pre_truncate`   | directly before each WAL reset              |
+//! | `registry.append.shard<k>` | the ingest fan-out reaches shard `k` —    |
+//! |                          | earlier logs hold the frame                 |
+//! | `swap.pre_commit`        | the new generation's files are all written, |
+//! |                          | manifest not yet flipped                    |
+//! | `migrate.pre_unlink`     | a single-file WAL folded into the layout,   |
+//! |                          | manifest committed, old log not yet removed |
 
 use std::collections::HashMap;
 use std::io;

@@ -9,40 +9,42 @@
 //!   (`.rnv`) of a prepared model: relation + RFD set + oracle + index.
 //!   Loading skips every quadratic build step and answers bit-for-bit
 //!   identically to a fresh build.
-//! - [`wal`], [`store`], [`fault`] — the durable write path: every
-//!   accepted ingest batch is fsynced into a CRC-framed write-ahead log
-//!   before the client sees a success response, a background compactor
-//!   folds the log back into the snapshot via atomic rename, and
-//!   recovery replays the log through the same deterministic commit
-//!   code the live server runs — so a restart after a crash at *any*
-//!   point yields an engine bit-identical to one that never crashed.
-//!   [`fault`] is the injection harness the crash-recovery test matrix
-//!   drives.
-//! - [`registry`] — the sharded topology (`serve --shards N`): N shard
-//!   engines partitioned by RFD left-hand-side values behind an
-//!   immutable published snapshot, so imputes run lock-free and merge
-//!   bit-identically to a single engine. Per-shard WALs each log the
-//!   full batch (any healthy log rebuilds a dead sibling's tail),
-//!   compaction runs off-request, and `PUT /v1/model` / `SIGHUP`
-//!   atomically swap the serving model with zero downtime, guarded by
-//!   the schema fingerprint.
+//! - [`registry`] — the one serving topology: a registry owns one
+//!   prepared engine, and every `/v1/impute`, ingest repair and commit
+//!   runs on it, so served answers equal the engine's by construction.
+//!   Shards are only the durable on-disk layout (`serve --wal --shards
+//!   N`, default 1): a routing manifest plus one snapshot and one
+//!   write-ahead log per shard, each log holding the full batch so any
+//!   healthy log rebuilds a dead sibling's rows. Once a layout exists
+//!   it is the model the `.rnv` path holds; non-durable readers load
+//!   its committed state read-only. Compaction runs off-request, and
+//!   `PUT /v1/model` / `SIGHUP` / a tune install swap the serving model
+//!   atomically, guarded by the schema fingerprint.
+//! - [`wal`], [`fault`] — the durable write path: every accepted ingest
+//!   batch is fsynced into CRC-framed shard logs before the client sees
+//!   a success response, and recovery replays the logs through the same
+//!   deterministic commit code the live server runs — so a restart after
+//!   a crash at *any* point yields a model bit-identical to one that
+//!   never crashed. [`fault`] is the injection harness the
+//!   crash-recovery test matrix drives.
 //! - [`jobs`] — the single-flight async job registry behind
 //!   `POST /v1/tune`: one background tune at a time, monotonic ids,
 //!   poll/cancel via `GET`/`DELETE /v1/tune/<id>`, budget-based
 //!   cancellation with partial reports, and a graceful-drain join so
 //!   shutdown never orphans a running job. A finished tune can install
 //!   its winning thresholds through the same checked swap path as
-//!   `PUT /v1/model`.
+//!   `PUT /v1/model`, at any shard count.
 //! - [`http`], [`server`], [`router`] — a dependency-free HTTP/1.1
 //!   server (the build container is offline; `std::net` is all there
 //!   is) with a fixed worker pool, a bounded accept queue that sheds
 //!   load with `503` + `Retry-After`, per-request execution budgets,
 //!   and graceful drain on SIGTERM.
 //!
-//! The CLI front ends are `renuver prepare` (dataset → artifact),
-//! `renuver inspect` (artifact → summary), `renuver ingest` (batch →
-//! repaired, WAL-committed model growth), and `renuver serve` (artifact
-//! or dataset → listening server).
+//! The CLI front ends are `renuver prepare` (dataset → artifact, and a
+//! layout with `--shards`), `renuver inspect` (artifact and layout →
+//! summary), `renuver
+//! ingest` (batch → repaired, WAL-committed model growth), and `renuver
+//! serve` (artifact or dataset → listening server).
 
 pub mod artifact;
 mod codec;
@@ -53,16 +55,15 @@ pub mod jobs;
 pub mod registry;
 pub mod router;
 pub mod server;
-pub mod store;
 pub mod wal;
 
 pub use artifact::{Artifact, ArtifactError, ArtifactInfo};
 pub use flight::{FlightOptions, FlightRecorder, SlowEntry};
 pub use jobs::{JobState, JobStatus, TuneJobs};
 pub use registry::{
-    IngestOutcome, Manifest, Registry, RegistryError, ShardLayout, ShardRecovery, ShardState, Snap,
+    DurabilityOptions, IngestOutcome, Manifest, Registry, RegistryError, ShardLayout,
+    ShardRecovery, ShardState, Snap,
 };
-pub use router::{Ctx, ModelInfo, ServeState, Topology};
+pub use router::{Ctx, ModelInfo, ServeState};
 pub use server::{install_signal_handlers, ServeConfig, Server};
-pub use store::{Durable, DurabilityOptions, RecoveryReport, StoreError};
 pub use wal::{Wal, WalError, WalRecord};

@@ -3,10 +3,11 @@
 //! The API surface (all bodies JSON unless noted):
 //!
 //! - `GET /healthz` — liveness plus a `state` field
-//!   (`ok` | `recovering` | `compacting` | `degraded`) and the highest
-//!   durable sequence number. Always `200` while the process lives.
+//!   (`ok` | `compacting` | `degraded`), the highest durable sequence
+//!   number, and per-shard state and row counts. Always `200` while the
+//!   process lives.
 //! - `GET /v1/model` — the loaded model: schema, row/RFD counts,
-//!   fingerprint, provenance, durable sequence number.
+//!   fingerprint, provenance, shard count, durable sequence number.
 //! - `GET /metrics` — the server's metrics registry as the standard
 //!   `renuver-obs` text table.
 //! - `POST /v1/impute` — tuples with `null` holes in, imputed tuples
@@ -18,27 +19,28 @@
 //!   (include per-cell explain records), `explain_sample`
 //!   (`all` | `dry` | an integer `k` for every k-th cell).
 //! - `POST /v1/ingest` — same body formats as `/v1/impute`, but the
-//!   repaired batch is *committed*: appended to the WAL (fsynced before
-//!   the response), folded into the model relation, oracle, and index,
-//!   and available as donors to subsequent requests. `503` while the
-//!   WAL is still replaying, when the model was served without
-//!   durability, or after a WAL write failure degraded the server.
-//! - `POST /v1/compact` — fold the WAL into a fresh snapshot (atomic
-//!   rename) and truncate it.
+//!   repaired batch is *committed*: appended to every shard WAL (fsynced
+//!   before the response), folded into the model relation, oracle, and
+//!   index, and available as donors to subsequent requests. `503` when
+//!   the model was served without durability, or after a WAL write
+//!   failure degraded a shard.
+//! - `POST /v1/compact` — fold the shard WALs into fresh snapshots
+//!   (atomic renames) and truncate them.
 //! - `PUT /v1/model` — hot model swap: the body is a complete `.rnv`
 //!   artifact with the same schema fingerprint as the loaded model.
 //!   The new model is installed atomically (in-flight requests finish
 //!   on the old one); a fingerprint mismatch is rejected with `409`.
-//!   `SIGHUP` triggers the same swap from the model path on disk.
+//!   `SIGHUP` triggers the same swap from the model path on disk: a
+//!   replaced file is installed as is, an unchanged one is re-read with
+//!   the durable layout beside it (so no committed batch is lost).
+//! - `POST /v1/tune`, `GET`/`DELETE /v1/tune/<id>` — the asynchronous
+//!   threshold-tuning job, which can install its result through the
+//!   same swap.
 //!
-//! A context serves one of two topologies: **single** (one
-//! `Mutex<Engine>`, the original write path) or **sharded** (a
-//! [`Registry`] of N relation shards behind an atomically swapped
-//! snapshot — imputes run lock-free and merge bit-identically to the
-//! single engine; see `crates/serve/src/registry.rs`).
+//! Every context serves through one [`Registry`], which owns one
+//! prepared engine (see `crates/serve/src/registry.rs`).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -52,21 +54,17 @@ use crate::flight::{FlightOptions, FlightRecorder, SlowEntry};
 use crate::http::{Request, Response};
 use crate::jobs::{JobState, JobStatus, TuneJobs};
 use crate::registry::{Registry, RegistryError};
-use crate::store::Durable;
 
 /// The server's write-path health, surfaced by `GET /healthz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum ServeState {
     /// Serving reads and (when durable) writes.
-    Ok = 0,
-    /// WAL replay is still running; ingest is refused with `503`.
-    Recovering = 1,
-    /// A compaction snapshot is being written.
-    Compacting = 2,
-    /// A WAL write failed after the engine accepted work — ingest is
-    /// refused until the operator restarts (recovery re-syncs state).
-    Degraded = 3,
+    Ok,
+    /// A background compaction is writing snapshots.
+    Compacting,
+    /// A shard WAL failed: reads are served, ingest is refused until a
+    /// model swap or a restart rebuilds the logs.
+    Degraded,
 }
 
 impl ServeState {
@@ -74,17 +72,8 @@ impl ServeState {
     pub fn label(self) -> &'static str {
         match self {
             ServeState::Ok => "ok",
-            ServeState::Recovering => "recovering",
             ServeState::Compacting => "compacting",
             ServeState::Degraded => "degraded",
-        }
-    }
-    fn from_u8(v: u8) -> ServeState {
-        match v {
-            1 => ServeState::Recovering,
-            2 => ServeState::Compacting,
-            3 => ServeState::Degraded,
-            _ => ServeState::Ok,
         }
     }
 }
@@ -100,43 +89,18 @@ pub struct ModelInfo {
     pub artifact_bytes: usize,
 }
 
-/// How the context serves: one engine behind a mutex, or a sharded
-/// registry behind an atomically swapped snapshot.
-//
-// The variants differ by ~500 bytes, but exactly one Topology exists
-// per process (inside the one `Ctx`), so boxing would buy nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum Topology {
-    /// The original topology: every request serializes on the engine
-    /// lock; ingest and compaction run inline.
-    Single {
-        /// The serving engine.
-        engine: Mutex<Engine>,
-        /// The durable store, once recovery has installed it. `None`
-        /// means the model is served read-only (no WAL configured, or
-        /// replay is still running). Lock order: engine before durable.
-        durable: Mutex<Option<Durable>>,
-    },
-    /// N shard parts; imputes clone an `Arc` snapshot and run lock-free,
-    /// compaction happens off-request on a worker thread.
-    Sharded(Registry),
-}
-
 /// Leaked-once per-shard metric names (the registry requires
 /// `&'static str` instrument names).
 struct ShardLabels {
     rows: &'static str,
     ingest_rows: &'static str,
-    /// Windowed histogram of the shard's scan-leg time per traced
-    /// request, microseconds.
-    scan_us: &'static str,
 }
 
-/// Shared server state: the topology (engine or shard registry), model
-/// provenance, the metrics registry, and the request-budget policy.
+/// Shared server state: the engine registry, model provenance, the
+/// metrics registry, and the request-budget policy.
 pub struct Ctx {
-    /// How requests are served.
-    pub topology: Topology,
+    /// The one serving topology.
+    registry: Registry,
     /// Model provenance. Behind a lock: a hot swap replaces it.
     info: RwLock<ModelInfo>,
     /// Server-lifetime metrics, rendered by `GET /metrics`.
@@ -145,15 +109,10 @@ pub struct Ctx {
     pub default_timeout_ms: Option<u64>,
     /// Hard ceiling on any per-request `timeout_ms`.
     pub max_timeout_ms: u64,
-    /// Write-path state machine (see [`ServeState`]). For the sharded
-    /// topology this is the fallback when no shard overrides it.
-    state: AtomicU8,
-    /// Highest durable sequence number, mirrored so read endpoints can
-    /// report it without taking any write lock.
-    seq: AtomicU64,
-    /// Where `SIGHUP` reloads the model from, when serving a file.
-    model_path: Mutex<Option<PathBuf>>,
-    /// Per-shard instrument names (empty for the single topology).
+    /// Where `SIGHUP` reloads the model from, when serving a file, and
+    /// the checksum that file ended with when it was last loaded.
+    model_file: Mutex<Option<(PathBuf, Option<u32>)>>,
+    /// Per-shard instrument names, shard order.
     shard_labels: Vec<ShardLabels>,
     /// The flight recorder: request ids, access log, slow ring.
     flight: FlightRecorder,
@@ -256,41 +215,20 @@ fn register_observability(metrics: &Metrics) {
 }
 
 impl Ctx {
-    /// Builds a single-engine context with the standard counters
-    /// pre-registered (so `/metrics` shows zeros instead of omitting
-    /// untouched counters).
+    /// Serves `engine` as a non-durable one-shard registry. The engine is
+    /// kept as prepared: no oracle or index rebuild.
     pub fn new(
         engine: Engine,
         info: ModelInfo,
         default_timeout_ms: Option<u64>,
         max_timeout_ms: u64,
     ) -> Ctx {
-        let metrics = Metrics::new();
-        for name in BASE_COUNTERS {
-            metrics.counter(name);
-        }
-        register_observability(&metrics);
-        Ctx {
-            topology: Topology::Single {
-                engine: Mutex::new(engine),
-                durable: Mutex::new(None),
-            },
-            info: RwLock::new(info),
-            metrics,
-            default_timeout_ms,
-            max_timeout_ms,
-            state: AtomicU8::new(ServeState::Ok as u8),
-            seq: AtomicU64::new(0),
-            model_path: Mutex::new(None),
-            shard_labels: Vec::new(),
-            flight: FlightRecorder::new(FlightOptions::default()),
-            jobs: TuneJobs::new(),
-            self_ref: Mutex::new(Weak::new()),
-        }
+        Ctx::new_sharded(Registry::from_engine(engine, 1), info, default_timeout_ms, max_timeout_ms)
     }
 
-    /// Builds a sharded context over `registry`, with per-shard row
-    /// gauges and ingest counters registered up front.
+    /// Serves `registry`, with the standard counters and the per-shard
+    /// row gauges and ingest counters registered up front (so `/metrics`
+    /// shows zeros instead of omitting untouched instruments).
     pub fn new_sharded(
         registry: Registry,
         info: ModelInfo,
@@ -306,24 +244,19 @@ impl Ctx {
             .map(|k| ShardLabels {
                 rows: Box::leak(format!("serve.shard{k}.rows").into_boxed_str()),
                 ingest_rows: Box::leak(format!("serve.shard{k}.ingest_rows").into_boxed_str()),
-                scan_us: Box::leak(format!("serve.shard{k}.scan_us").into_boxed_str()),
             })
             .collect();
         for (labels, rows) in shard_labels.iter().zip(registry.shard_rows()) {
             metrics.gauge(labels.rows).set(rows as u64);
             metrics.counter(labels.ingest_rows);
-            metrics.windowed(labels.scan_us);
         }
-        let seq = registry.snapshot().seq;
         Ctx {
-            topology: Topology::Sharded(registry),
+            registry,
             info: RwLock::new(info),
             metrics,
             default_timeout_ms,
             max_timeout_ms,
-            state: AtomicU8::new(ServeState::Ok as u8),
-            seq: AtomicU64::new(seq),
-            model_path: Mutex::new(None),
+            model_file: Mutex::new(None),
             shard_labels,
             flight: FlightRecorder::new(FlightOptions::default()),
             jobs: TuneJobs::new(),
@@ -369,29 +302,21 @@ impl Ctx {
         self.flight.server_event(event, fields);
     }
 
-    /// Current write-path state. Sharded contexts derive it: degraded if
+    /// Current write-path state, derived from the registry: degraded if
     /// any shard is, compacting while the background worker runs.
     pub fn state(&self) -> ServeState {
-        if let Topology::Sharded(reg) = &self.topology {
-            if !reg.degraded_shards().is_empty() {
-                return ServeState::Degraded;
-            }
-            if reg.compacting() {
-                return ServeState::Compacting;
-            }
+        if !self.registry.degraded_shards().is_empty() {
+            ServeState::Degraded
+        } else if self.registry.compacting() {
+            ServeState::Compacting
+        } else {
+            ServeState::Ok
         }
-        ServeState::from_u8(self.state.load(Ordering::Acquire))
-    }
-
-    /// Moves the write-path state machine (single topology; sharded
-    /// contexts derive their state from the registry).
-    pub fn set_state(&self, state: ServeState) {
-        self.state.store(state as u8, Ordering::Release);
     }
 
     /// Highest durable sequence number (0 when not durable).
     pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
+        self.registry.seq()
     }
 
     /// A snapshot of the model provenance.
@@ -399,61 +324,31 @@ impl Ctx {
         self.info.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Records where `SIGHUP` should reload the model from.
+    /// Records where `SIGHUP` should reload the model from; the file as
+    /// it is now is taken to be the model being served.
     pub fn set_model_path(&self, path: PathBuf) {
-        *self.model_path.lock().unwrap_or_else(|e| e.into_inner()) = Some(path);
+        let checksum = stored_checksum(&path);
+        self.set_model_file(path, checksum);
+    }
+
+    fn set_model_file(&self, path: PathBuf, checksum: Option<u32>) {
+        *self.model_file.lock().unwrap_or_else(|e| e.into_inner()) = Some((path, checksum));
     }
 
     /// The registered model path, if any.
     pub fn model_path(&self) -> Option<PathBuf> {
-        self.model_path.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.model_file.lock().unwrap_or_else(|e| e.into_inner()).as_ref().map(|(p, _)| p.clone())
     }
 
-    /// The shard registry, when sharded.
-    pub fn registry(&self) -> Option<&Registry> {
-        match &self.topology {
-            Topology::Sharded(reg) => Some(reg),
-            Topology::Single { .. } => None,
-        }
+    /// The engine registry.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
-    /// Installs the durable store after WAL replay finished and flips
-    /// the state to `ok`. Until this runs, `/v1/ingest` answers `503`.
-    /// Single topology only.
-    pub fn install_durable(&self, durable: Durable) {
-        let Topology::Single { durable: slot, .. } = &self.topology else {
-            panic!("install_durable on a sharded context");
-        };
-        self.seq.store(durable.last_seq(), Ordering::Release);
-        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(durable);
-        self.set_state(ServeState::Ok);
-    }
-
-    /// Locks the engine, recovering a poisoned lock by rolling back any
-    /// transient rows the panicking request left behind. Single topology
-    /// only — sharded requests never lock.
+    /// Locks the serving engine, recovering a poisoned lock by rolling
+    /// back any transient rows the panicking request left behind.
     pub fn lock_engine(&self) -> std::sync::MutexGuard<'_, Engine> {
-        let Topology::Single { engine, .. } = &self.topology else {
-            panic!("lock_engine on a sharded context");
-        };
-        // A panic while holding the lock poisons it and may leave the
-        // panicking request's transient rows appended; recover the guard
-        // and restore the reference state before serving again.
-        match engine.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                g.reset_transient();
-                g
-            }
-        }
-    }
-
-    fn lock_durable(&self) -> std::sync::MutexGuard<'_, Option<Durable>> {
-        let Topology::Single { durable, .. } = &self.topology else {
-            panic!("lock_durable on a sharded context");
-        };
-        durable.lock().unwrap_or_else(|p| p.into_inner())
+        self.registry.lock_engine()
     }
 }
 
@@ -466,8 +361,6 @@ struct Telemetry {
     /// Budget phase self-times (label, µs), present when the request
     /// ran with an enabled tracer.
     phases: Vec<(String, u64)>,
-    /// Per-shard scan legs (shard, µs), from `shard_leg` trace events.
-    shards: Vec<(u64, u64)>,
     /// Records returned in the `?trace=1` envelope.
     trace_events: Option<u64>,
 }
@@ -525,11 +418,6 @@ fn finish_request(
     }
     let latency_us = started.elapsed().as_micros() as u64;
     ctx.metrics.windowed(latency_name(endpoint, resp.status)).observe(latency_us);
-    for &(shard, scan_us) in &tel.shards {
-        if let Some(labels) = ctx.shard_labels.get(shard as usize) {
-            ctx.metrics.windowed(labels.scan_us).observe(scan_us);
-        }
-    }
     let id = ctx.flight.request_id(req.header("x-request-id"));
     if ctx.flight.has_log() {
         let mut fields: Vec<Field> = vec![
@@ -548,9 +436,6 @@ fn finish_request(
         }
         if !tel.phases.is_empty() {
             fields.push(("phases", FieldValue::U64Map(tel.phases.clone())));
-        }
-        if !tel.shards.is_empty() {
-            fields.push(("shards", FieldValue::U64s(tel.shards.iter().map(|&(k, _)| k).collect())));
         }
         if let Some(n) = tel.trace_events {
             fields.push(("trace_events", FieldValue::U64(n)));
@@ -660,22 +545,21 @@ fn healthz_endpoint(ctx: &Ctx) -> Response {
         ctx.state().label(),
         ctx.seq()
     );
-    if let Topology::Sharded(reg) = &ctx.topology {
-        out.push_str(&format!(",\"compacting\":{}", reg.compacting()));
-        out.push_str(",\"shards\":[");
-        let rows = reg.shard_rows();
-        for (k, state) in reg.shard_states().iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{k},\"state\":\"{}\",\"rows\":{}}}",
-                state.label(),
-                rows[k]
-            ));
+    let reg = ctx.registry();
+    out.push_str(&format!(",\"compacting\":{}", reg.compacting()));
+    out.push_str(",\"shards\":[");
+    let rows = reg.shard_rows();
+    for (k, state) in reg.shard_states().iter().enumerate() {
+        if k > 0 {
+            out.push(',');
         }
-        out.push(']');
+        out.push_str(&format!(
+            "{{\"shard\":{k},\"state\":\"{}\",\"rows\":{}}}",
+            state.label(),
+            rows[k]
+        ));
     }
+    out.push(']');
     if let Some((id, status, iterations)) = ctx.jobs.snapshot() {
         out.push_str(&format!(
             ",\"tune\":{{\"id\":{id},\"status\":\"{}\",\"iterations\":{iterations}}}",
@@ -688,28 +572,11 @@ fn healthz_endpoint(ctx: &Ctx) -> Response {
 
 fn model_endpoint(ctx: &Ctx) -> Response {
     let info = ctx.info();
-    let (rows, rfds, indexed, attrs, shards) = match &ctx.topology {
-        Topology::Single { .. } => {
-            let engine = ctx.lock_engine();
-            (
-                engine.donor_rows(),
-                engine.sigma().len(),
-                engine.index().is_some(),
-                engine.schema().clone(),
-                None,
-            )
-        }
-        Topology::Sharded(reg) => {
-            let snap = reg.snapshot();
-            (
-                snap.rows(),
-                snap.sigma.len(),
-                false,
-                snap.schema().clone(),
-                Some(reg.n_shards()),
-            )
-        }
+    let (rows, rfds, indexed) = {
+        let engine = ctx.lock_engine();
+        (engine.donor_rows(), engine.sigma().len(), engine.index().is_some())
     };
+    let attrs = ctx.registry().schema();
     let mut out = String::from("{");
     out.push_str("\"source\":");
     write_str(&mut out, &info.source);
@@ -722,9 +589,7 @@ fn model_endpoint(ctx: &Ctx) -> Response {
     out.push_str(&format!(",\"rows\":{rows}"));
     out.push_str(&format!(",\"rfds\":{rfds}"));
     out.push_str(&format!(",\"indexed\":{indexed}"));
-    if let Some(n) = shards {
-        out.push_str(&format!(",\"shards\":{n}"));
-    }
+    out.push_str(&format!(",\"shards\":{}", ctx.registry().n_shards()));
     out.push_str(&format!(",\"state\":\"{}\"", ctx.state().label()));
     out.push_str(&format!(",\"seq\":{}", ctx.seq()));
     out.push_str(",\"attrs\":[");
@@ -936,76 +801,45 @@ fn field_str<'a>(rec: &'a TraceRecord, name: &str) -> Option<&'a str> {
     })
 }
 
-/// Folds a finished request's trace into the telemetry scratch: budget
-/// phase self-times and per-shard scan legs.
-fn collect_telemetry(result: &BatchResult, tracer: &Tracer, tel: &mut Telemetry) {
+/// Folds a finished request into the telemetry scratch: cell counts and
+/// budget phase self-times.
+fn collect_telemetry(result: &BatchResult, tel: &mut Telemetry) {
     tel.cells_missing = Some(result.stats.missing_total as u64);
     tel.cells_imputed = Some(result.stats.imputed as u64);
     tel.phases = result.budget.phases.clone();
-    if tracer.is_enabled() {
-        for rec in tracer.records() {
-            if rec.kind == "shard_leg" {
-                if let (Some(shard), Some(scan_us)) =
-                    (field_u64(&rec, "shard"), field_u64(&rec, "scan_us"))
-                {
-                    tel.shards.push((shard, scan_us));
-                }
-            }
-        }
-    }
 }
 
 /// Appends the `?trace=1` envelope to a response body (a JSON object):
-/// the closed spans and shard legs from the request's tracer, capped at
-/// `max_events`. The envelope is client-opt-in and independent of the
-/// flight recorder's state, so the recorder on/off differential strips
-/// nothing but the `X-Request-Id` header.
+/// the closed spans from the request's tracer, capped at `max_events`.
+/// The envelope is client-opt-in and independent of the flight
+/// recorder's state, so the recorder on/off differential strips nothing
+/// but the `X-Request-Id` header.
 fn attach_trace(body: &mut String, tracer: &Tracer, max_events: usize, tel: &mut Telemetry) {
     debug_assert!(body.ends_with('}'));
     let records = tracer.records();
     let mut spans = String::new();
-    let mut shards = String::new();
     let mut taken = 0usize;
-    let mut span_count = 0usize;
-    let mut shard_count = 0usize;
-    for rec in &records {
+    for rec in records.iter().filter(|r| r.kind == "span") {
         if taken == max_events {
             break;
         }
-        match rec.kind {
-            "span" => {
-                if span_count > 0 {
-                    spans.push(',');
-                }
-                spans.push_str(&format!("{{\"span\":{},\"label\":", rec.span));
-                write_str(&mut spans, field_str(rec, "label").unwrap_or("?"));
-                spans.push_str(&format!(
-                    ",\"parent\":{},\"dur_us\":{}}}",
-                    field_u64(rec, "parent").unwrap_or(0),
-                    field_u64(rec, "dur_us").unwrap_or(0)
-                ));
-                span_count += 1;
-                taken += 1;
-            }
-            "shard_leg" => {
-                if shard_count > 0 {
-                    shards.push(',');
-                }
-                shards.push_str(&format!(
-                    "{{\"shard\":{},\"scan_us\":{}}}",
-                    field_u64(rec, "shard").unwrap_or(0),
-                    field_u64(rec, "scan_us").unwrap_or(0)
-                ));
-                shard_count += 1;
-                taken += 1;
-            }
-            _ => {}
+        if taken > 0 {
+            spans.push(',');
         }
+        spans.push_str(&format!("{{\"span\":{},\"label\":", rec.span));
+        write_str(&mut spans, field_str(rec, "label").unwrap_or("?"));
+        spans.push_str(&format!(
+            ",\"parent\":{},\"dur_us\":{}}}",
+            field_u64(rec, "parent").unwrap_or(0),
+            field_u64(rec, "dur_us").unwrap_or(0)
+        ));
+        taken += 1;
     }
+    let total = records.iter().filter(|r| r.kind == "span").count();
     body.pop();
     body.push_str(&format!(
-        ",\"trace\":{{\"events\":{taken},\"truncated\":{},\"spans\":[{spans}],\"shards\":[{shards}]}}}}",
-        taken == max_events && records.len() > max_events
+        ",\"trace\":{{\"events\":{taken},\"truncated\":{},\"spans\":[{spans}]}}}}",
+        total > taken
     ));
     tel.trace_events = Some(taken as u64);
 }
@@ -1016,33 +850,16 @@ fn impute_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
         Err(resp) => return resp,
     };
 
-    let (result, tracer) = match &ctx.topology {
-        Topology::Single { .. } => {
-            let mut engine = ctx.lock_engine();
-            let tuples = match parse_tuples(engine.schema(), req) {
-                Ok(t) => t,
-                Err(resp) => return resp,
-            };
-            let config = request_config(engine.config(), &opts);
-            match engine.impute_batch_with(tuples, &config) {
-                Ok(result) => (result, config.tracer),
-                Err(e) => return bad_request(e),
-            }
-        }
-        Topology::Sharded(reg) => {
-            // One Arc clone; the request runs against an immutable view,
-            // concurrent with ingests and model swaps.
-            let snap = reg.snapshot();
-            let tuples = match parse_tuples(snap.schema(), req) {
-                Ok(t) => t,
-                Err(resp) => return resp,
-            };
-            let config = request_config(&snap.config, &opts);
-            match snap.impute(tuples, &config) {
-                Ok(result) => (result, config.tracer),
-                Err(e) => return bad_request(e),
-            }
-        }
+    // Parsing runs before the engine lock; only the impute holds it.
+    let reg = ctx.registry();
+    let tuples = match parse_tuples(reg.schema(), req) {
+        Ok(t) => t,
+        Err(resp) => return resp,
+    };
+    let config = request_config(reg.config(), &opts);
+    let result = match reg.impute(tuples, &config) {
+        Ok(result) => result,
+        Err(e) => return bad_request(e),
     };
 
     ctx.metrics.counter("serve.batches").inc();
@@ -1051,10 +868,10 @@ fn impute_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
     if result.budget.tripped.is_some() {
         ctx.metrics.counter("serve.budget_tripped").inc();
     }
-    collect_telemetry(&result, &tracer, tel);
+    collect_telemetry(&result, tel);
     let mut body = render_batch(&result, opts.explain);
     if opts.trace {
-        attach_trace(&mut body, &tracer, ctx.flight.trace_max_events(), tel);
+        attach_trace(&mut body, &config.tracer, ctx.flight.trace_max_events(), tel);
     }
     Response::json(200, body)
 }
@@ -1070,148 +887,32 @@ fn unavailable(msg: &str) -> Response {
 
 /// `POST /v1/ingest`: repair the batch, make it durable, commit it.
 ///
-/// The sequence under the engine lock is the durability contract:
+/// The registry runs the durability contract under its commit lock:
 ///
-/// 1. impute the batch (transient — rolls back on any error),
-/// 2. append the *repaired* tuples to the WAL and fsync,
+/// 1. impute the batch on the engine (transient — rolls back on error),
+/// 2. append the *repaired* tuples to every shard WAL and fsync,
 /// 3. fold them into the relation/oracle/index via `commit_tuples`.
 ///
 /// The client sees `200` only after step 2 succeeded, so every
 /// acknowledged batch is recoverable; a crash before the fsync loses
-/// only batches nobody was told about. A WAL failure after the fsync
-/// path starts degrades the server (writes refused until restart)
-/// rather than risking the log and the engine drifting apart.
+/// only batches nobody was told about. A WAL failure degrades its shard
+/// (writes refused until a swap or restart) rather than risking the logs
+/// and the engine drifting apart. Compaction, when due, is handed to a
+/// background worker — the response never waits on a snapshot rewrite.
 fn ingest_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
-    match ctx.state() {
-        ServeState::Ok => {}
-        ServeState::Recovering => return unavailable("wal replay in progress, ingest not ready"),
-        // Sharded compaction runs off-request; an ingest just queues on
-        // the commit lock behind it instead of bouncing.
-        ServeState::Compacting if ctx.registry().is_some() => {}
-        ServeState::Compacting => return unavailable("compaction in progress, retry shortly"),
-        ServeState::Degraded => {
-            return unavailable("write path degraded by an earlier wal failure; restart to recover")
-        }
+    let reg = ctx.registry();
+    if !reg.is_durable() {
+        return unavailable("model is not durable (serve it from an artifact with --wal)");
     }
     let opts = match parse_opts(ctx, req) {
         Ok(o) => o,
         Err(resp) => return resp,
     };
-    if let Topology::Sharded(reg) = &ctx.topology {
-        return ingest_sharded(ctx, reg, req, &opts, tel);
-    }
-
-    let mut engine = ctx.lock_engine();
-    let tuples = match parse_tuples(engine.schema(), req) {
+    let tuples = match parse_tuples(reg.schema(), req) {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    let config = request_config(engine.config(), &opts);
-    let result = match engine.impute_batch_with(tuples, &config) {
-        Ok(result) => result,
-        Err(e) => return bad_request(e),
-    };
-
-    // Engine lock held; take the durable lock second (the fixed order).
-    let mut durable_guard = ctx.lock_durable();
-    let Some(durable) = durable_guard.as_mut() else {
-        return unavailable("model is not durable (serve it from an artifact with --wal)");
-    };
-    let seq = match durable.append(&result.tuples) {
-        Ok(seq) => seq,
-        Err(e) => {
-            ctx.set_state(ServeState::Degraded);
-            ctx.metrics.counter("serve.wal_degraded").inc();
-            ctx.server_event("wal_degraded", vec![(
-                "detail",
-                FieldValue::Text(format!("wal append failed: {e}")),
-            )]);
-            let mut body = String::from("{\"error\":");
-            write_str(&mut body, &format!("wal append failed: {e}"));
-            body.push('}');
-            return Response::json(500, body);
-        }
-    };
-    let stats = match engine.commit_tuples(result.tuples.clone()) {
-        Ok(stats) => stats,
-        Err(e) => {
-            // The WAL holds a record the engine refused — the two views
-            // have diverged and only a restart (replay) re-syncs them.
-            ctx.set_state(ServeState::Degraded);
-            ctx.metrics.counter("serve.wal_degraded").inc();
-            ctx.server_event("wal_degraded", vec![(
-                "detail",
-                FieldValue::Text(format!("commit failed after wal append: {e}")),
-            )]);
-            let mut body = String::from("{\"error\":");
-            write_str(&mut body, &format!("commit failed after wal append: {e}"));
-            body.push('}');
-            return Response::json(500, body);
-        }
-    };
-    ctx.seq.store(seq, Ordering::Release);
-
-    // Threshold-triggered compaction, while both locks are still held
-    // so the snapshot and the sequence number cannot drift.
-    let mut compacted = false;
-    if durable.should_compact() {
-        ctx.set_state(ServeState::Compacting);
-        match durable.compact(&engine) {
-            Ok(compact_seq) => {
-                compacted = true;
-                ctx.metrics.counter("serve.compactions").inc();
-                ctx.server_event("compaction", vec![("seq", FieldValue::U64(compact_seq))]);
-            }
-            Err(e) => {
-                // Both pre- and post-rename failures leave a consistent
-                // {snapshot, wal} pair on disk; stay serving.
-                eprintln!("renuver: compaction failed (will retry at next threshold): {e}");
-                ctx.metrics.counter("serve.compact_failed").inc();
-            }
-        }
-        ctx.set_state(ServeState::Ok);
-    }
-    drop(durable_guard);
-    drop(engine);
-
-    ctx.metrics.counter("serve.ingest_batches").inc();
-    ctx.metrics.counter("serve.ingest_rows").add(stats.rows as u64);
-    ctx.metrics.counter("serve.cells_missing").add(result.stats.missing_total as u64);
-    ctx.metrics.counter("serve.cells_imputed").add(result.stats.imputed as u64);
-    collect_telemetry(&result, &config.tracer, tel);
-
-    let batch_json = render_batch(&result, opts.explain);
-    let mut body = format!(
-        "{{\"seq\":{seq},\"committed_rows\":{},\"donor_rows\":{},\"dict_grown\":{},\"compacted\":{compacted},{}",
-        stats.rows,
-        stats.donors,
-        stats.dict_grown,
-        &batch_json[1..],
-    );
-    if opts.trace {
-        attach_trace(&mut body, &config.tracer, ctx.flight.trace_max_events(), tel);
-    }
-    Response::json(200, body)
-}
-
-/// The sharded ingest path: the registry serializes commits internally,
-/// appends the repaired batch to every shard WAL, and publishes a new
-/// snapshot. Compaction, when due, is handed to a background worker —
-/// the response never waits on a snapshot rewrite.
-fn ingest_sharded(
-    ctx: &Ctx,
-    reg: &Registry,
-    req: &Request,
-    opts: &RequestOpts,
-    tel: &mut Telemetry,
-) -> Response {
-    let snap = reg.snapshot();
-    let tuples = match parse_tuples(snap.schema(), req) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let config = request_config(&snap.config, opts);
-    drop(snap);
+    let config = request_config(reg.config(), &opts);
     let outcome = match reg.ingest(tuples, &config) {
         Ok(o) => o,
         Err(RegistryError::Degraded(shards)) => {
@@ -1219,26 +920,22 @@ fn ingest_sharded(
                 "shards {shards:?} degraded by an earlier wal failure; swap a model or restart"
             ))
         }
-        Err(RegistryError::Data(e)) => return bad_request(e),
+        Err(RegistryError::Data(e)) if reg.degraded_shards().is_empty() => return bad_request(e),
         Err(e) => {
             ctx.metrics.counter("serve.wal_degraded").inc();
             ctx.server_event("wal_degraded", vec![(
                 "detail",
-                FieldValue::Text(format!("wal append failed: {e}")),
+                FieldValue::Text(e.to_string()),
             )]);
             for k in reg.degraded_shards() {
                 ctx.server_event("shard_degraded", vec![("shard", FieldValue::U64(k as u64))]);
             }
             let mut body = String::from("{\"error\":");
-            write_str(&mut body, &format!("wal append failed: {e}"));
+            write_str(&mut body, &e.to_string());
             body.push('}');
             return Response::json(500, body);
         }
     };
-    // The registry's commit lock is already released here, so two
-    // concurrent ingests can reach this line out of order; a plain store
-    // could publish seq 2 then 1 to /healthz. fetch_max never regresses.
-    ctx.seq.fetch_max(outcome.seq, Ordering::AcqRel);
 
     ctx.metrics.counter("serve.ingest_batches").inc();
     ctx.metrics.counter("serve.ingest_rows").add(outcome.committed_rows as u64);
@@ -1247,12 +944,8 @@ fn ingest_sharded(
     for (labels, rows) in ctx.shard_labels.iter().zip(reg.shard_rows()) {
         ctx.metrics.gauge(labels.rows).set(rows as u64);
     }
-    if ctx.shard_labels.len() == reg.n_shards() {
-        let snap = reg.snapshot();
-        for t in &outcome.batch.tuples {
-            let k = renuver_core::shard_of(t, &snap.attrs, reg.n_shards());
-            ctx.metrics.counter(ctx.shard_labels[k].ingest_rows).inc();
-        }
+    for &k in &outcome.shards {
+        ctx.metrics.counter(ctx.shard_labels[k].ingest_rows).inc();
     }
 
     if outcome.wants_compact {
@@ -1273,13 +966,14 @@ fn ingest_sharded(
         });
     }
 
-    collect_telemetry(&outcome.batch, &config.tracer, tel);
+    collect_telemetry(&outcome.batch, tel);
     let batch_json = render_batch(&outcome.batch, opts.explain);
     let mut body = format!(
-        "{{\"seq\":{},\"committed_rows\":{},\"donor_rows\":{},\"dict_grown\":false,\"compacted\":false,{}",
+        "{{\"seq\":{},\"committed_rows\":{},\"donor_rows\":{},\"dict_grown\":{},{}",
         outcome.seq,
         outcome.committed_rows,
         outcome.donor_rows,
+        outcome.dict_grown,
         &batch_json[1..],
     );
     if opts.trace {
@@ -1288,52 +982,20 @@ fn ingest_sharded(
     Response::json(200, body)
 }
 
-/// `POST /v1/compact`: fold the WAL into a fresh snapshot now.
+/// `POST /v1/compact`: fold the shard WALs into fresh snapshots now.
 fn compact_endpoint(ctx: &Ctx) -> Response {
-    match ctx.state() {
-        ServeState::Ok => {}
-        ServeState::Recovering => return unavailable("wal replay in progress"),
-        ServeState::Compacting => return unavailable("compaction already in progress"),
-        ServeState::Degraded if ctx.registry().is_some() => {}
-        ServeState::Degraded => return unavailable("write path degraded; restart to recover"),
-    }
-    if let Topology::Sharded(reg) = &ctx.topology {
-        return match reg.compact() {
-            Ok(seq) => {
-                ctx.metrics.counter("serve.compactions").inc();
-                ctx.server_event("compaction", vec![("seq", FieldValue::U64(seq))]);
-                Response::json(
-                    200,
-                    format!("{{\"seq\":{seq},\"shards\":{}}}", reg.n_shards()),
-                )
-            }
-            Err(e) => {
-                ctx.metrics.counter("serve.compact_failed").inc();
-                let mut body = String::from("{\"error\":");
-                write_str(&mut body, &format!("compaction failed: {e}"));
-                body.push('}');
-                Response::json(500, body)
-            }
-        };
-    }
-    let engine = ctx.lock_engine();
-    let mut durable_guard = ctx.lock_durable();
-    let Some(durable) = durable_guard.as_mut() else {
+    let reg = ctx.registry();
+    if !reg.is_durable() {
         return unavailable("model is not durable (serve it from an artifact with --wal)");
-    };
-    ctx.set_state(ServeState::Compacting);
-    let result = durable.compact(&engine);
-    ctx.set_state(ServeState::Ok);
-    match result {
+    }
+    if reg.compacting() {
+        return unavailable("compaction already in progress");
+    }
+    match reg.compact() {
         Ok(seq) => {
             ctx.metrics.counter("serve.compactions").inc();
             ctx.server_event("compaction", vec![("seq", FieldValue::U64(seq))]);
-            Response::json(
-                200,
-                format!("{{\"seq\":{seq},\"wal_records\":{},\"wal_bytes\":{}}}",
-                    durable.wal_records(),
-                    durable.wal_bytes()),
-            )
+            Response::json(200, format!("{{\"seq\":{seq},\"shards\":{}}}", reg.n_shards()))
         }
         Err(e) => {
             ctx.metrics.counter("serve.compact_failed").inc();
@@ -1426,9 +1088,6 @@ fn parse_tune_params(body: &[u8]) -> Result<TuneParams, Response> {
 /// polled via `GET /v1/tune/<id>`. Single-flight: a second submit while
 /// a job runs answers `409`.
 fn tune_submit_endpoint(ctx: &Ctx, req: &Request) -> Response {
-    if ctx.registry().is_some() {
-        return unavailable("tune runs on the single-engine topology only");
-    }
     let params = match parse_tune_params(&req.body) {
         Ok(p) => p,
         Err(resp) => return resp,
@@ -1493,12 +1152,13 @@ fn tune_job_endpoint(ctx: &Ctx, method: &str, path: &str) -> Response {
     }
 }
 
-/// The tune-job worker. Snapshots the engine's relation, RFD set, and
-/// config under a brief lock, then tunes entirely off-lock — requests
+/// The tune-job worker. Snapshots the engine's relation and RFD set
+/// under a brief lock, then tunes entirely off-lock — requests
 /// keep serving. On a clean finish with `install`, the winning
-/// thresholds go through the same `apply_model_swap` path as
-/// `PUT /v1/model`, so the served model is bit-identical to one
-/// prepared from the tuned set directly.
+/// thresholds are installed through [`Registry::retune`]: the live
+/// relation (with any batch ingested while the job ran) is prepared
+/// under them and swapped in, so the served model is bit-identical to
+/// one prepared from the tuned set directly.
 fn run_tune_job(
     ctx: Arc<Ctx>,
     id: u64,
@@ -1507,9 +1167,12 @@ fn run_tune_job(
     params: TuneParams,
 ) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let (rel, sigma, config) = {
+        // Read before the snapshot: a swap that lands after it makes the
+        // install refuse rather than overwrite the swapped-in model.
+        let swaps = ctx.registry().swaps();
+        let (rel, sigma) = {
             let engine = ctx.lock_engine();
-            (engine.relation().clone(), engine.sigma().clone(), engine.config().clone())
+            (engine.relation().clone(), engine.sigma().clone())
         };
         let fingerprint = ctx.info().schema_fingerprint;
         let defaults = renuver_tune::TuneConfig::default();
@@ -1528,9 +1191,8 @@ fn run_tune_job(
         let mut tail = format!(",\"report\":{}", report.to_json(rel.schema()));
         if params.install && !report.partial {
             let source = format!("tune job {id}");
-            let engine = Engine::prepare(rel, report.tuned.clone(), config);
-            let bytes = crate::artifact::encode_engine(&engine, &source, ctx.seq());
-            match apply_model_swap(&ctx, &bytes, &source) {
+            let tuned = report.tuned.clone();
+            match install_model(&ctx, &source, source.clone(), 0, |reg| reg.retune(tuned, swaps)) {
                 Ok(seq) => tail.push_str(&format!(",\"installed\":true,\"seq\":{seq}")),
                 Err(resp) => {
                     tail.push_str(",\"installed\":false,\"install_error\":");
@@ -1600,6 +1262,14 @@ fn swap_endpoint(ctx: &Ctx, req: &Request) -> Response {
 /// same schema fingerprint; requests in flight finish against the old
 /// model, new requests see the new one.
 pub fn apply_model_swap(ctx: &Ctx, bytes: &[u8], via: &str) -> Result<u64, Response> {
+    let art = decode_for_swap(ctx, bytes)?;
+    let source = art.source.clone();
+    install_model(ctx, via, source, bytes.len(), |reg| reg.swap(art))
+}
+
+/// Decodes a replacement model, refusing one whose schema fingerprint
+/// differs from the served model's.
+fn decode_for_swap(ctx: &Ctx, bytes: &[u8]) -> Result<crate::artifact::Artifact, Response> {
     let art = match crate::artifact::decode(bytes) {
         Ok(a) => a,
         Err(e) => return Err(bad_request(format!("model swap rejected: {e}"))),
@@ -1618,60 +1288,50 @@ pub fn apply_model_swap(ctx: &Ctx, bytes: &[u8], via: &str) -> Result<u64, Respo
         body.push('}');
         return Err(Response::json(409, body));
     }
-    let source = art.source.clone();
-    // A successful sharded swap rebuilds every shard's layout, which
-    // heals shards an earlier WAL failure degraded; capture the before
-    // set so the heals can be logged.
-    let was_degraded: Vec<usize> =
-        ctx.registry().map(|reg| reg.degraded_shards()).unwrap_or_default();
-    let seq = match &ctx.topology {
-        Topology::Sharded(reg) => match reg.swap(art) {
-            Ok(seq) => seq,
-            Err(e) => {
-                let mut body = String::from("{\"error\":");
-                write_str(&mut body, &format!("model swap failed: {e}"));
-                body.push('}');
-                return Err(Response::json(500, body));
-            }
-        },
-        Topology::Single { .. } => {
-            let mut engine = ctx.lock_engine();
-            let mut durable_guard = ctx.lock_durable();
-            let seq = ctx.seq();
-            let config = engine.config().clone();
-            let new_engine = art.into_engine(config);
-            if let Some(durable) = durable_guard.as_mut() {
-                // Re-encode at the live seq: the snapshot on disk and the
-                // reset WAL must agree on the committed horizon, whatever
-                // seq the uploaded artifact carried.
-                let snapshot =
-                    crate::artifact::encode_engine(&new_engine, &source, seq);
-                if let Err(e) = durable.replace_snapshot(&snapshot, seq) {
-                    let mut body = String::from("{\"error\":");
-                    write_str(&mut body, &format!("model swap failed: {e}"));
-                    body.push('}');
-                    return Err(Response::json(500, body));
-                }
-            }
-            *engine = new_engine;
-            seq
+    Ok(art)
+}
+
+/// Runs one model install (`swap`) on the registry and publishes it:
+/// model info, shard gauges, the swap counter and event. Shared by
+/// `PUT /v1/model`, the `SIGHUP` reload and the tune-job install.
+fn install_model(
+    ctx: &Ctx,
+    via: &str,
+    source: String,
+    artifact_bytes: usize,
+    swap: impl FnOnce(&Registry) -> Result<u64, RegistryError>,
+) -> Result<u64, Response> {
+    // A successful swap rebuilds every shard's log, which heals shards an
+    // earlier WAL failure degraded; capture the before set so the heals
+    // can be logged.
+    let reg = ctx.registry();
+    let was_degraded = reg.degraded_shards();
+    let seq = match swap(reg) {
+        Ok(seq) => seq,
+        Err(e) => {
+            let mut body = String::from("{\"error\":");
+            write_str(&mut body, &format!("model swap failed: {e}"));
+            body.push('}');
+            return Err(Response::json(500, body));
         }
     };
-    // Sharded swaps publish outside the registry's commit lock, so a
-    // concurrent ingest may already have advanced past `seq`.
-    ctx.seq.fetch_max(seq, Ordering::AcqRel);
     {
         let mut info = ctx.info.write().unwrap_or_else(|e| e.into_inner());
         info.source = source;
-        info.artifact_bytes = bytes.len();
+        info.artifact_bytes = artifact_bytes;
+    }
+    for (labels, rows) in ctx.shard_labels.iter().zip(reg.shard_rows()) {
+        ctx.metrics.gauge(labels.rows).set(rows as u64);
     }
     ctx.metrics.counter("serve.swaps").inc();
-    let mut fields: Vec<Field> = vec![("seq", FieldValue::U64(seq))];
-    if let Some(reg) = ctx.registry() {
-        fields.push(("generation", FieldValue::U64(reg.generation())));
-    }
-    fields.push(("detail", FieldValue::Text(via.to_string())));
-    ctx.server_event("swap", fields);
+    ctx.server_event(
+        "swap",
+        vec![
+            ("seq", FieldValue::U64(seq)),
+            ("generation", FieldValue::U64(reg.generation())),
+            ("detail", FieldValue::Text(via.to_string())),
+        ],
+    );
     for k in was_degraded {
         ctx.server_event("shard_healed", vec![("shard", FieldValue::U64(k as u64))]);
     }
@@ -1679,24 +1339,63 @@ pub fn apply_model_swap(ctx: &Ctx, bytes: &[u8], via: &str) -> Result<u64, Respo
     Ok(seq)
 }
 
+/// The checksum an artifact ends with — a cheap identity that tells a
+/// replaced model file from the one already loaded.
+fn artifact_checksum(bytes: &[u8]) -> Option<u32> {
+    let tail = bytes.get(bytes.len().checked_sub(4)?..)?;
+    Some(u32::from_le_bytes(tail.try_into().ok()?))
+}
+
+/// [`artifact_checksum`] of the file at `path`, reading only its tail.
+fn stored_checksum(path: &std::path::Path) -> Option<u32> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut f = std::fs::File::open(path).ok()?;
+    f.seek(SeekFrom::End(-4)).ok()?;
+    let mut tail = [0u8; 4];
+    f.read_exact(&mut tail).ok()?;
+    Some(u32::from_le_bytes(tail))
+}
+
 /// Reloads the model from the registered path — the `SIGHUP` handler's
-/// slow half, run on the accept loop.
+/// slow half, run on the accept loop. A file whose bytes changed since
+/// it was loaded is a replacement model and is swapped in as
+/// `PUT /v1/model` would. An unchanged file is re-read together with the
+/// durable layout beside it ([`Registry::reload`]), so every batch
+/// committed since the file was written is kept.
 pub fn reload_from_path(ctx: &Ctx) {
-    let Some(path) = ctx.model_path() else {
+    let Some((path, loaded)) = ctx.model_file.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    else {
         eprintln!("renuver: SIGHUP ignored — model was not served from a file");
         return;
     };
-    match std::fs::read(&path) {
-        Ok(bytes) => {
-            if let Err(resp) = apply_model_swap(ctx, &bytes, "SIGHUP") {
-                eprintln!(
-                    "renuver: SIGHUP reload of {} rejected: {}",
-                    path.display(),
-                    String::from_utf8_lossy(&resp.body)
-                );
-            }
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            eprintln!("renuver: SIGHUP reload failed to read {}: {e}", path.display());
+            return;
         }
-        Err(e) => eprintln!("renuver: SIGHUP reload failed to read {}: {e}", path.display()),
+    };
+    let checksum = artifact_checksum(&bytes);
+    let layout = crate::registry::ShardLayout::beside(&path);
+    let reloaded = decode_for_swap(ctx, &bytes).and_then(|art| {
+        let source = art.source.clone();
+        install_model(ctx, "SIGHUP", source, bytes.len(), |reg| {
+            if checksum == loaded {
+                reg.reload(art, &layout)
+            } else {
+                reg.swap(art)
+            }
+        })
+    });
+    match reloaded {
+        Ok(_) => ctx.set_model_file(path, checksum),
+        Err(resp) => {
+            eprintln!(
+                "renuver: SIGHUP reload of {} rejected: {}",
+                path.display(),
+                String::from_utf8_lossy(&resp.body)
+            );
+        }
     }
 }
 
@@ -1891,24 +1590,32 @@ mod tests {
         dir
     }
 
-    /// Wires a test context to a durable store rooted at a fresh temp
-    /// dir, the way `renuver serve --wal` does after replay.
-    fn durable_ctx(name: &str) -> (Ctx, std::path::PathBuf) {
-        let ctx = test_ctx();
+    /// A test context over a durable registry rooted at a fresh temp dir,
+    /// the way `renuver serve --wal` opens one: `shards` shards, the test
+    /// model written as the base artifact.
+    fn durable_ctx(name: &str, shards: usize) -> (Ctx, std::path::PathBuf) {
         let dir = durable_dir(name);
         let snapshot = dir.join("model.rnv");
-        {
-            let engine = ctx.lock_engine();
-            std::fs::write(&snapshot, crate::artifact::encode_engine(&engine, "test", 0)).unwrap();
-        }
-        let opts = crate::store::DurabilityOptions::beside(&snapshot, "test");
-        let durable = {
-            let mut engine = ctx.lock_engine();
-            let (durable, _) = Durable::recover(&mut engine, 0, opts).unwrap();
-            durable
+        let bytes = crate::artifact::encode_engine(&test_ctx().lock_engine(), "test", 0);
+        std::fs::write(&snapshot, &bytes).unwrap();
+        let art = crate::artifact::decode(&bytes).unwrap();
+        let info = ModelInfo {
+            source: "test".into(),
+            schema_fingerprint: art.schema_fingerprint,
+            artifact_bytes: bytes.len(),
         };
-        ctx.install_durable(durable);
-        (ctx, dir)
+        let opts = crate::registry::DurabilityOptions::beside(&snapshot, "test");
+        let (registry, _) = Registry::open_durable(
+            art,
+            RenuverConfig::default(),
+            shards,
+            opts.layout,
+            "test",
+            opts.compact_bytes,
+            opts.compact_records,
+        )
+        .unwrap();
+        (Ctx::new_sharded(registry, info, None, 60_000), dir)
     }
 
     #[test]
@@ -1924,27 +1631,8 @@ mod tests {
     }
 
     #[test]
-    fn ingest_refused_while_recovering_or_degraded() {
-        let (ctx, _dir) = durable_ctx("refused-states");
-        for state in [ServeState::Recovering, ServeState::Degraded] {
-            ctx.set_state(state);
-            let resp = route(
-                &ctx,
-                &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
-            );
-            assert_eq!(resp.status, 503, "state {state:?}");
-        }
-        ctx.set_state(ServeState::Ok);
-        let resp = route(
-            &ctx,
-            &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
-        );
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-    }
-
-    #[test]
     fn ingest_repairs_commits_and_serves_the_new_donor() {
-        let (ctx, _dir) = durable_ctx("commit");
+        let (ctx, _dir) = durable_ctx("commit", 1);
         // The batch itself has a hole; ingest must repair then commit it.
         let resp = route(
             &ctx,
@@ -1963,6 +1651,7 @@ mod tests {
         assert_eq!(tuples[1].as_array().unwrap()[1].as_str(), Some("90265"));
         assert_eq!(ctx.seq(), 1);
         assert_eq!(ctx.metrics.counter("serve.ingest_rows").get(), 2);
+        assert_eq!(ctx.metrics.counter("serve.shard0.ingest_rows").get(), 2);
 
         // The committed row is a donor for plain imputation now.
         let resp = route(
@@ -1975,8 +1664,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_endpoint_rewrites_the_snapshot() {
-        let (ctx, dir) = durable_ctx("compact-endpoint");
+    fn compact_endpoint_rewrites_the_shard_snapshots() {
+        let (ctx, dir) = durable_ctx("compact-endpoint", 1);
         let resp = route(
             &ctx,
             &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
@@ -1986,9 +1675,9 @@ mod tests {
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(doc.get("seq").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("wal_records").unwrap().as_u64(), Some(0));
+        assert_eq!(doc.get("shards").unwrap().as_u64(), Some(1));
         assert_eq!(ctx.metrics.counter("serve.compactions").get(), 1);
-        let snapshot = crate::artifact::load(dir.join("model.rnv")).unwrap();
+        let snapshot = crate::artifact::load(dir.join("model.rnv.shard0")).unwrap();
         assert_eq!(snapshot.committed_seq, 1);
         assert_eq!(snapshot.relation.len(), 4);
         assert_eq!(ctx.state(), ServeState::Ok);
@@ -1996,16 +1685,17 @@ mod tests {
 
     #[test]
     fn injected_wal_failure_degrades_the_server() {
-        let (ctx, _dir) = durable_ctx("degrade");
-        crate::fault::arm("wal.append.pre_write", crate::fault::Action::Err);
+        let (ctx, _dir) = durable_ctx("degrade", 2);
+        crate::fault::arm("registry.append.shard1", crate::fault::Action::Err);
         let resp = route(
             &ctx,
             &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
         );
-        crate::fault::disarm("wal.append.pre_write");
+        crate::fault::disarm("registry.append.shard1");
         assert_eq!(resp.status, 500, "{}", String::from_utf8_lossy(&resp.body));
         assert_eq!(ctx.state(), ServeState::Degraded);
         assert_eq!(ctx.metrics.counter("serve.wal_degraded").get(), 1);
+        assert_eq!(ctx.metrics.counter("serve.events.shard_degraded").get(), 1);
         // The engine did not commit the failed batch.
         assert_eq!(ctx.lock_engine().donor_rows(), 3);
         // Subsequent ingests are refused, reads still work.
@@ -2015,6 +1705,11 @@ mod tests {
         );
         assert_eq!(resp.status, 503);
         assert_eq!(route(&ctx, &get("/v1/model")).status, 200);
+        let resp = route(
+            &ctx,
+            &post("/v1/impute", "application/json", r#"{"tuples": [["Malibu", null]]}"#),
+        );
+        assert_eq!(resp.status, 200);
     }
 
     #[test]
@@ -2247,26 +1942,6 @@ mod tests {
         let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert!(!doc.get("budget").unwrap().get("phases").unwrap().as_array().unwrap().is_empty());
         assert!(doc.get("trace").is_some());
-    }
-
-    #[test]
-    fn sharded_trace_envelope_reports_per_shard_legs() {
-        let ctx = sharded_ctx();
-        let resp = route(
-            &ctx,
-            &post("/v1/impute?trace=1", "application/json", r#"{"tuples": [["Malibu", null]]}"#),
-        );
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let shards = doc.get("trace").unwrap().get("shards").unwrap().as_array().unwrap();
-        assert_eq!(shards.len(), 2, "one leg per shard part");
-        for leg in shards {
-            assert!(leg.get("shard").unwrap().as_u64().is_some());
-            assert!(leg.get("scan_us").unwrap().as_u64().is_some());
-        }
-        // The legs also landed in the per-shard latency windows.
-        assert_eq!(ctx.metrics.windowed("serve.shard0.scan_us").all_time().count(), 1);
-        assert_eq!(ctx.metrics.windowed("serve.shard1.scan_us").all_time().count(), 1);
     }
 
     #[test]
@@ -2609,9 +2284,12 @@ mod tests {
         // Without a bound Arc there is nothing to own the worker thread.
         let unbound = test_ctx();
         assert_eq!(route(&unbound, &post("/v1/tune", "application/json", "")).status, 503);
-        // The sharded topology has no single engine to tune.
+        // Every shard count serves through one engine, so a sharded
+        // context tunes like any other.
         let sharded = Arc::new(sharded_ctx());
         sharded.bind_self();
-        assert_eq!(route(&sharded, &post("/v1/tune", "application/json", "")).status, 503);
+        let resp = route(&sharded, &post("/v1/tune", "application/json", r#"{"seed": 5}"#));
+        assert_eq!(resp.status, 202, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(poll_done(&sharded, 1).get("status").unwrap().as_str(), Some("done"));
     }
 }

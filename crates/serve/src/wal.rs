@@ -187,6 +187,105 @@ fn frame_bytes(seq: u64, payload: &[u8]) -> Vec<u8> {
     w.buf
 }
 
+/// The log's bytes; a missing log reads as none.
+fn read_bytes(path: &Path) -> Result<Vec<u8>, WalError> {
+    match std::fs::read(path) {
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Whether `bytes` stop short of a full header — a log whose creation
+/// crashed, which holds no frame. Bytes that cannot be the start of a
+/// header are an error.
+fn short_header(bytes: &[u8]) -> Result<bool, WalError> {
+    if (bytes.len() as u64) >= WAL_HEADER_BYTES {
+        return Ok(false);
+    }
+    if !bytes.is_empty() && !WAL_MAGIC.starts_with(&bytes[..bytes.len().min(4)]) {
+        return Err(WalError::BadMagic);
+    }
+    Ok(true)
+}
+
+/// What a scan of a log's frames found.
+struct Scan {
+    base_seq: u64,
+    last_seq: u64,
+    /// Frames past the snapshot seq, in order.
+    records: Vec<WalRecord>,
+    /// Good frames in the log.
+    frames: u64,
+    /// Byte offset of the last good frame boundary.
+    good_end: usize,
+}
+
+/// Validates the header of `bytes` (at least a header long) and scans
+/// its frames up to the first torn one.
+fn scan(bytes: &[u8], schema_fp: u64, snapshot_seq: u64, arity: usize) -> Result<Scan, WalError> {
+    if bytes[..4] != WAL_MAGIC {
+        return Err(WalError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    if version != WAL_VERSION {
+        return Err(WalError::UnsupportedVersion(version));
+    }
+    let found_fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    if found_fp != schema_fp {
+        return Err(WalError::SchemaMismatch { expected: schema_fp, found: found_fp });
+    }
+    let base_seq = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+    if base_seq > snapshot_seq {
+        return Err(WalError::SnapshotBehind { wal_base: base_seq, snapshot_seq });
+    }
+
+    // `good_end` tracks the last complete, CRC-valid, sequence-consistent
+    // frame boundary.
+    let mut scan = Scan {
+        base_seq,
+        last_seq: base_seq,
+        records: Vec::new(),
+        frames: 0,
+        good_end: WAL_HEADER_BYTES as usize,
+    };
+    loop {
+        let rest = &bytes[scan.good_end..];
+        if rest.is_empty() {
+            break;
+        }
+        if rest.len() < 4 {
+            break; // partial length prefix — torn
+        }
+        let payload_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let Some(frame_len) = payload_len.checked_add(4 + 8 + 4) else { break };
+        if rest.len() < frame_len {
+            break; // frame promised more bytes than the file holds — torn
+        }
+        let (body, crc_bytes) = rest[..frame_len].split_at(frame_len - 4);
+        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        if crc32(body) != stored_crc {
+            break; // bit rot or torn write inside the frame
+        }
+        let seq = u64::from_le_bytes(body[4..12].try_into().unwrap());
+        if seq != scan.last_seq + 1 {
+            break; // out-of-sequence frame cannot be an append of ours
+        }
+        // CRC held: the frame was fully written. A payload that does not
+        // decode now is not a torn tail (see module docs).
+        let tuples = decode_payload(&body[12..], arity).map_err(|e| {
+            WalError::Corrupt(format!("frame seq {seq} has a valid crc but {e}"))
+        })?;
+        if seq > snapshot_seq {
+            scan.records.push(WalRecord { seq, tuples });
+        }
+        scan.last_seq = seq;
+        scan.frames += 1;
+        scan.good_end += frame_len;
+    }
+    Ok(scan)
+}
+
 impl Wal {
     /// Opens (or creates) the WAL at `path` for a model whose snapshot
     /// carries `snapshot_seq`, and returns the records recovery must
@@ -200,82 +299,18 @@ impl Wal {
         arity: usize,
     ) -> Result<(Wal, Vec<WalRecord>), WalError> {
         let path = path.into();
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
-
+        let bytes = read_bytes(&path)?;
         // A file shorter than the header means creation itself crashed:
         // no frame — hence no acknowledged batch — can exist in it.
-        if (bytes.len() as u64) < WAL_HEADER_BYTES {
-            if !bytes.is_empty() && !WAL_MAGIC.starts_with(&bytes[..bytes.len().min(4)]) {
-                return Err(WalError::BadMagic);
-            }
+        if short_header(&bytes)? {
             return Self::create(path, schema_fp, snapshot_seq, arity);
         }
-        if bytes[..4] != WAL_MAGIC {
-            return Err(WalError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(WalError::UnsupportedVersion(version));
-        }
-        let found_fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        if found_fp != schema_fp {
-            return Err(WalError::SchemaMismatch { expected: schema_fp, found: found_fp });
-        }
-        let base_seq = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        if base_seq > snapshot_seq {
-            return Err(WalError::SnapshotBehind { wal_base: base_seq, snapshot_seq });
-        }
-
-        // Scan frames; `good_end` tracks the last complete, CRC-valid,
-        // sequence-consistent frame boundary.
-        let mut good_end = WAL_HEADER_BYTES as usize;
-        let mut last_seq = base_seq;
-        let mut records = Vec::new();
-        let mut record_count: u64 = 0;
-        loop {
-            let rest = &bytes[good_end..];
-            if rest.is_empty() {
-                break;
-            }
-            if rest.len() < 4 {
-                break; // partial length prefix — torn
-            }
-            let payload_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            let Some(frame_len) = payload_len.checked_add(4 + 8 + 4) else { break };
-            if rest.len() < frame_len {
-                break; // frame promised more bytes than the file holds — torn
-            }
-            let (body, crc_bytes) = rest[..frame_len].split_at(frame_len - 4);
-            let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-            if crc32(body) != stored_crc {
-                break; // bit rot or torn write inside the frame
-            }
-            let seq = u64::from_le_bytes(body[4..12].try_into().unwrap());
-            if seq != last_seq + 1 {
-                break; // out-of-sequence frame cannot be an append of ours
-            }
-            // CRC held: the frame was fully written. A payload that does
-            // not decode now is not a torn tail (see module docs).
-            let tuples = decode_payload(&body[12..], arity).map_err(|e| {
-                WalError::Corrupt(format!("frame seq {seq} has a valid crc but {e}"))
-            })?;
-            if seq > snapshot_seq {
-                records.push(WalRecord { seq, tuples });
-            }
-            last_seq = seq;
-            record_count += 1;
-            good_end += frame_len;
-        }
-
-        if good_end < bytes.len() {
+        let scan = scan(&bytes, schema_fp, snapshot_seq, arity)?;
+        if scan.good_end < bytes.len() {
             // Torn tail: drop it so the next append starts on a clean
             // frame boundary instead of interleaving with garbage.
             let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(good_end as u64)?;
+            f.set_len(scan.good_end as u64)?;
             f.sync_all()?;
         }
 
@@ -286,13 +321,33 @@ impl Wal {
                 path,
                 schema_fp,
                 arity,
-                last_seq,
-                base_seq,
-                bytes: good_end as u64,
-                records: record_count,
+                last_seq: scan.last_seq,
+                base_seq: scan.base_seq,
+                bytes: scan.good_end as u64,
+                records: scan.frames,
             },
-            records,
+            scan.records,
         ))
+    }
+
+    /// Reads the log at `path` the way [`Wal::open`] does but writes
+    /// nothing: a torn tail is skipped, not truncated, and a missing log
+    /// reads as empty. Returns the last good frame's seq
+    /// (`snapshot_seq` for an empty log) and the records past
+    /// `snapshot_seq`. Safe beside a live writer: a frame still being
+    /// appended reads as a torn tail.
+    pub fn read(
+        path: impl AsRef<Path>,
+        schema_fp: u64,
+        snapshot_seq: u64,
+        arity: usize,
+    ) -> Result<(u64, Vec<WalRecord>), WalError> {
+        let bytes = read_bytes(path.as_ref())?;
+        if short_header(&bytes)? {
+            return Ok((snapshot_seq, Vec::new()));
+        }
+        let scan = scan(&bytes, schema_fp, snapshot_seq, arity)?;
+        Ok((scan.last_seq, scan.records))
     }
 
     fn create(
@@ -473,6 +528,25 @@ mod tests {
             // The torn bytes are gone from disk too.
             assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, after_first);
         }
+    }
+
+    #[test]
+    fn read_skips_a_torn_tail_without_touching_the_file() {
+        let path = tmp("read.wal");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(Wal::read(&path, 1, 4, 2).unwrap(), (4, Vec::new()));
+        assert!(!path.exists(), "read created the log");
+        let (mut wal, _) = Wal::open(&path, 1, 0, 2).unwrap();
+        wal.append(&batch(1)).unwrap();
+        wal.append(&batch(2)).unwrap();
+        drop(wal);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
+        let (last, recs) = Wal::read(&path, 1, 0, 2).unwrap();
+        assert_eq!((last, recs.len()), (1, 1));
+        assert_eq!(recs[0].tuples, batch(1));
+        assert_eq!(std::fs::read(&path).unwrap(), full[..full.len() - 3]);
+        assert!(matches!(Wal::read(&path, 2, 0, 2), Err(WalError::SchemaMismatch { .. })));
     }
 
     #[test]

@@ -52,11 +52,12 @@ const USAGE: &str = "usage:
   renuver impute   <data.csv> [--rfds rfds.txt | --limit N] [--out repaired.csv]
                    [--approach renuver|derand|holoclean|knn] [--explain]
                    [--donors donor.csv] [--full-verify] [--descending]
-                   [--no-batch-verify]
+                   [--no-batch-verify] [--auto-limits F] [--max-lhs N]
                    [--index-mode scan|indexed|auto] [budget flags]
   renuver evaluate --original full.csv --incomplete holes.csv \\
                    --imputed repaired.csv [--rules rules.txt | --auto-rules F]
   renuver compare  <full.csv> --rate R [--limit N] [--seeds N]
+                   [--auto-limits F] [--max-lhs N]
                    [--rules rules.txt | --auto-rules F] [--metrics-diff]
                    [--index-mode scan|indexed|auto] [budget flags]
   renuver tune     <data.csv | model.rnv> [--rfds rfds.txt | --limit N]
@@ -64,7 +65,8 @@ const USAGE: &str = "usage:
                    [--iterations N] [--target-f1 F] [--step W]
                    [--rules rules.txt | --auto-rules F] [--parallelism N]
                    [--out tuned-rfds.txt] [budget flags]
-  renuver prepare  <data.csv> -o model.rnv [--rfds rfds.txt | --limit N]
+  renuver prepare  <data.csv> (-o|--out) model.rnv [--shards N]
+                   [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
                    [--index-mode scan|indexed|auto]
   renuver inspect  <model.rnv>
@@ -74,8 +76,8 @@ const USAGE: &str = "usage:
   renuver serve    <model.rnv | data.csv> [--addr HOST:PORT] [--workers N]
                    [--queue N] [--max-body-mb M] [--default-timeout-ms T]
                    [--max-timeout-ms T] [--read-timeout-secs S]
-                   [--wal] [--compact-bytes-mb M] [--compact-records N]
-                   [--rfds rfds.txt | --limit N]
+                   [--shards N] [--wal] [--compact-bytes-mb M]
+                   [--compact-records N] [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
                    [--index-mode scan|indexed|auto]
                    [--log-out FILE] [--slow-threshold-ms T]
@@ -885,10 +887,9 @@ fn sum_work(outcomes: &[renuver::eval::RunOutcome]) -> renuver::eval::WorkMetric
 fn tune_cmd(args: &Args) -> Result<(), String> {
     let path = one_positional(args)?;
     let (rel, rfds, fingerprint) = if path.to_ascii_lowercase().ends_with(".rnv") {
-        let art = renuver::serve::artifact::load(&path).map_err(|e| format!("{path}: {e}"))?;
-        let fingerprint = art.schema_fingerprint;
-        let engine = art.into_engine(RenuverConfig::default());
-        (engine.relation().clone(), engine.sigma().clone(), fingerprint)
+        let registry = load_model(&path)?;
+        let engine = registry.lock_engine();
+        (engine.relation().clone(), engine.sigma().clone(), registry.schema_fp())
     } else {
         let rel = load(&path)?;
         let rfds = rfds_for_model(args, &rel)?;
@@ -1047,6 +1048,35 @@ fn rfds_for_model(args: &Args, rel: &Relation) -> Result<RfdSet, String> {
     }
 }
 
+/// `--shards N` for `prepare` and `serve --wal`: the number of shards in
+/// the durable layout. Absent, a new layout gets one shard; an existing
+/// layout always keeps its count. A server without `--wal` ignores it.
+fn shards_flag(args: &Args) -> Result<Option<usize>, String> {
+    match args.parse_value::<usize>("--shards")? {
+        Some(0) => Err("--shards must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
+/// The serving configuration for a decoded artifact: the artifact
+/// dictates whether an index exists; `Auto` would lie about a model
+/// snapshotted without one.
+fn artifact_config(loaded: &renuver::serve::Artifact) -> RenuverConfig {
+    RenuverConfig {
+        index_mode: if loaded.index.is_some() { IndexMode::Indexed } else { IndexMode::Scan },
+        ..RenuverConfig::default()
+    }
+}
+
+/// The model a `.rnv` path holds — the artifact, or the committed state
+/// of a durable layout beside it — as a read-only, in-memory registry.
+fn load_model(path: &str) -> Result<renuver::serve::Registry, String> {
+    use renuver::serve::{artifact, Registry, ShardLayout};
+    let loaded = artifact::load(path).map_err(|e| format!("{path}: {e}"))?;
+    let config = artifact_config(&loaded);
+    Registry::load(loaded, config, &ShardLayout::beside(path)).map_err(|e| format!("{path}: {e}"))
+}
+
 fn prepare_cmd(args: &Args) -> Result<(), String> {
     use renuver::serve::artifact;
     let path = one_positional(args)?;
@@ -1055,6 +1085,7 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         .value("-o")
         .or_else(|| args.value("--out"))
         .ok_or("prepare requires -o model.rnv")?;
+    let shards = shards_flag(args)?;
     let rfds = rfds_for_model(args, &rel)?;
     let config = RenuverConfig {
         index_mode: index_mode_from_args(args)?,
@@ -1063,6 +1094,10 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
     let (engine, build_time, _) = renuver::budget::measure(|| {
         renuver::core::Engine::prepare(rel, rfds, config)
     });
+    // A durable layout beside `out` belongs to the model being replaced.
+    // It goes first, so a crash can never pair it with the new model.
+    let layout = renuver::serve::ShardLayout::beside(out);
+    layout.clear().map_err(|e| format!("{out}: {e}"))?;
     // A freshly prepared model starts at durable sequence 0; `ingest`
     // advances it one WAL record at a time from there.
     let bytes = artifact::encode_engine(&engine, &path, 0);
@@ -1075,24 +1110,26 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         renuver::budget::format_bytes(bytes.len()),
         renuver::budget::format_duration(build_time),
     );
-    // `--shards N` additionally writes the sharded layout (per-shard
-    // snapshots + routing manifest) beside the model, so `serve --wal
-    // --shards N` starts without re-partitioning.
-    if let Some(n) = args.parse_value::<usize>("--shards")? {
-        if n == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        let layout = renuver::serve::ShardLayout::beside(out);
-        let rows =
-            renuver::serve::Registry::prepare_layout(engine.relation(), engine.sigma(), n, &layout, &path, 0)
-                .map_err(|e| format!("{out}: {e}"))?;
+    // `--shards N` writes the durable layout (per-shard snapshots +
+    // routing manifest) now; without it the first durable open writes a
+    // one-shard layout.
+    if let Some(n) = shards {
+        let rows = renuver::serve::Registry::prepare_layout(
+            engine.relation(),
+            engine.sigma(),
+            n,
+            &layout,
+            &path,
+            0,
+        )
+        .map_err(|e| format!("{out}: {e}"))?;
         println!("wrote {n}-shard layout beside {out}: rows per shard {rows:?}");
     }
     Ok(())
 }
 
 fn inspect_cmd(args: &Args) -> Result<(), String> {
-    use renuver::serve::artifact;
+    use renuver::serve::{artifact, Manifest, ShardLayout};
     let path = one_positional(args)?;
     let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
     let info = artifact::inspect(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -1100,17 +1137,54 @@ fn inspect_cmd(args: &Args) -> Result<(), String> {
     println!("  format:      v{}", info.version);
     println!("  fingerprint: {:#018x}", info.schema_fingerprint);
     println!("  source:      {}", info.source);
+    // With a durable layout beside the artifact, the model is the
+    // layout's committed state (loaded read-only): its tuples, RFDs and
+    // seq are what a server would load.
+    let layout = ShardLayout::beside(&path);
+    let (rows, rfds, seq) = if layout.manifest().exists() {
+        let registry = load_model(&path)?;
+        let engine = registry.lock_engine();
+        (engine.relation().len(), engine.sigma().len(), registry.seq())
+    } else {
+        (info.rows, info.rfds, info.committed_seq)
+    };
     println!("  size:        {}", renuver::budget::format_bytes(info.bytes));
-    println!("  tuples:      {}", info.rows);
-    println!("  rfds:        {}", info.rfds);
+    println!("  tuples:      {rows}");
+    println!("  rfds:        {rfds}");
     println!("  index:       {}", if info.indexed { "snapshotted" } else { "none" });
-    println!("  seq:         {}", info.committed_seq);
-    // A sibling WAL means the snapshot may be behind the durable state;
-    // `ingest`/`serve --wal` replays it, `--compact` folds it back in.
-    let wal_path = format!("{path}.wal");
-    if let Ok(meta) = std::fs::metadata(&wal_path) {
+    println!("  seq:         {seq}");
+    // The manifest names the live generation and the seq its snapshots
+    // fold; any WAL bytes past the header are batches after that seq.
+    if layout.manifest().exists() {
+        let m = Manifest::load(&layout.manifest()).map_err(|e| format!("{path}: {e}"))?;
         println!(
-            "  wal:         {wal_path} ({})",
+            "  layout:      generation {}, seq {}, {} shard(s), {} rows",
+            m.generation,
+            m.seq,
+            m.n_shards,
+            m.assign.len()
+        );
+        for k in 0..m.n_shards {
+            let wal = layout.shard_wal(m.generation, k);
+            let held = match std::fs::metadata(&wal) {
+                Ok(meta) if meta.len() > renuver::serve::wal::WAL_HEADER_BYTES => format!(
+                    "{} (batches past seq {})",
+                    renuver::budget::format_bytes(meta.len() as usize),
+                    m.seq
+                ),
+                Ok(meta) => format!("{} (empty)", renuver::budget::format_bytes(meta.len() as usize)),
+                Err(_) => "missing".to_string(),
+            };
+            println!("    shard {k}:   wal {held}");
+        }
+    }
+    // A single-file WAL from an earlier build; the next durable open
+    // migrates it into the layout.
+    let legacy = layout.legacy_wal();
+    if let Ok(meta) = std::fs::metadata(&legacy) {
+        println!(
+            "  wal:         {} ({}, migrated on the next durable open)",
+            legacy.display(),
             renuver::budget::format_bytes(meta.len() as usize)
         );
     }
@@ -1122,8 +1196,8 @@ fn inspect_cmd(args: &Args) -> Result<(), String> {
 }
 
 /// Compaction-threshold overrides shared by `ingest` and `serve --wal`.
-/// The WAL lives beside the snapshot (`<model>.rnv.wal`); the snapshot
-/// provenance string is carried forward into compacted rewrites.
+/// The layout lives beside the model; the artifact's provenance string
+/// is carried forward into shard snapshots.
 fn durability_options(
     args: &Args,
     model_path: &str,
@@ -1137,6 +1211,30 @@ fn durability_options(
         opts.compact_records = n;
     }
     Ok(opts)
+}
+
+/// Opens the durable registry beside an artifact: recovery from its
+/// layout (which keeps its own shard count), or the first open that
+/// writes one with `shards` shards (default 1).
+fn open_durable(
+    args: &Args,
+    path: &str,
+    loaded: renuver::serve::Artifact,
+    shards: Option<usize>,
+) -> Result<(renuver::serve::Registry, renuver::serve::ShardRecovery), String> {
+    let source = loaded.source.clone();
+    let config = artifact_config(&loaded);
+    let opts = durability_options(args, path, &source)?;
+    renuver::serve::Registry::open_durable(
+        loaded,
+        config,
+        shards.unwrap_or(1),
+        opts.layout,
+        &source,
+        opts.compact_bytes,
+        opts.compact_records,
+    )
+    .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Flight-recorder knobs for `serve` (`--log-out`, `--slow-threshold-ms`,
@@ -1197,7 +1295,7 @@ fn cli_event(
 /// Repairs one batch against a prepared model and commits it durably.
 ///
 /// The ordering is the whole point: the repaired tuples are fsynced
-/// into the model's WAL *before* they are folded into the in-memory
+/// into every shard WAL *before* they are folded into the in-memory
 /// relation/oracle/index and before anything is printed. A crash at
 /// any step leaves a state the next `ingest` or `serve --wal` run
 /// recovers from — either the batch is fully present or fully absent,
@@ -1206,7 +1304,7 @@ fn cli_event(
 /// checks exactly that.)
 fn ingest_cmd(args: &Args) -> Result<(), String> {
     use renuver::data::{AttrType, Value};
-    use renuver::serve::{artifact, Durable};
+    use renuver::serve::artifact;
     let (model_path, batch_path) = match args.positional() {
         [m, b] => (*m, *b),
         other => {
@@ -1221,136 +1319,9 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
             "{model_path}: ingest commits into a prepared artifact (.rnv); run `renuver prepare` first"
         ));
     }
-    // A sharded layout (written by `prepare --shards` or `serve --shards
-    // --wal`) announces itself with a manifest beside the artifact; the
-    // batch then commits through the registry so every shard WAL sees it.
-    let shard_layout = renuver::serve::ShardLayout::beside(model_path);
-    if shard_layout.manifest().exists() {
-        return ingest_sharded_cmd(args, model_path, batch_path, shard_layout);
-    }
     let loaded = artifact::load(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    let snapshot_seq = loaded.committed_seq;
-    let source = loaded.source.clone();
-    let config = RenuverConfig {
-        index_mode: if loaded.index.is_some() { IndexMode::Indexed } else { IndexMode::Scan },
-        ..RenuverConfig::default()
-    };
-    let mut engine = loaded.into_engine(config);
-    let opts = durability_options(args, model_path, &source)?;
-    let event_log = cli_event_log(args)?;
-    let (mut durable, report) =
-        Durable::recover(&mut engine, snapshot_seq, opts).map_err(|e| format!("{model_path}: {e}"))?;
-    cli_event(
-        &event_log,
-        "recovery",
-        report.seq,
-        Some(format!("replayed {} record(s), {} rows", report.replayed, report.rows)),
-    );
-    if report.replayed > 0 {
-        eprintln!(
-            "recovered {} wal record(s), {} rows; model is at seq {}",
-            report.replayed, report.rows, report.seq
-        );
-    }
-
-    let batch = load(batch_path)?;
-    let names: Vec<&str> = batch.schema().attrs().map(|a| a.name.as_str()).collect();
-    let expected: Vec<&str> = engine.schema().attrs().map(|a| a.name.as_str()).collect();
-    if names != expected {
-        return Err(format!(
-            "{batch_path}: header {names:?} does not match the model schema {expected:?}"
-        ));
-    }
-    // The batch header may omit type annotations (columns read as text);
-    // coerce to the model's types, same leniency as `/v1/ingest` CSV.
-    let tuples: Vec<renuver::data::Tuple> = batch
-        .tuples()
-        .map(|t| {
-            t.iter()
-                .enumerate()
-                .map(|(col, v)| {
-                    let ty = engine.schema().ty(col);
-                    match (v, ty) {
-                        (Value::Null, _) => Value::Null,
-                        (Value::Text(_), AttrType::Text)
-                        | (Value::Int(_), AttrType::Int)
-                        | (Value::Float(_), AttrType::Float)
-                        | (Value::Bool(_), AttrType::Bool) => v.clone(),
-                        (Value::Int(n), AttrType::Float) => Value::Float(*n as f64),
-                        _ => Value::parse(&v.render(), ty),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let config = engine.config().clone();
-    let result = engine
-        .impute_batch_with(tuples, &config)
-        .map_err(|e| format!("{batch_path}: {e}"))?;
-    let seq = durable
-        .append(&result.tuples)
-        .map_err(|e| format!("wal append failed, nothing committed: {e}"))?;
-    let stats = engine
-        .commit_tuples(result.tuples.clone())
-        .map_err(|e| format!("commit failed after wal append; the next run replays seq {seq}: {e}"))?;
-    eprintln!(
-        "seq {seq}: imputed {}/{} missing cells, committed {} row(s) ({} donors total{})",
-        result.stats.imputed,
-        result.stats.missing_total,
-        stats.rows,
-        stats.donors,
-        if stats.dict_grown > 0 {
-            format!(", dictionary grew by {}", stats.dict_grown)
-        } else {
-            String::new()
-        },
-    );
-    if args.has("--compact") || durable.should_compact() {
-        let folded = durable.compact(&engine).map_err(|e| e.to_string())?;
-        cli_event(&event_log, "compaction", folded, None);
-        eprintln!("compacted: snapshot rewritten at seq {folded}, wal truncated");
-    }
-    let repaired = Relation::new(engine.schema().clone(), result.tuples.clone())
-        .map_err(|e| e.to_string())?;
-    match args.value("--out") {
-        Some(path) => save(&repaired, path),
-        None => {
-            print!("{}", csv::write_string(&repaired));
-            Ok(())
-        }
-    }
-}
-
-/// `ingest` against a sharded layout: recover the registry (replaying
-/// every shard WAL), commit the batch through it — the repaired rows
-/// are fsynced into *every* healthy shard log before anything prints —
-/// and optionally fold the logs into fresh shard snapshots.
-fn ingest_sharded_cmd(
-    args: &Args,
-    model_path: &str,
-    batch_path: &str,
-    layout: renuver::serve::ShardLayout,
-) -> Result<(), String> {
-    use renuver::data::{AttrType, Value};
-    use renuver::serve::{artifact, Registry};
-    let loaded = artifact::load(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    let source = loaded.source.clone();
-    let config = RenuverConfig {
-        index_mode: if loaded.index.is_some() { IndexMode::Indexed } else { IndexMode::Scan },
-        ..RenuverConfig::default()
-    };
-    let opts = durability_options(args, model_path, &source)?;
-    let (registry, report) = Registry::open_durable(
-        loaded,
-        config.clone(),
-        1, // the manifest's shard count wins over this placeholder
-        layout,
-        &source,
-        opts.compact_bytes,
-        opts.compact_records,
-    )
-    .map_err(|e| format!("{model_path}: {e}"))?;
+    let config = artifact_config(&loaded);
+    let (registry, report) = open_durable(args, model_path, loaded, None)?;
     let event_log = cli_event_log(args)?;
     cli_event(
         &event_log,
@@ -1360,7 +1331,7 @@ fn ingest_sharded_cmd(
     );
     if report.replayed > 0 || !report.degraded.is_empty() {
         eprintln!(
-            "recovered {} wal record(s), {} rows; sharded model is at seq {}{}",
+            "recovered {} wal record(s), {} rows; model is at seq {}{}",
             report.replayed,
             report.rows,
             report.seq,
@@ -1371,9 +1342,7 @@ fn ingest_sharded_cmd(
             },
         );
     }
-    let snap = registry.snapshot();
-    let schema = snap.schema().clone();
-    drop(snap);
+    let schema = registry.schema().clone();
 
     let batch = load(batch_path)?;
     let names: Vec<&str> = batch.schema().attrs().map(|a| a.name.as_str()).collect();
@@ -1383,6 +1352,8 @@ fn ingest_sharded_cmd(
             "{batch_path}: header {names:?} does not match the model schema {expected:?}"
         ));
     }
+    // The batch header may omit type annotations (columns read as text);
+    // coerce to the model's types, same leniency as `/v1/ingest` CSV.
     let tuples: Vec<renuver::data::Tuple> = batch
         .tuples()
         .map(|t| {
@@ -1408,13 +1379,18 @@ fn ingest_sharded_cmd(
         .ingest(tuples, &config)
         .map_err(|e| format!("{batch_path}: {e}"))?;
     eprintln!(
-        "seq {}: imputed {}/{} missing cells, committed {} row(s) across {} shard(s) ({} donors total)",
+        "seq {}: imputed {}/{} missing cells, committed {} row(s) across {} shard(s) ({} donors total{})",
         outcome.seq,
         outcome.batch.stats.imputed,
         outcome.batch.stats.missing_total,
         outcome.committed_rows,
         registry.n_shards(),
         outcome.donor_rows,
+        if outcome.dict_grown > 0 {
+            format!(", dictionary grew by {}", outcome.dict_grown)
+        } else {
+            String::new()
+        },
     );
     if args.has("--compact") || outcome.wants_compact {
         let folded = registry.compact().map_err(|e| e.to_string())?;
@@ -1435,56 +1411,6 @@ fn ingest_sharded_cmd(
     }
 }
 
-/// The artifact's committed sequence number and provenance string —
-/// present only for `.rnv` models (a dataset-built engine has no
-/// snapshot to compact into).
-type DurabilitySeed = Option<(u64, String)>;
-
-/// Builds the serving engine from either an `.rnv` artifact or a raw
-/// dataset (discovering RFDs and building the oracle/index in-process).
-fn serve_engine(
-    args: &Args,
-    path: &str,
-) -> Result<(renuver::core::Engine, renuver::serve::ModelInfo, DurabilitySeed), String> {
-    use renuver::serve::artifact;
-    if path.to_ascii_lowercase().ends_with(".rnv") {
-        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-        let loaded = artifact::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        let info = renuver::serve::ModelInfo {
-            source: format!("{path} ({})", loaded.source),
-            schema_fingerprint: loaded.schema_fingerprint,
-            artifact_bytes: bytes.len(),
-        };
-        let seed = (loaded.committed_seq, loaded.source.clone());
-        let config = RenuverConfig {
-            // The artifact dictates whether an index exists; `Auto` would
-            // lie about a model snapshotted without one.
-            index_mode: if loaded.index.is_some() {
-                IndexMode::Indexed
-            } else {
-                IndexMode::Scan
-            },
-            ..RenuverConfig::default()
-        };
-        Ok((loaded.into_engine(config), info, Some(seed)))
-    } else {
-        let rel = load(path)?;
-        let rfds = rfds_for_model(args, &rel)?;
-        let fingerprint = renuver::serve::artifact::schema_fingerprint(rel.schema());
-        let config = RenuverConfig {
-            index_mode: index_mode_from_args(args)?,
-            ..RenuverConfig::default()
-        };
-        let engine = renuver::core::Engine::prepare(rel, rfds, config);
-        let info = renuver::serve::ModelInfo {
-            source: path.to_string(),
-            schema_fingerprint: fingerprint,
-            artifact_bytes: 0,
-        };
-        Ok((engine, info, None))
-    }
-}
-
 /// Prints the startup handshake's second line. The e2e harness reads
 /// exactly two stdout lines — the `listening on` banner, then this —
 /// instead of polling `/healthz`, so startup is retry-free.
@@ -1495,12 +1421,14 @@ fn print_ready(state: &str, seq: u64) {
 }
 
 fn serve_cmd(args: &Args) -> Result<(), String> {
-    use renuver::serve::{
-        install_signal_handlers, Ctx, Durable, Registry, ServeConfig, ServeState, Server,
-        ShardLayout,
-    };
+    use renuver::obs::FieldValue;
+    use renuver::serve::{artifact, install_signal_handlers, Ctx, Registry, ServeConfig, Server};
     let path = one_positional(args)?;
-    let shards: usize = args.parse_value("--shards")?.unwrap_or(0);
+    let shards = shards_flag(args)?;
+    if shards.is_some() && !args.has("--wal") {
+        // Shards are only the durable layout; an in-memory server has none.
+        eprintln!("renuver: --shards has no effect without --wal");
+    }
     let default_timeout_ms: Option<u64> = args.parse_value("--default-timeout-ms")?;
     let max_timeout_ms: u64 = args.parse_value("--max-timeout-ms")?.unwrap_or(60_000);
     let defaults = ServeConfig::default();
@@ -1518,189 +1446,103 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         ..defaults
     };
 
-    if shards > 0 {
-        // Sharded topology: recovery is synchronous (the registry must be
-        // whole before the first request), so the ready line follows the
-        // banner immediately.
-        let is_artifact = path.to_ascii_lowercase().ends_with(".rnv");
-        let (registry, info, report) = if is_artifact {
-            use renuver::serve::artifact;
-            let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
-            let loaded = artifact::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
-            let info = renuver::serve::ModelInfo {
-                source: format!("{path} ({})", loaded.source),
-                schema_fingerprint: loaded.schema_fingerprint,
-                artifact_bytes: bytes.len(),
-            };
-            let source = loaded.source.clone();
-            let core_config = RenuverConfig {
-                index_mode: if loaded.index.is_some() { IndexMode::Indexed } else { IndexMode::Scan },
-                ..RenuverConfig::default()
-            };
-            if args.has("--wal") {
-                let opts = durability_options(args, &path, &source)?;
-                let (registry, report) = Registry::open_durable(
-                    loaded,
-                    core_config,
-                    shards,
-                    ShardLayout::beside(&path),
-                    &source,
-                    opts.compact_bytes,
-                    opts.compact_records,
-                )
-                .map_err(|e| format!("{path}: {e}"))?;
-                (registry, info, Some(report))
-            } else {
-                let registry =
-                    Registry::build(&loaded.relation, loaded.rfds, core_config, shards);
-                (registry, info, None)
-            }
-        } else {
-            if args.has("--wal") {
-                return Err(
-                    "--wal needs a .rnv artifact to compact into; run `renuver prepare` first"
-                        .into(),
-                );
-            }
-            let rel = load(&path)?;
-            let rfds = rfds_for_model(args, &rel)?;
-            let info = renuver::serve::ModelInfo {
-                source: path.to_string(),
-                schema_fingerprint: renuver::serve::artifact::schema_fingerprint(rel.schema()),
-                artifact_bytes: 0,
-            };
-            let core_config = RenuverConfig {
-                index_mode: index_mode_from_args(args)?,
-                ..RenuverConfig::default()
-            };
-            (Registry::build(&rel, rfds, core_config, shards), info, None)
+    // Recovery is synchronous at every shard count: the registry is
+    // whole before the server binds, so the ready line follows the
+    // banner immediately.
+    let is_artifact = path.to_ascii_lowercase().ends_with(".rnv");
+    let (registry, info, report) = if is_artifact {
+        let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
+        let loaded = artifact::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        let info = renuver::serve::ModelInfo {
+            source: format!("{path} ({})", loaded.source),
+            schema_fingerprint: loaded.schema_fingerprint,
+            artifact_bytes: bytes.len(),
         };
-        if let Some(report) = &report {
-            if report.replayed > 0 || !report.degraded.is_empty() {
-                eprintln!(
-                    "wal: replayed {} record(s), {} rows across {} shard(s); seq {}{}{}",
-                    report.replayed,
-                    report.rows,
-                    registry.n_shards(),
-                    report.seq,
-                    if report.normalized { ", snapshots normalized" } else { "" },
-                    if report.degraded.is_empty() {
-                        String::new()
-                    } else {
-                        format!("; degraded shards {:?}", report.degraded)
-                    },
-                );
-            }
+        if args.has("--wal") {
+            let (registry, report) = open_durable(args, &path, loaded, shards)?;
+            (registry, info, Some(report))
+        } else {
+            // Read-only: a durable layout beside the artifact is loaded
+            // at its committed state, and nothing is written.
+            let config = artifact_config(&loaded);
+            let layout = renuver::serve::ShardLayout::beside(&path);
+            let registry =
+                Registry::load(loaded, config, &layout).map_err(|e| format!("{path}: {e}"))?;
+            (registry, info, None)
         }
-        let snap = registry.snapshot();
-        let (rows, rfds) = (snap.rows(), snap.sigma.len());
-        drop(snap);
-        let mut ctx = Ctx::new_sharded(registry, info, default_timeout_ms, max_timeout_ms);
-        ctx.set_flight(flight_options(args)?);
-        let ctx = std::sync::Arc::new(ctx);
-        if let Some(report) = &report {
-            ctx.server_event("recovery", vec![
-                ("seq", renuver::obs::FieldValue::U64(report.seq)),
-                (
-                    "detail",
-                    renuver::obs::FieldValue::Text(format!(
-                        "replayed {} record(s), {} rows",
-                        report.replayed, report.rows
-                    )),
-                ),
-            ]);
-            for &k in &report.degraded {
-                ctx.server_event("shard_degraded", vec![(
-                    "shard",
-                    renuver::obs::FieldValue::U64(k as u64),
-                )]);
-            }
-        }
-        if is_artifact {
-            ctx.set_model_path(std::path::PathBuf::from(&path));
-        }
-        install_signal_handlers();
-        let server = Server::bind(config, ctx.clone()).map_err(|e| e.to_string())?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        println!("listening on {addr} ({rows} tuples, {rfds} RFDs)");
-        print_ready(ctx.state().label(), ctx.seq());
-        let shed = server.run().map_err(|e| e.to_string())?;
-        println!("shutdown complete ({shed} connections shed)");
-        return Ok(());
-    }
-
-    let (engine, info, durability) = serve_engine(args, &path)?;
-    let rows = engine.donor_rows();
-    let rfds = engine.sigma().len();
-    let mut ctx = Ctx::new(engine, info, default_timeout_ms, max_timeout_ms);
-    ctx.set_flight(flight_options(args)?);
-    let ctx = std::sync::Arc::new(ctx);
-    if path.to_ascii_lowercase().ends_with(".rnv") {
-        ctx.set_model_path(std::path::PathBuf::from(&path));
-    }
-
-    // `--wal` arms the durable write path: the server binds immediately
-    // (healthz answers `"state":"recovering"`, ingest answers 503) and a
-    // background thread replays the WAL before flipping the state to ok
-    // and printing the ready line.
-    let recovery = if args.has("--wal") {
-        let Some((snapshot_seq, source)) = durability else {
+    } else {
+        if args.has("--wal") {
             return Err(
                 "--wal needs a .rnv artifact to compact into; run `renuver prepare` first".into(),
             );
+        }
+        let rel = load(&path)?;
+        let rfds = rfds_for_model(args, &rel)?;
+        let info = renuver::serve::ModelInfo {
+            source: path.to_string(),
+            schema_fingerprint: artifact::schema_fingerprint(rel.schema()),
+            artifact_bytes: 0,
         };
-        let opts = durability_options(args, &path, &source)?;
-        ctx.set_state(ServeState::Recovering);
-        Some((snapshot_seq, opts))
-    } else {
-        None
+        let core_config = RenuverConfig {
+            index_mode: index_mode_from_args(args)?,
+            ..RenuverConfig::default()
+        };
+        let engine = renuver::core::Engine::prepare(rel, rfds, core_config);
+        (Registry::from_engine(engine, 1), info, None)
     };
-
+    if let Some(report) = &report {
+        if let Some(n) = shards.filter(|&n| n != registry.n_shards()) {
+            eprintln!(
+                "wal: batches are committed to the {}-shard layout beside {path}; --shards {n} ignored",
+                registry.n_shards()
+            );
+        }
+        if report.replayed > 0 || !report.degraded.is_empty() {
+            eprintln!(
+                "wal: replayed {} record(s), {} rows across {} shard(s); seq {}{}{}",
+                report.replayed,
+                report.rows,
+                registry.n_shards(),
+                report.seq,
+                if report.normalized { ", snapshots normalized" } else { "" },
+                if report.degraded.is_empty() {
+                    String::new()
+                } else {
+                    format!("; degraded shards {:?}", report.degraded)
+                },
+            );
+        }
+    }
+    let (rows, rfds) = {
+        let engine = registry.lock_engine();
+        (engine.donor_rows(), engine.sigma().len())
+    };
+    let mut ctx = Ctx::new_sharded(registry, info, default_timeout_ms, max_timeout_ms);
+    ctx.set_flight(flight_options(args)?);
+    let ctx = std::sync::Arc::new(ctx);
+    if let Some(report) = &report {
+        ctx.server_event("recovery", vec![
+            ("seq", FieldValue::U64(report.seq)),
+            (
+                "detail",
+                FieldValue::Text(format!(
+                    "replayed {} record(s), {} rows",
+                    report.replayed, report.rows
+                )),
+            ),
+        ]);
+        for &k in &report.degraded {
+            ctx.server_event("shard_degraded", vec![("shard", FieldValue::U64(k as u64))]);
+        }
+    }
+    if is_artifact {
+        ctx.set_model_path(std::path::PathBuf::from(&path));
+    }
     install_signal_handlers();
     let server = Server::bind(config, ctx.clone()).map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    // The e2e harness reads stdout for this line; flush so a piped
-    // stdout does not buffer it past the first request.
     println!("listening on {addr} ({rows} tuples, {rfds} RFDs)");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    match recovery {
-        Some((snapshot_seq, opts)) => {
-            let ctx = ctx.clone();
-            std::thread::spawn(move || {
-                // Replay holds the engine lock, so read requests queue behind
-                // it briefly; ingest is refused by the state gate either way.
-                let mut engine = ctx.lock_engine();
-                match Durable::recover(&mut engine, snapshot_seq, opts) {
-                    Ok((durable, report)) => {
-                        drop(engine);
-                        eprintln!(
-                            "wal: replayed {} record(s), {} rows; durable at seq {}",
-                            report.replayed, report.rows, report.seq
-                        );
-                        ctx.install_durable(durable);
-                        ctx.server_event("recovery", vec![
-                            ("seq", renuver::obs::FieldValue::U64(report.seq)),
-                            (
-                                "detail",
-                                renuver::obs::FieldValue::Text(format!(
-                                    "replayed {} record(s), {} rows",
-                                    report.replayed, report.rows
-                                )),
-                            ),
-                        ]);
-                    }
-                    Err(e) => {
-                        drop(engine);
-                        eprintln!("wal: recovery failed, serving reads only (state degraded): {e}");
-                        ctx.set_state(ServeState::Degraded);
-                    }
-                }
-                print_ready(ctx.state().label(), ctx.seq());
-            });
-        }
-        None => print_ready(ctx.state().label(), ctx.seq()),
-    }
+    print_ready(ctx.state().label(), ctx.seq());
     let shed = server.run().map_err(|e| e.to_string())?;
     println!("shutdown complete ({shed} connections shed)");
     Ok(())
@@ -1737,6 +1579,60 @@ mod tests {
         let raw = strings(&["data.csv", "--out"]);
         let err = Args::parse(&raw, &["--out"], &[]).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
+    }
+
+    /// The USAGE text for `cmd`: its own lines, plus the shared budget
+    /// and observability sections when it takes `[budget flags]`.
+    fn usage_for(cmd: &str) -> String {
+        let lines: Vec<&str> = USAGE.lines().collect();
+        let start = lines
+            .iter()
+            .position(|l| l.split_whitespace().take(2).eq(["renuver", cmd]))
+            .unwrap_or_else(|| panic!("USAGE has no line for {cmd}"));
+        let mut text = lines[start].to_string();
+        for l in &lines[start + 1..] {
+            if l.trim().is_empty() || l.trim_start().starts_with("renuver ") {
+                break;
+            }
+            text.push('\n');
+            text.push_str(l);
+        }
+        if text.contains("[budget flags]") {
+            for heading in ["budget flags (", "observability flags ("] {
+                let at = USAGE.find(heading).expect("shared section present");
+                let section = &USAGE[at..];
+                text.push('\n');
+                text.push_str(section.split("\n\n").next().unwrap());
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn usage_lists_every_flag_each_command_accepts() {
+        for cmd in COMMANDS.split(", ") {
+            let (values, bools) = flag_spec(cmd).expect("listed commands have a flag spec");
+            let usage = usage_for(cmd);
+            let tokens: Vec<&str> = usage
+                .split(|c: char| c.is_whitespace() || "[]()|".contains(c))
+                .collect();
+            for flag in values.iter().chain(&bools) {
+                assert!(tokens.contains(flag), "USAGE for {cmd} does not list {flag}:\n{usage}");
+            }
+        }
+    }
+
+    #[test]
+    fn shards_flag_rejects_zero() {
+        let spec = flag_spec("serve").unwrap();
+        let raw = strings(&["m.rnv"]);
+        assert_eq!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()), Ok(None));
+        let raw = strings(&["m.rnv", "--shards", "3"]);
+        assert_eq!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()), Ok(Some(3)));
+        let raw = strings(&["m.rnv", "--shards", "0"]);
+        assert!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()).is_err());
+        let err = run(&strings(&["serve", "m.rnv", "--shards", "0"])).unwrap_err();
+        assert!(err.contains("--shards must be at least 1"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,23 @@ use renuver::eval::budget::{
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
+/// The peak and live-byte counters are process-global, and the test
+/// harness runs tests on parallel threads: one test's `reset_peak()` or
+/// ballast would land inside another's measurement. Every test holds
+/// this lock for its whole body. The short settle after taking it lets
+/// the harness finish reporting the previous test (its frees would
+/// otherwise land between a `reset_peak()` and the measured allocation).
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    guard
+}
+
 #[test]
 fn peak_tracks_large_allocations() {
+    let _serial = serial();
     reset_peak();
     let before = peak_bytes();
     let (len, _elapsed, peak) = measure(|| {
@@ -27,6 +42,7 @@ fn peak_tracks_large_allocations() {
 
 #[test]
 fn reset_clears_high_water_mark() {
+    let _serial = serial();
     {
         let _big: Vec<u8> = vec![1; 4 * 1024 * 1024];
     } // dropped
@@ -39,6 +55,7 @@ fn reset_clears_high_water_mark() {
 
 #[test]
 fn realloc_growth_is_counted() {
+    let _serial = serial();
     reset_peak();
     let (_, _, peak) = measure(|| {
         let mut v: Vec<u64> = Vec::new();
@@ -52,6 +69,7 @@ fn realloc_growth_is_counted() {
 
 #[test]
 fn mem_ceiling_trips_against_the_real_allocator() {
+    let _serial = serial();
     // The ceiling is anchored at the current live-byte count, then a large
     // ballast is held alive across the check: with the tracking allocator
     // installed, `current_bytes()` must exceed the ceiling and trip.
@@ -64,8 +82,8 @@ fn mem_ceiling_trips_against_the_real_allocator() {
     drop(ballast);
     assert_eq!(budget.check("test::after-free"), Err(BudgetTrip::Memory));
     assert_eq!(budget.trip_phase(), Some("test::ballast"));
-    // Peak is left out of the assertions: sibling tests call reset_peak()
-    // concurrently, so only the trip kind and site are stable here.
+    // Peak is left out of the assertions: only the trip kind and site
+    // are this test's subject.
     let report = budget.report();
     assert_eq!(report.tripped, Some(BudgetTrip::Memory));
     assert_eq!(report.tripped_at, Some("test::ballast"));

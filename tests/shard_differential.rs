@@ -1,22 +1,19 @@
-//! Differential harness for the sharded engine path: a registry of N
-//! shard parts answering through [`renuver::core::impute_sharded`] must
-//! be **bit-identical** to the single-engine batch path, for every shard
-//! count, index mode, and batch-verification setting.
+//! Differential harness for the serving registry: a [`Registry`] at any
+//! shard count must answer **bit-identically** to a plain
+//! [`Engine::impute_batch`], for every index mode and batch-verification
+//! setting.
 //!
-//! The sharded path scans the *global* row order reconstructed through
-//! the `locate` table and scores with plain value-level distances, so
-//! three equivalences proven elsewhere compose into this suite's claim:
-//! value distances == oracle distances (`kernel_parity`), indexed scans
-//! == plain scans (`index_differential`), and the batch-verification
-//! cache == no cache (`batch_differential`). One sharded implementation
-//! therefore has to match the single engine under all four
-//! {scan, indexed} × {batch-verify on, off} combinations — and does,
-//! byte for byte, on the paper's Restaurant stand-in, the 5 000-row
-//! synthetic shop fixture, and randomly generated relations.
+//! The registry serves through one prepared engine and shards are only
+//! its durable on-disk layout, so the equality holds by construction;
+//! this suite pins it so the layout can never leak into answers. It
+//! sweeps shard counts {1, 2, 4, 7} × {scan, indexed} × batch-verify
+//! on/off on the paper's Restaurant stand-in, the 5 000-row synthetic
+//! shop fixture, and randomly generated relations.
 //!
-//! Ingest is covered too: committing the repaired batch to the owning
-//! shards (hash routing, batch-order global ids) must leave the shard
-//! set answering the *next* batch exactly like the grown single engine.
+//! Ingest is covered too: committing the repaired batch through the
+//! registry must leave it answering the *next* batch exactly like the
+//! grown engine — also after compaction and a cold reopen from the
+//! durable layout.
 //!
 //! Comparisons canonicalize through `Debug` text (as the other
 //! differential suites do) so NaN distances compare equal to themselves.
@@ -25,13 +22,13 @@
 
 use proptest::prelude::*;
 
-use renuver::core::shard::{commit_sharded, impute_sharded, partition, ShardPlan};
 use renuver::core::{BatchResult, Engine, IndexMode, RenuverConfig};
 use renuver::data::{AttrType, Relation, Schema, Tuple, Value};
 use renuver::datasets::Dataset;
 use renuver::eval::inject;
 use renuver::rfd::discovery::{discover, DiscoveryConfig};
 use renuver::rfd::{Constraint, Rfd, RfdSet};
+use renuver::serve::{artifact, DurabilityOptions, Registry};
 use renuver_bench::synthetic_shops;
 
 /// The shard counts the suite sweeps: the degenerate single shard, even
@@ -63,13 +60,13 @@ fn split(rel: &Relation, k: usize) -> (Relation, Vec<Tuple>) {
     (base, batch)
 }
 
-fn sharded(plan: &ShardPlan, sigma: &RfdSet, cfg: &RenuverConfig, batch: &[Tuple]) -> BatchResult {
-    let parts: Vec<&Relation> = plan.parts.iter().collect();
-    impute_sharded(&parts, &plan.locate, sigma, cfg, batch.to_vec()).expect("valid batch")
+fn served(reg: &Registry, batch: &[Tuple]) -> BatchResult {
+    let snap = reg.snapshot();
+    snap.impute(batch.to_vec(), &snap.config).expect("valid batch")
 }
 
-/// Runs the single engine and every sharded topology on the same batch
-/// and asserts byte-identity; returns the single-engine result.
+/// Runs a plain engine and a registry at every shard count on the same
+/// batch and asserts byte-identity; returns the engine's result.
 fn assert_all_shard_counts_match(
     base: &Relation,
     batch: &[Tuple],
@@ -82,14 +79,13 @@ fn assert_all_shard_counts_match(
     let single = engine.impute_batch(batch.to_vec()).expect("single-engine batch");
     let want = canon_batch(&single);
     for shards in SHARD_COUNTS {
-        let plan = partition(base, sigma, shards);
-        assert_eq!(plan.locate.len(), base.len());
-        assert_eq!(plan.parts.iter().map(Relation::len).sum::<usize>(), base.len());
-        let got = sharded(&plan, sigma, &cfg, batch);
+        let reg = Registry::build(base, sigma.clone(), cfg.clone(), shards);
+        assert_eq!(reg.shard_rows().iter().sum::<usize>(), base.len());
+        let got = served(&reg, batch);
         assert_eq!(
             canon_batch(&got),
             want,
-            "sharded run diverged from single engine \
+            "registry diverged from the engine \
              (shards={shards}, mode={mode:?}, batch_verify={batch_verify})"
         );
     }
@@ -133,17 +129,80 @@ fn restaurant_ingest_sharded_matches_single_engine() {
         assert_eq!(commit.rows, batch1.len());
         let r2 = engine.impute_batch(batch2.to_vec()).expect("post-ingest batch");
 
-        let mut plan = partition(&base, &sigma, shards);
-        let s1 = sharded(&plan, &sigma, &cfg, batch1);
-        assert_eq!(canon_batch(&s1), canon_batch(&r1), "ingest impute diverged (shards={shards})");
-        commit_sharded(&mut plan, &s1.tuples);
-        assert_eq!(plan.locate.len(), base.len() + batch1.len());
-        let s2 = sharded(&plan, &sigma, &cfg, batch2);
+        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
+        let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest");
+        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "ingest impute diverged (shards={shards})");
+        assert_eq!(reg.shard_rows().iter().sum::<usize>(), base.len() + batch1.len());
+        let s2 = served(&reg, batch2);
         assert_eq!(
             canon_batch(&s2),
             canon_batch(&r2),
             "post-commit batch diverged (shards={shards})"
         );
+    }
+}
+
+#[test]
+fn restaurant_recovered_registry_matches_grown_engine() {
+    let (base, batch, sigma) = restaurant_fixture();
+    let third = batch.len() / 3;
+    let (batch1, rest) = batch.split_at(third);
+    let (batch2, batch3) = rest.split_at(third);
+    let cfg = config(IndexMode::Indexed, true);
+
+    // The reference: one engine grown by the same two commits.
+    let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
+    let (r1, _) = engine.ingest_batch_with(batch1.to_vec(), &cfg).expect("ingest 1");
+    let (r2, _) = engine.ingest_batch_with(batch2.to_vec(), &cfg).expect("ingest 2");
+    let want = canon_batch(&engine.impute_batch(batch3.to_vec()).expect("probe"));
+
+    for shards in [1, 2, 7] {
+        let dir = std::env::temp_dir()
+            .join(format!("renuver-shard-differential-{}", std::process::id()))
+            .join(format!("reopen-{shards}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = dir.join("model.rnv");
+        let prepared = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
+        std::fs::write(&model, artifact::encode_engine(&prepared, "differential", 0)).unwrap();
+        let open = || {
+            let opts = DurabilityOptions::beside(&model, "differential");
+            Registry::open_durable(
+                artifact::load(&model).unwrap(),
+                cfg.clone(),
+                shards,
+                opts.layout,
+                "differential",
+                opts.compact_bytes,
+                opts.compact_records,
+            )
+            .expect("open durable registry")
+        };
+
+        // Batch 1 is folded into the shard snapshots, batch 2 stays in
+        // the logs: the reopen merges the snapshots and replays the tail.
+        let (reg, _) = open();
+        let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest 1");
+        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "shards={shards}");
+        reg.compact().expect("compact");
+        let s2 = reg.ingest(batch2.to_vec(), &cfg).expect("registry ingest 2");
+        assert_eq!(canon_batch(&s2.batch), canon_batch(&r2), "shards={shards}");
+        drop(reg);
+
+        let (reg, report) = open();
+        assert_eq!((report.seq, report.replayed), (2, 1), "shards={shards}");
+        assert_eq!(reg.n_shards(), shards);
+        assert_eq!(
+            reg.lock_engine().relation().tuples().collect::<Vec<_>>(),
+            engine.relation().tuples().collect::<Vec<_>>(),
+            "recovered rows out of global order (shards={shards})"
+        );
+        assert_eq!(
+            canon_batch(&served(&reg, batch3)),
+            want,
+            "recovered registry diverged from the grown engine (shards={shards})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -187,11 +246,10 @@ fn synthetic_5k_ingest_sharded_matches_single_engine() {
     let r2 = engine.impute_batch(probe.clone()).expect("probe");
 
     for shards in [2, 7] {
-        let mut plan = partition(&base, &sigma, shards);
-        let s1 = sharded(&plan, &sigma, &cfg, &batch);
-        assert_eq!(canon_batch(&s1), canon_batch(&r1), "shards={shards}");
-        commit_sharded(&mut plan, &s1.tuples);
-        let s2 = sharded(&plan, &sigma, &cfg, &probe);
+        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
+        let s1 = reg.ingest(batch.clone(), &cfg).expect("registry ingest");
+        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "shards={shards}");
+        let s2 = served(&reg, &probe);
         assert_eq!(canon_batch(&s2), canon_batch(&r2), "post-commit probe (shards={shards})");
     }
 }
@@ -199,11 +257,8 @@ fn synthetic_5k_ingest_sharded_matches_single_engine() {
 // ----------------------------------------------------- random (proptest)
 
 /// Small random relations biased toward value collisions (the
-/// `index_differential` generator, minus NaN *thresholds*: the sharded
-/// path computes value distances directly, and a NaN threshold reaching
-/// the Text bounded-distance kernel is clamped to 0 there while the
-/// oracle's matrix lookup filters it out — hand-written-rule pathology
-/// out of scope for this suite; NaN *data* stays in).
+/// `index_differential` generator, minus NaN *thresholds* — hand-written
+/// rule pathology out of scope for this suite; NaN *data* stays in).
 fn arb_relation() -> impl Strategy<Value = Relation> {
     let col_types = prop::collection::vec(
         prop_oneof![Just(AttrType::Int), Just(AttrType::Float), Just(AttrType::Text)],
@@ -267,9 +322,9 @@ proptest! {
     #![proptest_config(cases(64))]
 
     /// Random relation, random RFDs, random shard count and index mode:
-    /// sharded impute == single-engine impute, and after committing the
+    /// registry impute == engine impute, and after committing the
     /// repaired batch, a re-run of the same batch still matches the
-    /// grown single engine.
+    /// grown engine.
     #[test]
     fn random_sharded_matches_single(
         input in arb_relation().prop_flat_map(|rel| {
@@ -285,15 +340,16 @@ proptest! {
 
         let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
         let single = engine.impute_batch(batch.clone()).expect("single-engine batch");
-        let mut plan = partition(&base, &sigma, shards);
-        let got = sharded(&plan, &sigma, &cfg, &batch);
+        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
+        let got = served(&reg, &batch);
         prop_assert_eq!(canon_batch(&got), canon_batch(&single));
 
         // Ingest equivalence on the same random input.
         engine.commit_tuples(single.tuples.clone()).expect("commit");
         let single_again = engine.impute_batch(batch.clone()).expect("post-commit batch");
-        commit_sharded(&mut plan, &got.tuples);
-        let got_again = sharded(&plan, &sigma, &cfg, &batch);
+        let committed = reg.ingest(batch.clone(), &cfg).expect("registry ingest");
+        prop_assert_eq!(canon_batch(&committed.batch), canon_batch(&got));
+        let got_again = served(&reg, &batch);
         prop_assert_eq!(canon_batch(&got_again), canon_batch(&single_again));
     }
 }

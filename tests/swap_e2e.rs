@@ -210,30 +210,20 @@ fn fingerprint_mismatch_is_rejected_409_and_model_unchanged() {
     handle.join().unwrap();
 }
 
-/// `SIGHUP` re-reads the model file recorded at startup and swaps it in
-/// through the same guarded path as `PUT /v1/model` — a live reload with
-/// no restart, proven against the real binary.
-#[test]
+/// A served child process, its address, and its stdout — held open so
+/// the shutdown line still has a reader.
 #[cfg(unix)]
-fn sighup_reloads_the_model_file_without_downtime() {
+type Served = (std::process::Child, SocketAddr, BufReader<std::process::ChildStdout>);
+
+/// Starts `renuver serve model.rnv` in `dir` with `extra` flags on an
+/// ephemeral port, and waits for its ready line.
+#[cfg(unix)]
+fn spawn_serve(dir: &std::path::Path, extra: &[&str]) -> Served {
     use std::process::{Command, Stdio};
-    let dir = std::env::temp_dir()
-        .join(format!("renuver-swap-e2e-{}", std::process::id()))
-        .join("sighup");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let write_model = |shift: i64| {
-        let engine =
-            Engine::prepare(model_relation(shift), model_rfds(), RenuverConfig::default());
-        std::fs::write(dir.join("model.rnv"), artifact::encode_engine(&engine, "sighup", 0))
-            .unwrap();
-    };
-    write_model(0);
-
     let mut child = Command::new(env!("CARGO_BIN_EXE_renuver"))
-        .current_dir(&dir)
-        .args(["serve", "model.rnv", "--shards", "2", "--addr", "127.0.0.1:0"])
+        .current_dir(dir)
+        .args(["serve", "model.rnv", "--addr", "127.0.0.1:0"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -251,6 +241,41 @@ fn sighup_reloads_the_model_file_without_downtime() {
     let mut ready = String::new();
     lines.read_line(&mut ready).unwrap();
     assert!(ready.starts_with("ready state=ok seq=0"), "{ready:?}");
+    (child, addr, lines)
+}
+
+/// Sends `signal` to the child and asserts `kill` delivered it.
+#[cfg(unix)]
+fn signal(child: &std::process::Child, signal: &str) {
+    let sent = std::process::Command::new("kill")
+        .arg(signal)
+        .arg(child.id().to_string())
+        .status()
+        .unwrap();
+    assert!(sent.success());
+}
+
+/// `SIGHUP` re-reads the model file recorded at startup and swaps it in
+/// through the same guarded path as `PUT /v1/model` — a live reload with
+/// no restart, proven against the real binary.
+#[test]
+#[cfg(unix)]
+fn sighup_reloads_the_model_file_without_downtime() {
+    let dir = std::env::temp_dir()
+        .join(format!("renuver-swap-e2e-{}", std::process::id()))
+        .join("sighup");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let write_model = |shift: i64| {
+        let engine =
+            Engine::prepare(model_relation(shift), model_rfds(), RenuverConfig::default());
+        std::fs::write(dir.join("model.rnv"), artifact::encode_engine(&engine, "sighup", 0))
+            .unwrap();
+    };
+    write_model(0);
+
+    let (mut child, addr, _stdout) = spawn_serve(&dir, &["--shards", "2"]);
 
     let (status, body) = request(addr, &post_impute(r#"{"tuples": [["City07", null]]}"#));
     assert_eq!(status, 200);
@@ -259,8 +284,7 @@ fn sighup_reloads_the_model_file_without_downtime() {
     // Replace the file on disk, poke the server, and wait for the
     // accept loop to pick the reload up (it polls between accepts).
     write_model(1);
-    let kill = Command::new("kill").arg("-HUP").arg(child.id().to_string()).status().unwrap();
-    assert!(kill.success());
+    signal(&child, "-HUP");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let (status, body) = request(addr, &post_impute(r#"{"tuples": [["City07", null]]}"#));
@@ -272,7 +296,67 @@ fn sighup_reloads_the_model_file_without_downtime() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
-    let term = Command::new("kill").arg("-TERM").arg(child.id().to_string()).status().unwrap();
-    assert!(term.success());
+    signal(&child, "-TERM");
+    assert!(child.wait().unwrap().success(), "serve did not exit cleanly");
+}
+
+/// `SIGHUP` on a durable server: an unchanged model file is reloaded
+/// through the layout beside it, so a batch ingested since startup —
+/// which the artifact on disk never holds — is still served; a replaced
+/// file is a new model and is swapped in.
+#[test]
+#[cfg(unix)]
+fn sighup_on_a_durable_server_keeps_ingested_batches() {
+    let dir = std::env::temp_dir()
+        .join(format!("renuver-swap-e2e-{}", std::process::id()))
+        .join("sighup-wal");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let write_model = |shift: i64| {
+        let engine =
+            Engine::prepare(model_relation(shift), model_rfds(), RenuverConfig::default());
+        std::fs::write(dir.join("model.rnv"), artifact::encode_engine(&engine, "sighup", 0))
+            .unwrap();
+    };
+    write_model(0);
+    let (mut child, addr, _stdout) = spawn_serve(&dir, &["--wal"]);
+
+    let batch = r#"{"tuples": [["City99", "99999"]]}"#;
+    let raw = format!(
+        "POST /v1/ingest HTTP/1.1\r\nHost: swap\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{batch}",
+        batch.len()
+    );
+    let (status, body) = request(addr, raw.as_bytes());
+    assert_eq!(status, 200, "{body}");
+
+    let reload = |swaps: &str| {
+        signal(&child, "-HUP");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let (_, table) =
+                request(addr, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+            if table.lines().any(|l| l.split_whitespace().eq(["serve.swaps", swaps])) {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "SIGHUP reload never landed: {table}");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    };
+    let impute = |city: &str| {
+        let (status, body) =
+            request(addr, &post_impute(&format!(r#"{{"tuples": [["{city}", null]]}}"#)));
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    reload("1");
+    let body = impute("City99");
+    assert!(body.contains("99999"), "the reload dropped the ingested batch: {body}");
+
+    write_model(1);
+    reload("2");
+    assert!(impute("City07").contains("90050"), "the replaced model was not installed");
+
+    signal(&child, "-TERM");
     assert!(child.wait().unwrap().success(), "serve did not exit cleanly");
 }

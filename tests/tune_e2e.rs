@@ -27,7 +27,10 @@ use renuver::data::csv;
 use renuver::obs::{json, EventLog};
 use renuver::rfd::discovery::{discover, DiscoveryConfig};
 use renuver::rfd::{Constraint, Rfd, RfdSet};
-use renuver::serve::{Ctx, FlightOptions, JobStatus, ModelInfo, ServeConfig, Server};
+use renuver::serve::{
+    artifact, Ctx, DurabilityOptions, FlightOptions, JobStatus, ModelInfo, Registry, ServeConfig,
+    Server,
+};
 use renuver::tune::{tune, TuneConfig};
 
 // ------------------------------------------------------------ fixtures
@@ -75,18 +78,41 @@ const SLOW_BODY: &str = r#"{"seed": 1, "rate": 0.5, "max_iters": 500, "step": 0.
 
 // ------------------------------------------------------------- harness
 
-fn start(
-    engine: Engine,
-    opts: FlightOptions,
-) -> (SocketAddr, Arc<Ctx>, Arc<std::sync::atomic::AtomicBool>, std::thread::JoinHandle<u64>) {
-    let fingerprint = renuver::serve::artifact::schema_fingerprint(engine.schema());
-    let mut ctx = Ctx::new(
-        engine,
-        ModelInfo { source: "tune-e2e".into(), schema_fingerprint: fingerprint, artifact_bytes: 0 },
-        None,
-        60_000,
-    );
+type Running = (SocketAddr, Arc<Ctx>, Arc<std::sync::atomic::AtomicBool>, std::thread::JoinHandle<u64>);
+
+fn info(schema: &renuver::data::Schema) -> ModelInfo {
+    ModelInfo {
+        source: "tune-e2e".into(),
+        schema_fingerprint: renuver::serve::artifact::schema_fingerprint(schema),
+        artifact_bytes: 0,
+    }
+}
+
+fn start(engine: Engine, opts: FlightOptions) -> Running {
+    let info = info(engine.schema());
+    let mut ctx = Ctx::new(engine, info, None, 60_000);
     ctx.set_flight(opts);
+    serve(ctx)
+}
+
+/// A durable registry over `model` (laid out beside it with `shards`
+/// shards on first open, recovered from that layout afterwards).
+fn open_durable(model: &std::path::Path, shards: usize) -> Registry {
+    let opts = DurabilityOptions::beside(model, "tune-e2e");
+    Registry::open_durable(
+        artifact::load(model).unwrap(),
+        RenuverConfig::default(),
+        shards,
+        opts.layout,
+        "tune-e2e",
+        opts.compact_bytes,
+        opts.compact_records,
+    )
+    .unwrap()
+    .0
+}
+
+fn serve(ctx: Ctx) -> Running {
     let ctx = Arc::new(ctx);
     let config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 2, ..ServeConfig::default() };
     let server = Server::bind(config, Arc::clone(&ctx)).unwrap();
@@ -368,40 +394,114 @@ fn drain_mid_tune_leaves_the_job_log_consistent() {
 
 /// Differential acceptance test: a model installed by the tune job's
 /// `install` step serves bit-identical `/v1/impute` answers to an
-/// engine prepared directly from the same tuned thresholds.
+/// engine prepared directly from the same tuned thresholds — on an
+/// in-memory one-shard server and on a two-shard durable one, which
+/// must still serve the tuned RFDs after a restart.
 #[test]
 fn job_installed_model_serves_bit_identical_answers() {
-    let (addr, ctx, stop, handle) = start(twin_engine(8), FlightOptions::default());
+    let dir = std::env::temp_dir().join(format!("renuver-tune-install-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.rnv");
+    std::fs::write(&model, artifact::encode_engine(&twin_engine(8), "tune-e2e", 0)).unwrap();
 
-    let (status, rest) =
-        request(addr, &post("/v1/tune", r#"{"seed": 3, "max_iters": 6, "install": true}"#));
+    for durable in [false, true] {
+        let running = if durable {
+            let registry = open_durable(&model, 2);
+            let info = info(registry.schema());
+            serve(Ctx::new_sharded(registry, info, None, 60_000))
+        } else {
+            start(twin_engine(8), FlightOptions::default())
+        };
+        let (addr, ctx, stop, handle) = running;
+
+        let (status, rest) =
+            request(addr, &post("/v1/tune", r#"{"seed": 3, "max_iters": 6, "install": true}"#));
+        assert_eq!(status, 202, "{rest}");
+        let body = poll_terminal(addr, submitted_id(&rest));
+        assert!(body.contains("\"installed\":true"), "{body}");
+        assert_eq!(ctx.info().source, "tune job 1");
+
+        // Rebuild the tuned model by hand from the report's thresholds.
+        let doc = json::parse(&body).unwrap();
+        let thresholds =
+            doc.get("report").unwrap().get("thresholds").unwrap().as_str().unwrap().to_string();
+        let rel = csv::read_str(&twin_csv(8)).unwrap();
+        let tuned = RfdSet::from_text(&thresholds, rel.schema()).unwrap();
+        let direct = Engine::prepare(rel, tuned, RenuverConfig::default());
+        let (addr2, _ctx2, stop2, handle2) = start(direct, FlightOptions::default());
+
+        // "aaaaaaaa 3" is distance 1 from the twin "aaaaaaaa 2": invisible
+        // at the original threshold 0, a donor match at the tuned width.
+        let impute = r#"{"tuples": [["aaaaaaaa 3", null], ["bbbbbbbb", null], ["unrelated", null]]}"#;
+        let (s1, r1) = request(addr, &post("/v1/impute", impute));
+        let (s2, r2) = request(addr2, &post("/v1/impute", impute));
+        assert_eq!((s1, s2), (200, 200), "{r1}\n{r2}");
+        let (b1, b2) = (body_of(&r1), body_of(&r2));
+        assert_eq!(b1, b2, "installed and directly-prepared models diverge (durable={durable})");
+        // And the answer is the *tuned* behaviour: the twin's zip fills in.
+        assert!(b1.contains("\"z-00\""), "{b1}");
+
+        stop.store(true, Ordering::Relaxed);
+        stop2.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+        handle2.join().unwrap();
+
+        if durable {
+            // The install went through the swap's durable generation: a
+            // restart from the layout serves the tuned thresholds.
+            drop(ctx);
+            let reopened = open_durable(&model, 2);
+            assert_eq!(reopened.n_shards(), 2);
+            let engine = reopened.lock_engine();
+            assert_eq!(engine.sigma().to_text(engine.schema()), thresholds);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch ingested while an installing tune job runs is kept: the
+/// install prepares the live relation under the tuned thresholds, so
+/// the batch is served after it and still there after a restart.
+#[test]
+fn ingest_during_an_installing_tune_is_kept() {
+    let dir = std::env::temp_dir().join(format!("renuver-tune-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.rnv");
+    std::fs::write(&model, artifact::encode_engine(&slow_engine(), "tune-e2e", 0)).unwrap();
+    let registry = open_durable(&model, 2);
+    let info = info(registry.schema());
+    let (addr, ctx, stop, handle) = serve(Ctx::new_sharded(registry, info, None, 60_000));
+
+    // About 300 × 7 ms: the job is still running when the ingest lands.
+    let body = r#"{"seed": 1, "rate": 0.5, "max_iters": 300, "step": 0.01, "install": true}"#;
+    let (status, rest) = request(addr, &post("/v1/tune", body));
     assert_eq!(status, 202, "{rest}");
-    let body = poll_terminal(addr, submitted_id(&rest));
-    assert!(body.contains("\"installed\":true"), "{body}");
-    assert_eq!(ctx.info().source, "tune job 1");
+    let id = submitted_id(&rest);
+    // An iteration has run, so the job has taken its relation snapshot.
+    while ctx.jobs().snapshot().map_or(0, |(_, _, iters)| iters) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (status, rest) = request(addr, &post("/v1/ingest", r#"{"tuples": [["qqqqwwww", "z999"]]}"#));
+    assert_eq!(status, 200, "{rest}");
+    assert_eq!(ctx.jobs().snapshot().unwrap().1, JobStatus::Running, "the job finished first");
 
-    // Rebuild the tuned model by hand from the report's thresholds.
-    let doc = json::parse(&body).unwrap();
-    let thresholds =
-        doc.get("report").unwrap().get("thresholds").unwrap().as_str().unwrap().to_string();
-    let rel = csv::read_str(&twin_csv(8)).unwrap();
-    let tuned = RfdSet::from_text(&thresholds, rel.schema()).unwrap();
-    let direct = Engine::prepare(rel, tuned, RenuverConfig::default());
-    let (addr2, _ctx2, stop2, handle2) = start(direct, FlightOptions::default());
-
-    // "aaaaaaaa 3" is distance 1 from the twin "aaaaaaaa 2": invisible
-    // at the original threshold 0, a donor match at the tuned width.
-    let impute = r#"{"tuples": [["aaaaaaaa 3", null], ["bbbbbbbb", null], ["unrelated", null]]}"#;
-    let (s1, r1) = request(addr, &post("/v1/impute", impute));
-    let (s2, r2) = request(addr2, &post("/v1/impute", impute));
-    assert_eq!((s1, s2), (200, 200), "{r1}\n{r2}");
-    let (b1, b2) = (body_of(&r1), body_of(&r2));
-    assert_eq!(b1, b2, "installed and directly-prepared models diverge");
-    // And the answer is the *tuned* behaviour: the twin's zip fills in.
-    assert!(b1.contains("\"z-00\""), "{b1}");
-
+    let body = poll_terminal(addr, id);
+    assert!(body.contains("\"installed\":true,\"seq\":1"), "{body}");
+    assert_eq!(ctx.registry().snapshot().rows(), 301, "the install dropped the ingested batch");
+    let thresholds = {
+        let engine = ctx.lock_engine();
+        engine.sigma().to_text(engine.schema())
+    };
     stop.store(true, Ordering::Relaxed);
-    stop2.store(true, Ordering::Relaxed);
     handle.join().unwrap();
-    handle2.join().unwrap();
+    drop(ctx);
+
+    let reopened = open_durable(&model, 2);
+    assert_eq!((reopened.seq(), reopened.snapshot().rows()), (1, 301));
+    let engine = reopened.lock_engine();
+    assert_eq!(engine.sigma().to_text(engine.schema()), thresholds);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }

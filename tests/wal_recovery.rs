@@ -2,9 +2,9 @@
 //! the real `renuver` binary. Each case arms a crash point via the
 //! `RENUVER_FAULT` environment variable, lets `renuver ingest` abort
 //! mid-flight, then recovers and asserts the surviving model is
-//! **bit-identical** (compacted snapshot bytes) to a control model that
-//! never crashed and ingested exactly the batches the durability
-//! contract says must survive:
+//! **bit-identical** (compacted shard snapshot and manifest bytes) to a
+//! control model that never crashed and ingested exactly the batches the
+//! durability contract says must survive:
 //!
 //! - crash before the WAL frame is complete on disk → batch absent,
 //! - crash after the frame is complete (fsynced or not — a process
@@ -13,9 +13,13 @@
 //!   partial frame) → batch replayed,
 //! - crash anywhere inside compaction → no logical change at all.
 //!
-//! Also covered: injected (non-fatal) I/O errors commit nothing, and
+//! Also covered: injected (non-fatal) I/O errors commit nothing,
 //! SIGTERM during an in-flight `/v1/ingest` drains gracefully — the
-//! batch is fully durable, never half-applied.
+//! batch is fully durable, never half-applied — and a single-file WAL
+//! left by an earlier build migrates into the one-shard layout.
+//!
+//! The single-file cases run on the default one-shard layout `prepare`
+//! writes; the sharded cases below run the same matrix at two shards.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -82,16 +86,20 @@ fn assert_ok(out: &Output, what: &str) {
 }
 
 /// Canonical end state: ingest `batch2.csv` with `--compact` (which
-/// first replays whatever the WAL holds), then read the snapshot. Two
-/// histories that agree on the durable batches yield identical bytes.
-fn final_snapshot(dir: &Path) -> Vec<u8> {
+/// first replays whatever the WAL holds), then read the one-shard
+/// layout's snapshot and manifest. Two histories that agree on the
+/// durable batches yield identical bytes.
+fn final_snapshot(dir: &Path) -> Vec<Vec<u8>> {
     let out = ingest(dir, "batch2.csv", None, true);
     assert_ok(&out, "recovery ingest of batch2");
-    std::fs::read(dir.join("model.rnv")).unwrap()
+    ["model.rnv.shard0", "model.rnv.manifest"]
+        .iter()
+        .map(|f| std::fs::read(dir.join(f)).unwrap())
+        .collect()
 }
 
 /// Control model that ingested exactly `batches` without ever crashing.
-fn control_snapshot(tag: &str, batches: &[&str]) -> Vec<u8> {
+fn control_snapshot(tag: &str, batches: &[&str]) -> Vec<Vec<u8>> {
     let dir = setup(tag);
     for b in batches {
         assert_ok(&ingest(&dir, b, None, false), b);
@@ -237,19 +245,97 @@ fn sigterm_during_inflight_ingest_commits_fully_or_not_at_all() {
     assert_eq!(recovered, final_snapshot(&dir_ctl));
 }
 
+/// A model served by an earlier build keeps its durable state in one
+/// `model.rnv.wal` beside the artifact. The first durable open replays
+/// that log into the engine, writes the one-shard layout, and removes
+/// the old log only once the manifest is durable — so a crash between
+/// the two (the `migrate.pre_unlink` window) reopens onto the layout
+/// with every record applied exactly once.
+#[test]
+fn single_file_wal_migrates_into_a_one_shard_layout() {
+    use renuver::core::{Engine, RenuverConfig};
+    use renuver::data::{csv, Value};
+    use renuver::rfd::RfdSet;
+    use renuver::serve::{artifact, fault, DurabilityOptions, Registry, Wal};
+
+    let rel = csv::read_str(DATA).unwrap();
+    let rfds = RfdSet::from_text("City(<=0) -> Zip(<=0)\nZip(<=0) -> City(<=0)", rel.schema())
+        .unwrap();
+    let t = |c: &str, z: &str| vec![Value::from(c), Value::from(z)];
+    let logged = [vec![t("Torino", "10121"), t("Bari", "70121")], vec![t("Napoli", "80100")]];
+    for crash_before_unlink in [false, true] {
+        let dir = std::env::temp_dir()
+            .join(format!("renuver-wal-recovery-{}", std::process::id()))
+            .join(format!("migrate-{crash_before_unlink}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = dir.join("model.rnv");
+        let legacy = dir.join("model.rnv.wal");
+        let prepared = Engine::prepare(rel.clone(), rfds.clone(), RenuverConfig::default());
+        std::fs::write(&model, artifact::encode_engine(&prepared, "migrate", 0)).unwrap();
+        let fp = artifact::schema_fingerprint(rel.schema());
+        let (mut wal, _) = Wal::open(&legacy, fp, 0, rel.arity()).unwrap();
+        for batch in &logged {
+            wal.append(batch).unwrap();
+        }
+        drop(wal);
+
+        let open = || {
+            let opts = DurabilityOptions::beside(&model, "migrate");
+            Registry::open_durable(
+                artifact::load(&model).unwrap(),
+                RenuverConfig::default(),
+                1,
+                opts.layout,
+                "migrate",
+                opts.compact_bytes,
+                opts.compact_records,
+            )
+        };
+        if crash_before_unlink {
+            fault::arm("migrate.pre_unlink", fault::Action::Err);
+            let first = open();
+            fault::disarm("migrate.pre_unlink");
+            assert!(first.is_err(), "the armed fault must interrupt the migration");
+            assert!(dir.join("model.rnv.manifest").exists(), "manifest committed before the fault");
+            assert!(legacy.exists(), "the old log outlives the interrupted migration");
+        }
+        let (reg, report) = open().expect("migrating open");
+        let expected_replays = if crash_before_unlink { 0 } else { logged.len() };
+        assert_eq!(report.replayed, expected_replays, "crash_before_unlink={crash_before_unlink}");
+        assert_eq!((reg.n_shards(), reg.seq()), (1, 2));
+        assert!(!legacy.exists(), "the migrated log is removed");
+
+        // Every record exactly once, in log order, like an engine that
+        // committed them directly.
+        let mut grown = Engine::prepare(rel.clone(), rfds.clone(), RenuverConfig::default());
+        for batch in &logged {
+            grown.commit_tuples(batch.clone()).unwrap();
+        }
+        assert_eq!(
+            reg.lock_engine().relation().tuples().collect::<Vec<_>>(),
+            grown.relation().tuples().collect::<Vec<_>>()
+        );
+        let cfg = reg.snapshot().config.clone();
+        let next = reg.ingest(vec![vec![Value::from("Napoli"), Value::Null]], &cfg).unwrap();
+        assert_eq!(next.seq, 3);
+        assert_eq!(next.batch.tuples[0][1], Value::from("80100"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 // ------------------------------------------------------ sharded layouts
 //
-// `prepare --shards 2` writes per-shard snapshots, per-shard WALs, and a
-// routing manifest beside the artifact; `ingest` auto-detects the
-// manifest and commits through the registry. The sharded contract
-// differs from the single-engine one in exactly one place: a batch is
-// committed only once it is appended to *every* shard WAL, so a crash
-// anywhere inside the append fan-out leaves the batch absent (an orphan
-// frame on an earlier log sits beyond the committed horizon and is
-// truncated when recovery normalizes). Compaction crashes — including
-// the sharded-only window where one shard's snapshot is renamed while
-// its siblings and the manifest are still old — must change nothing
-// logically, per shard, byte for byte.
+// `prepare --shards 2` writes two shard snapshots and a routing
+// manifest beside the artifact; `ingest` recovers that layout and
+// commits through the registry. Two shards differ from one in exactly
+// one place: a batch is committed only once it is appended to *every*
+// shard WAL, so a crash anywhere inside the append fan-out leaves the
+// batch absent (an orphan frame on an earlier log sits beyond the
+// committed horizon and is truncated when recovery normalizes).
+// Compaction crashes — including the window where one shard's snapshot
+// is renamed while its sibling and the manifest are still old — must
+// change nothing logically, per shard, byte for byte.
 
 const SHARDS: usize = 2;
 
