@@ -15,7 +15,8 @@
 //!
 //! * **iterations_to_target** — how many impute/score/adjust rounds the
 //!   loop needs before held-out F1 crosses the target (null when it
-//!   stops for another reason: convergence, iteration cap, budget);
+//!   stops for another reason: convergence, a revisit, iteration cap,
+//!   budget);
 //! * **mean_iteration_ms** — the unit cost a `/v1/tune` job pays per
 //!   round, which bounds how long the single-flight slot stays busy.
 //!

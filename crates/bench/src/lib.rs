@@ -1,4 +1,5 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! Shared plumbing for the benchmark binaries — the repository's only
+//! benchmark harness.
 //!
 //! One binary per paper table/figure lives in `src/bin/`:
 //!
@@ -10,13 +11,18 @@
 //! | `fig3`   | Figure 3 — RENUVER vs Derand vs Holoclean (vs kNN on Glass) by missing rate |
 //! | `table4` | Table 4 — Restaurant stress at 5–40% missing: metrics, time, memory |
 //! | `table5` | Table 5 — Physician scaling at 104–10359 tuples: metrics, time, memory |
+//! | `ablation` | The paper's two self-contradictions (cluster order, verification scope) and three more design toggles, time vs quality |
 //! | `robustness` | Beyond the paper — MCAR vs MNAR vs column-concentrated missingness |
 //!
+//! Next to them, each `bench_*` binary (`bench_discovery`, `bench_kernels`,
+//! `bench_parallel`, `bench_index`, `bench_obs`, `bench_serve`,
+//! `bench_ingest`, `bench_tune`) times one subsystem and writes the
+//! committed `BENCH_*.json` of the same name (`--out <path>` overrides it).
+//!
 //! Run with `cargo run -p renuver-bench --release --bin <name>`. Binaries
-//! accept a `--quick` flag that shrinks seeds/sizes for smoke runs; the
-//! figure/robustness binaries also accept `--csv <path>` for tidy,
-//! plot-ready output. `profile_one` / `profile_physician` are developer
-//! timing tools.
+//! accept a `--quick` flag that shrinks seeds/sizes or run counts for smoke
+//! runs; the figure/robustness binaries also accept `--csv <path>` for
+//! tidy, plot-ready output.
 
 use renuver_datasets::Dataset;
 use renuver_rfd::discovery::{discover, DiscoveryConfig};

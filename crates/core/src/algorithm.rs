@@ -2,7 +2,7 @@
 
 use renuver_budget::{BudgetReport, BudgetTrip};
 use renuver_data::{Cell, Relation};
-use renuver_distance::{DistanceOracle, SimilarityIndex};
+use renuver_distance::{DistanceOracle, SimilarityIndex, DEFAULT_DICT_CAP};
 use renuver_obs::{Counter, Field, FieldValue, Histogram};
 use renuver_rfd::check::stays_key_after_update_with_index;
 use renuver_rfd::{Rfd, RfdSet};
@@ -15,6 +15,36 @@ use crate::result::{
     ImputedCell, TraceEvent,
 };
 use crate::verify::VerifyPlan;
+
+/// Builds the distance structures a run imputes against, on whatever
+/// thread pool the caller installed. Shared by the one-shot path and
+/// [`crate::engine::Engine::prepare`], so both make the same decisions.
+///
+/// - The oracle dictionary-encodes the text columns once (cap
+///   [`DEFAULT_DICT_CAP`]); every distance query in key detection,
+///   candidate generation, and verification becomes a matrix lookup.
+///   Under a tripped budget the build degrades column-wise to direct
+///   computation (same answers, no cache).
+/// - The similarity index, per [`RenuverConfig::index_mode`], prunes the
+///   `distance ≤ t` scans of the same three steps. Decisions are
+///   identical with or without it (the superset contract in
+///   `renuver_distance::index`). Budget trips degrade construction per
+///   attribute to the scan path.
+pub(crate) fn build_distance(
+    rel: &Relation,
+    config: &RenuverConfig,
+) -> (DistanceOracle, Option<SimilarityIndex>) {
+    let budget = &config.budget;
+    let tracer = &config.tracer;
+    let oracle = DistanceOracle::build_traced(rel, DEFAULT_DICT_CAP, budget, tracer);
+    let index = match config.index_mode {
+        IndexMode::Scan => None,
+        IndexMode::Indexed => Some(SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
+        IndexMode::Auto => (rel.len() >= AUTO_MIN_ROWS)
+            .then(|| SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
+    };
+    (oracle, index)
+}
 
 /// What one cell's imputation attempt produced: the written cell (when one
 /// stuck) plus the explain-level detail the caller folds into a
@@ -182,7 +212,6 @@ impl Renuver {
         sigma: &RfdSet,
         row_range: std::ops::Range<usize>,
     ) -> ImputationResult {
-        let budget = &self.config.budget;
         let tracer = &self.config.tracer;
         let chunks_before = rayon::chunks_dispatched();
         let run_span = tracer.span("core::impute");
@@ -196,26 +225,8 @@ impl Renuver {
             ]
         });
         let mut rel = rel.clone();
-        // Dictionary-encode the text columns once; every distance query in
-        // key detection, candidate generation, and verification becomes a
-        // matrix lookup. Kept current after every imputation. Under a
-        // tripped budget the build degrades column-wise to direct
-        // computation (same answers, no cache).
-        let mut oracle = DistanceOracle::build_traced(&rel, 3000, budget, tracer);
-        // The similarity index prunes the `distance ≤ t` scans in key
-        // detection, candidate generation, and verification — decisions
-        // are identical with or without it (the superset contract in
-        // `renuver_distance::index`). Kept current after every imputation,
-        // like the oracle. Budget trips degrade construction per attribute
-        // to the scan path.
-        let mut index: Option<SimilarityIndex> = match self.config.index_mode {
-            IndexMode::Scan => None,
-            IndexMode::Indexed => {
-                Some(SimilarityIndex::build_traced(&rel, &oracle, budget, tracer))
-            }
-            IndexMode::Auto => (rel.len() >= AUTO_MIN_ROWS)
-                .then(|| SimilarityIndex::build_traced(&rel, &oracle, budget, tracer)),
-        };
+        // Both structures are kept current after every imputation.
+        let (mut oracle, mut index) = build_distance(&rel, &self.config);
         let parts = self.impute_prepared(
             &mut rel,
             &mut oracle,

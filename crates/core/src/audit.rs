@@ -8,7 +8,7 @@
 //! or cost.
 
 use renuver_data::{Cell, Relation};
-use renuver_distance::DistanceOracle;
+use renuver_distance::{DistanceOracle, DEFAULT_DICT_CAP};
 use renuver_rfd::check::{pair_satisfies_lhs_with, pair_satisfies_rhs_with};
 use renuver_rfd::{Rfd, RfdSet};
 
@@ -73,7 +73,7 @@ pub fn audit(
     audited_cells: &[Cell],
     cfg: &AuditConfig,
 ) -> AuditReport {
-    let oracle = DistanceOracle::build(rel, 3000);
+    let oracle = DistanceOracle::build(rel, DEFAULT_DICT_CAP);
     let mut report = AuditReport { checked: sigma.len(), ..AuditReport::default() };
     for (idx, rfd) in sigma.iter().enumerate() {
         let mut pairs = Vec::new();

@@ -2,7 +2,7 @@
 //!
 //! The defaults follow the paper's prose and worked examples; the
 //! alternatives cover the points where the paper is ambiguous (see
-//! DESIGN.md) and feed the ablation benchmarks.
+//! DESIGN.md) and feed the `ablation` bench binary.
 
 use renuver_budget::Budget;
 use renuver_obs::Tracer;
@@ -19,7 +19,7 @@ pub enum ClusterOrder {
     Ascending,
     /// Highest RHS threshold first — the literal reading of Algorithm 2
     /// line 1 ("in descending order of RHS threshold"). Exposed for the
-    /// ablation bench.
+    /// `ablation` bench binary.
     Descending,
 }
 
@@ -37,7 +37,7 @@ pub enum VerifyScope {
     /// Additionally check RFDs whose RHS is the imputed attribute, giving
     /// the full `r' ⊨ Σ` guarantee Definition 4.3 asks for. Stricter than
     /// the paper's implementation: higher precision, lower recall. Exposed
-    /// for the ablation bench.
+    /// for the `ablation` bench binary.
     Full,
 }
 
@@ -46,7 +46,7 @@ pub enum VerifyScope {
 /// The paper walks tuples in relation order, attributes within each tuple
 /// (row-major). The order matters because imputed tuples immediately become
 /// candidate donors for later cells; the alternatives are exposed for the
-/// ablation bench.
+/// `ablation` bench binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ImputationOrder {
     /// Tuple by tuple, attributes in schema order — the paper's order.
@@ -125,8 +125,8 @@ pub struct RenuverConfig {
     pub verify_scope: VerifyScope,
     /// Skip the key-RFD re-examination after successful imputations
     /// (Algorithm 1 line 14). `false` (default) re-examines, as the paper
-    /// does; `true` trades a little recall for speed — the ablation bench
-    /// quantifies the trade.
+    /// does; `true` trades a little recall for speed — the `ablation`
+    /// bench binary quantifies the trade.
     pub skip_key_reevaluation: bool,
     /// Cap on how many ranked candidates are verified per cluster before
     /// falling through to the next cluster. `None` (default) verifies all,

@@ -44,8 +44,8 @@ use renuver_distance::{DistanceOracle, SimilarityIndex, DEFAULT_DICT_CAP};
 use renuver_obs::FieldValue;
 use renuver_rfd::RfdSet;
 
-use crate::algorithm::Renuver;
-use crate::config::{IndexMode, RenuverConfig, AUTO_MIN_ROWS};
+use crate::algorithm::{build_distance, Renuver};
+use crate::config::RenuverConfig;
 use crate::result::{CellExplain, CellOutcome, ImputationStats, ImputedCell};
 
 /// A prepared imputation model: reference relation, distance oracle,
@@ -117,26 +117,12 @@ impl Engine {
     /// index once, under a thread pool sized by
     /// [`RenuverConfig::parallelism`].
     pub fn prepare(rel: Relation, sigma: RfdSet, config: RenuverConfig) -> Engine {
-        let build = |rel: &Relation, config: &RenuverConfig| {
-            let budget = &config.budget;
-            let tracer = &config.tracer;
-            let oracle = DistanceOracle::build_traced(rel, DEFAULT_DICT_CAP, budget, tracer);
-            let index = match config.index_mode {
-                IndexMode::Scan => None,
-                IndexMode::Indexed => {
-                    Some(SimilarityIndex::build_traced(rel, &oracle, budget, tracer))
-                }
-                IndexMode::Auto => (rel.len() >= AUTO_MIN_ROWS)
-                    .then(|| SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
-            };
-            (oracle, index)
-        };
         let (oracle, index) = match rayon::ThreadPoolBuilder::new()
             .num_threads(config.parallelism)
             .build()
         {
-            Ok(pool) => pool.install(|| build(&rel, &config)),
-            Err(_) => build(&rel, &config),
+            Ok(pool) => pool.install(|| build_distance(&rel, &config)),
+            Err(_) => build_distance(&rel, &config),
         };
         Engine::from_parts(rel, sigma, oracle, index, config)
     }

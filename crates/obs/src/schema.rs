@@ -58,7 +58,8 @@ pub const SERVER_EVENTS: &[&str] = &[
 ];
 
 /// Why a tune run stopped — mirrors `renuver_tune::StopReason`.
-pub const TUNE_STOPS: &[&str] = &["target", "converged", "budget", "cancelled", "max_iters"];
+pub const TUNE_STOPS: &[&str] =
+    &["target", "converged", "revisited", "budget", "cancelled", "max_iters"];
 
 /// Schema version stamped (as `v`) on the serving-layer record kinds
 /// (`access`, `server_event`) so consumers can detect field changes.

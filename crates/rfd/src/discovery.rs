@@ -73,10 +73,6 @@ pub struct DiscoveryConfig {
     pub seed: u64,
     /// Remove implied RFDs before returning.
     pub prune_implied: bool,
-    /// Distribute the per-`(RHS attribute, LHS set)` skyline searches
-    /// across the installed thread pool. Output is identical either way —
-    /// tasks are merged back in the sequential visiting order.
-    pub parallel: bool,
     /// Execution budget, polled between pattern-building strides, lattice
     /// cells, and RHS-threshold sweep steps. On a trip the search stops
     /// expanding and [`discover_outcome`] returns the Pareto frontier
@@ -100,7 +96,6 @@ impl DiscoveryConfig {
             max_pairs: 400_000,
             seed: 0x5EED,
             prune_implied: true,
-            parallel: true,
             budget: Budget::unlimited(),
             tracer: Tracer::disabled(),
         }
@@ -548,11 +543,11 @@ pub fn discover_outcome(rel: &Relation, cfg: &DiscoveryConfig) -> DiscoveryOutco
     };
     let mut truncated = !patterns_complete;
 
-    // One task per (RHS attribute, LHS attribute set) lattice cell, in the
-    // same (rhs ascending, lhs_sets order) the sequential loop visits them.
-    // Tasks are heavy and few, so the parallel path lowers the minimum
-    // fan-out length to 2; the in-order merge keeps the emitted RFD order
-    // identical to the sequential path.
+    // One task per (RHS attribute, LHS attribute set) lattice cell, in
+    // (rhs ascending, lhs_sets order), spread across the installed thread
+    // pool. Tasks are heavy and few, so the minimum fan-out length drops
+    // to 2; the in-order merge keeps the emitted RFD order identical at
+    // every thread count.
     let tasks: Vec<(AttrId, Vec<AttrId>)> = (0..m)
         .flat_map(|rhs| {
             let lhs_attrs: Vec<AttrId> = (0..m).filter(|&a| a != rhs).collect();
@@ -567,7 +562,7 @@ pub fn discover_outcome(rel: &Relation, cfg: &DiscoveryConfig) -> DiscoveryOutco
     // tracer, and absorbing the buffers in task order below keeps the
     // trace independent of thread scheduling (disabled tracers make the
     // buffers inert).
-    let results: Vec<(Vec<Rfd>, bool, LocalBuffer)> = if cfg.parallel {
+    let results: Vec<(Vec<Rfd>, bool, LocalBuffer)> =
         rayon::par_map_indexed_with_min(tasks.len(), 2, |i| {
             let mut buf = LocalBuffer::new(tracer);
             // Cell 0 always runs; later cells are dropped wholesale once
@@ -584,27 +579,7 @@ pub fn discover_outcome(rel: &Relation, cfg: &DiscoveryConfig) -> DiscoveryOutco
                 ]
             });
             (cell, cut, buf)
-        })
-    } else {
-        tasks
-            .iter()
-            .enumerate()
-            .map(|(i, (rhs, set))| {
-                let mut buf = LocalBuffer::new(tracer);
-                if i > 0 && cfg.budget.check("rfd::lattice").is_err() {
-                    return (Vec::new(), true, buf);
-                }
-                let (cell, cut) = discover_for_rhs_set(&patterns, *rhs, set, cfg);
-                buf.event("lattice_cell", lattice_span_id, || {
-                    vec![
-                        ("cell", FieldValue::U64(i as u64)),
-                        ("rfds", FieldValue::U64(cell.len() as u64)),
-                    ]
-                });
-                (cell, cut, buf)
-            })
-            .collect()
-    };
+        });
     let mut rfds: Vec<Rfd> = Vec::new();
     let mut buffers: Vec<LocalBuffer> = Vec::with_capacity(results.len());
     for (cell, cut, buf) in results {
@@ -647,20 +622,16 @@ mod tests {
     #[test]
     fn traced_discovery_is_deterministic_across_parallelism() {
         let rel = two_col(&[(1, 10), (2, 20), (3, 30), (1, 11), (7, 70)]);
-        let run = |parallel: bool| {
+        let run = |threads: usize| {
             let tracer = Tracer::enabled();
-            let cfg = DiscoveryConfig {
-                parallel,
-                tracer: tracer.clone(),
-                ..DiscoveryConfig::with_limit(3.0)
-            };
-            (discover_outcome(&rel, &cfg), tracer)
+            let cfg = DiscoveryConfig { tracer: tracer.clone(), ..DiscoveryConfig::with_limit(3.0) };
+            (pool(threads).install(|| discover_outcome(&rel, &cfg)), tracer)
         };
-        let (seq, t_seq) = run(false);
-        let (par, t_par) = run(true);
+        let (seq, t_seq) = run(1);
+        let (par, t_par) = run(2);
         assert_eq!(seq.rfds, par.rfds);
-        // Same lattice_cell payloads in the same order regardless of the
-        // path: buffers are absorbed in task order, not completion order.
+        // Same lattice_cell payloads in the same order at every thread
+        // count: buffers are absorbed in task order, not completion order.
         let cells = |t: &Tracer| -> Vec<Vec<renuver_obs::Field>> {
             t.records()
                 .iter()
@@ -680,9 +651,12 @@ mod tests {
             par.rfds.len() as u64
         );
         // An untraced run discovers the same frontier.
-        let plain =
-            discover(&rel, &DiscoveryConfig { parallel: true, ..DiscoveryConfig::with_limit(3.0) });
+        let plain = pool(2).install(|| discover(&rel, &DiscoveryConfig::with_limit(3.0)));
         assert_eq!(plain, par.rfds);
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
     }
 
     fn two_col(rows: &[(i64, i64)]) -> Relation {
@@ -765,7 +739,7 @@ mod tests {
     fn discovered_rfds_hold_on_instance() {
         // B = A + noise ≤ 1 when A close; plus an outlier pair.
         let rel = two_col(&[(1, 10), (2, 11), (3, 12), (10, 40), (11, 41), (30, 90)]);
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(5.0) };
+        let cfg = DiscoveryConfig::with_limit(5.0);
         let set = discover(&rel, &cfg);
         assert!(!set.is_empty());
         for rfd in set.iter() {
@@ -777,7 +751,7 @@ mod tests {
     fn exact_fd_discovered_at_threshold_zero() {
         // B is a function of A (equal A ⇒ equal B).
         let rel = two_col(&[(1, 7), (1, 7), (2, 9), (2, 9), (3, 11)]);
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let set = discover(&rel, &cfg);
         // Some RFD A(≤α) → B(≤0) with α ≥ 0 must exist.
         assert!(
@@ -793,7 +767,7 @@ mod tests {
         // threshold ≤ limit. The only A→B RFDs must have high RHS or
         // infeasibly low LHS (none, since A repeats with distance 0).
         let rel = two_col(&[(1, 0), (1, 100), (2, 50), (2, 200)]);
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let set = discover(&rel, &cfg);
         for rfd in set.iter() {
             if rfd.rhs_attr() == 1 {
@@ -810,7 +784,7 @@ mod tests {
     fn rfd_count_grows_with_limit() {
         let rel = two_col(&[(1, 10), (2, 12), (3, 14), (8, 30), (9, 31), (15, 60), (16, 62)]);
         let count = |limit: f64| {
-            let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(limit) };
+            let cfg = DiscoveryConfig::with_limit(limit);
             discover(&rel, &cfg).len()
         };
         assert!(count(3.0) <= count(9.0));
@@ -823,7 +797,6 @@ mod tests {
         let rel = two_col(&rows);
         let cfg = DiscoveryConfig {
             max_pairs: 100,
-            parallel: false,
             ..DiscoveryConfig::with_limit(5.0)
         };
         let a = discover(&rel, &cfg);
@@ -867,7 +840,7 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Null, Value::Int(2 * i)])
             .collect();
         let rel = Relation::new(schema, rows).unwrap();
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let out = discover_outcome(&rel, &cfg);
         assert!(!out.truncated);
         for rfd in out.rfds.iter() {
@@ -883,11 +856,11 @@ mod tests {
         let rows: Vec<(i64, i64)> = (0..30).map(|i| (i, 2 * i)).collect();
         let rel = two_col(&rows);
         let cfg = DiscoveryConfig {
-            parallel: false,
             budget: Budget::unlimited().with_ops_limit(0),
             ..DiscoveryConfig::with_limit(5.0)
         };
-        let out = discover_outcome(&rel, &cfg);
+        // One thread: cells run, and check the budget, in lattice order.
+        let out = pool(1).install(|| discover_outcome(&rel, &cfg));
         assert!(out.truncated, "zero budget must report truncation");
         assert!(!out.rfds.is_empty(), "first lattice cell must still emit");
         assert_eq!(out.budget.tripped, Some(renuver_budget::BudgetTrip::Ops));
@@ -899,11 +872,10 @@ mod tests {
         let rel = two_col(&rows);
         let run = || {
             let cfg = DiscoveryConfig {
-                parallel: false,
                 budget: Budget::unlimited().with_ops_limit(10),
                 ..DiscoveryConfig::with_limit(5.0)
             };
-            let out = discover_outcome(&rel, &cfg);
+            let out = pool(1).install(|| discover_outcome(&rel, &cfg));
             (out.rfds.to_text(rel.schema()), out.truncated)
         };
         assert_eq!(run(), run());
@@ -912,7 +884,7 @@ mod tests {
     #[test]
     fn unlimited_budget_reports_untruncated() {
         let rel = two_col(&[(1, 10), (2, 11), (3, 12)]);
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let out = discover_outcome(&rel, &cfg);
         assert!(!out.truncated);
         assert_eq!(out.budget.tripped, None);
@@ -1006,7 +978,7 @@ mod tests {
             vec![Value::Int(9), Value::Int(0), Value::Int(0), Value::Int(70)],
         ];
         let rel = Relation::new(schema, rows).unwrap();
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let set = discover(&rel, &cfg);
         assert!(
             set.iter().any(|r| r.rhs_attr() == 3 && r.lhs_attrs() == vec![0, 1, 2]),
@@ -1022,7 +994,6 @@ mod tests {
     fn per_attribute_limits_cap_thresholds() {
         let rel = two_col(&[(1, 10), (2, 12), (3, 14), (8, 30), (9, 31)]);
         let cfg = DiscoveryConfig {
-            parallel: false,
             per_attr_limits: Some(vec![2.0, 6.0]),
             ..DiscoveryConfig::with_limit(10.0)
         };
@@ -1044,7 +1015,6 @@ mod tests {
         // A shorter vector than the arity: the missing entry uses `limit`.
         let rel = two_col(&[(1, 10), (2, 12), (3, 14)]);
         let cfg = DiscoveryConfig {
-            parallel: false,
             per_attr_limits: Some(vec![1.0]), // only attr 0 capped
             ..DiscoveryConfig::with_limit(5.0)
         };
@@ -1092,7 +1062,6 @@ mod tests {
     fn auto_limits_feed_discovery() {
         let rel = two_col(&[(1, 10), (2, 12), (3, 14), (80, 300), (90, 310)]);
         let cfg = DiscoveryConfig {
-            parallel: false,
             per_attr_limits: Some(auto_limits(&rel, 0.05)),
             ..DiscoveryConfig::with_limit(3.0)
         };
@@ -1114,10 +1083,13 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Int(i / 2), Value::Int(i * 3 % 7)])
             .collect();
         let rel = Relation::new(schema, rows).unwrap();
-        let seq = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(4.0) };
-        let par = DiscoveryConfig { parallel: true, ..DiscoveryConfig::with_limit(4.0) };
-        let mut a: Vec<String> = discover(&rel, &seq).iter().map(|r| format!("{r:?}")).collect();
-        let mut b: Vec<String> = discover(&rel, &par).iter().map(|r| format!("{r:?}")).collect();
+        let cfg = DiscoveryConfig::with_limit(4.0);
+        let run = |threads: usize| -> Vec<String> {
+            let set = pool(threads).install(|| discover(&rel, &cfg));
+            set.iter().map(|r| format!("{r:?}")).collect()
+        };
+        let mut a = run(1);
+        let mut b = run(2);
         a.sort();
         b.sort();
         assert_eq!(a, b);

@@ -7,8 +7,8 @@
 //! Complexity is `O((limit+1)^(|X|+1))` per LHS set *times* an `O(n²)`
 //! validation each — exponential in arity and useless beyond toy sizes,
 //! but trivially correct. Tests use it as ground truth for
-//! [`crate::discovery::discover`]; the discovery bench uses it to show the
-//! skyline search's advantage.
+//! [`crate::discovery::discover`]; the `bench_discovery` binary times it
+//! against the skyline search.
 
 use renuver_data::{AttrId, Relation};
 
@@ -148,7 +148,6 @@ mod tests {
                 &r,
                 &DiscoveryConfig {
                     max_lhs: 2,
-                    parallel: false,
                     ..DiscoveryConfig::with_limit(3.0)
                 },
             );
@@ -177,7 +176,7 @@ mod tests {
         let naive = discover_naive(&r, &NaiveConfig::new(3, 1));
         let fast = discover(
             &r,
-            &DiscoveryConfig { max_lhs: 1, parallel: false, ..DiscoveryConfig::with_limit(3.0) },
+            &DiscoveryConfig { max_lhs: 1, ..DiscoveryConfig::with_limit(3.0) },
         );
         assert!(
             equivalent(&naive, &fast),

@@ -13,7 +13,8 @@
 //! 4. **Adjust**: per target attribute, widen the LHS thresholds of the
 //!    RFDs that impute it when the attribute is recall-starved, tighten
 //!    when precision bleeds below the floor; repeat from 2 until the
-//!    quality target, convergence, the iteration cap, or a budget trip.
+//!    quality target, convergence (or a stall on widths an earlier
+//!    iteration already scored), the iteration cap, or a budget trip.
 //!
 //! Every iteration is a budget checkpoint, and every threshold move is
 //! recorded with the score- and work-deltas that justified it (the
@@ -194,6 +195,7 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
     let mut baseline = Scores::default();
     let mut best: Option<(f64, usize)> = None;
     let mut best_widths = widths.clone();
+    let mut scored: Vec<BTreeMap<AttrId, f64>> = Vec::new();
     let mut stop = if truth.is_empty() { StopReason::Converged } else { StopReason::MaxIters };
 
     for iter in 0..cfg.max_iters {
@@ -208,6 +210,8 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
             };
             break;
         }
+        let revisited = scored.contains(&widths);
+        scored.push(widths.clone());
         let effective = widened(rfds, &widths);
         let engine_cfg = RenuverConfig {
             budget: cfg.budget.clone(),
@@ -286,7 +290,7 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
             break;
         }
         if stalled {
-            stop = StopReason::Converged;
+            stop = if revisited { StopReason::Revisited } else { StopReason::Converged };
             break;
         }
     }
@@ -399,18 +403,22 @@ mod tests {
         assert_eq!(report.tuned.to_text(rel.schema()), sigma().to_text(rel.schema()));
     }
 
-    #[test]
-    fn precision_bleed_tightens_and_freezes() {
-        // Isolated name pairs one edit apart whose cities disagree: a
-        // widened cluster always offers a *consistent but wrong* donor,
-        // so the tuner must back the width off and freeze the attribute.
+    /// Isolated name pairs one edit apart whose cities disagree: a
+    /// widened cluster always offers a *consistent but wrong* donor, so
+    /// the tuner must back the width off and freeze the attribute.
+    fn bleed_rel() -> Relation {
         let mut text = String::from("Name:text,City:text\n");
         for i in 0..8u8 {
             let c = (b'a' + i) as char;
             let base: String = std::iter::repeat(c).take(4).collect();
             text.push_str(&format!("{base},alpha-{c}\n{}z,omega-{c}\n", &base[..3]));
         }
-        let rel = csv::read_str(&text).unwrap();
+        csv::read_str(&text).unwrap()
+    }
+
+    #[test]
+    fn precision_bleed_tightens_and_freezes() {
+        let rel = bleed_rel();
         let cfg = TuneConfig { seed: 3, max_iters: 6, ..TuneConfig::default() };
         let report = tune(&rel, &sigma(), &cfg);
         let tightened: Vec<&ThresholdMove> = report
@@ -423,6 +431,24 @@ mod tests {
             !tightened.is_empty(),
             "conflicting donors must trigger a tighten: {report:?}"
         );
+    }
+
+    #[test]
+    fn stall_on_already_scored_widths_stops_as_revisited() {
+        // Width 0 → widen to 1 (no exact-name donor) → the wrong donor
+        // makes City bleed, so it steps back to 0 and freezes → the
+        // frozen loop stalls on the widths iteration 0 scored.
+        let cfg = TuneConfig { seed: 3, max_iters: 6, ..TuneConfig::default() };
+        let report = tune(&bleed_rel(), &sigma(), &cfg);
+        let moves: Vec<(f64, f64)> =
+            report.iterations.iter().flat_map(|it| &it.moves).map(|m| (m.old, m.new)).collect();
+        assert_eq!(moves, [(0.0, 1.0), (1.0, 0.0)], "{report:?}");
+        assert_eq!(report.iterations.len(), 3);
+        assert_eq!(report.stop, StopReason::Revisited);
+        // A stall at the width cap, on widths never scored before, is
+        // still convergence.
+        let capped = TuneConfig { seed: 42, max_width: 1.0, ..TuneConfig::default() };
+        assert_eq!(tune(&twin_rel(), &sigma(), &capped).stop, StopReason::Converged);
     }
 
     #[test]

@@ -15,6 +15,10 @@ pub enum StopReason {
     Target,
     /// No attribute had a legal move left.
     Converged,
+    /// No attribute had a legal move left, and an earlier iteration had
+    /// already scored these exact widths: the loop came back to
+    /// thresholds it had moved away from.
+    Revisited,
     /// The run's budget tripped.
     Budget,
     /// The run was cancelled (`Budget::cancel`).
@@ -29,6 +33,7 @@ impl StopReason {
         match self {
             StopReason::Target => "target",
             StopReason::Converged => "converged",
+            StopReason::Revisited => "revisited",
             StopReason::Budget => "budget",
             StopReason::Cancelled => "cancelled",
             StopReason::MaxIters => "max_iters",
@@ -173,6 +178,7 @@ mod tests {
         let all = [
             StopReason::Target,
             StopReason::Converged,
+            StopReason::Revisited,
             StopReason::Budget,
             StopReason::Cancelled,
             StopReason::MaxIters,

@@ -5,7 +5,7 @@
 //! renuver discover <data.csv> [--limit N] [--max-lhs N] [--out rfds.txt]
 //! renuver inject   <data.csv> --rate R [--seed S] --out incomplete.csv
 //! renuver impute   <data.csv> [--rfds rfds.txt | --limit N] [--out repaired.csv]
-//!                  [--full-verify] [--descending] [--no-batch-verify]
+//!                  [--full-verify] [--descending]
 //! renuver evaluate --original full.csv --incomplete holes.csv
 //!                  --imputed repaired.csv [--rules rules.txt]
 //! ```
@@ -52,14 +52,13 @@ const USAGE: &str = "usage:
   renuver impute   <data.csv> [--rfds rfds.txt | --limit N] [--out repaired.csv]
                    [--approach renuver|derand|holoclean|knn] [--explain]
                    [--donors donor.csv] [--full-verify] [--descending]
-                   [--no-batch-verify] [--auto-limits F] [--max-lhs N]
-                   [--index-mode scan|indexed|auto] [budget flags]
+                   [--auto-limits F] [--max-lhs N] [budget flags]
   renuver evaluate --original full.csv --incomplete holes.csv \\
                    --imputed repaired.csv [--rules rules.txt | --auto-rules F]
   renuver compare  <full.csv> --rate R [--limit N] [--seeds N]
                    [--auto-limits F] [--max-lhs N]
                    [--rules rules.txt | --auto-rules F] [--metrics-diff]
-                   [--index-mode scan|indexed|auto] [budget flags]
+                   [budget flags]
   renuver tune     <data.csv | model.rnv> [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N] [--seed S] [--rate R]
                    [--iterations N] [--target-f1 F] [--step W]
@@ -68,7 +67,6 @@ const USAGE: &str = "usage:
   renuver prepare  <data.csv> (-o|--out) model.rnv [--shards N]
                    [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
-                   [--index-mode scan|indexed|auto]
   renuver inspect  <model.rnv>
   renuver ingest   <model.rnv> <batch.csv> [--out repaired.csv] [--compact]
                    [--compact-bytes-mb M] [--compact-records N]
@@ -79,7 +77,6 @@ const USAGE: &str = "usage:
                    [--shards N] [--wal] [--compact-bytes-mb M]
                    [--compact-records N] [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
-                   [--index-mode scan|indexed|auto]
                    [--log-out FILE] [--slow-threshold-ms T]
                    [--trace-max-events N] [--no-flight]
 
@@ -175,20 +172,6 @@ impl<'a> Args<'a> {
                 .map(Some)
                 .map_err(|_| format!("bad value {raw:?} for {flag}")),
         }
-    }
-}
-
-/// Resolve `--index-mode` (shared by `impute` and `compare`). Every mode
-/// yields bit-for-bit identical repairs; the knob only trades index
-/// construction time against per-cell scan time.
-fn index_mode_from_args(args: &Args) -> Result<IndexMode, String> {
-    match args.value("--index-mode") {
-        None | Some("auto") => Ok(IndexMode::Auto),
-        Some("scan") => Ok(IndexMode::Scan),
-        Some("indexed") => Ok(IndexMode::Indexed),
-        Some(other) => Err(format!(
-            "bad value {other:?} for --index-mode (expected scan, indexed, or auto)"
-        )),
     }
 }
 
@@ -324,16 +307,16 @@ fn flag_spec(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
         }
         "inject" => (vec!["--rate", "--seed", "--out"], vec![]),
         "impute" => {
-            let mut v = vec!["--rfds", "--out", "--approach", "--donors", "--index-mode"];
+            let mut v = vec!["--rfds", "--out", "--approach", "--donors"];
             v.extend(discovery);
-            (v, vec!["--full-verify", "--descending", "--explain", "--no-batch-verify"])
+            (v, vec!["--full-verify", "--descending", "--explain"])
         }
         "evaluate" => (
             vec!["--original", "--incomplete", "--imputed", "--rules", "--auto-rules"],
             vec![],
         ),
         "compare" => {
-            let mut v = vec!["--rate", "--seeds", "--rules", "--auto-rules", "--index-mode"];
+            let mut v = vec!["--rate", "--seeds", "--rules", "--auto-rules"];
             v.extend(discovery);
             (v, vec!["--metrics-diff"])
         }
@@ -354,7 +337,7 @@ fn flag_spec(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
             (v, vec![])
         }
         "prepare" => {
-            let mut v = vec!["-o", "--out", "--rfds", "--index-mode", "--shards"];
+            let mut v = vec!["-o", "--out", "--rfds", "--shards"];
             v.extend(discovery);
             (v, vec![])
         }
@@ -375,7 +358,6 @@ fn flag_spec(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
                 "--compact-bytes-mb",
                 "--compact-records",
                 "--rfds",
-                "--index-mode",
                 "--shards",
                 "--log-out",
                 "--slow-threshold-ms",
@@ -635,10 +617,8 @@ fn impute_cmd(args: &Args) -> Result<(), String> {
             ClusterOrder::Ascending
         },
         budget: tspec.hook_budget(spec.build()),
-        index_mode: index_mode_from_args(args)?,
         tracer: tspec.tracer.clone(),
         explain: args.has("--explain"),
-        batch_verify: !args.has("--no-batch-verify"),
         ..RenuverConfig::default()
     };
     if approach == "derand" {
@@ -793,11 +773,7 @@ fn compare_cmd(args: &Args) -> Result<(), String> {
     eprintln!("{} RFDs, {} DCs", rfds.len(), dcs.len());
 
     let tspec = TraceSpec::from_args(args);
-    let renuver_config = RenuverConfig {
-        index_mode: index_mode_from_args(args)?,
-        tracer: tspec.tracer.clone(),
-        ..RenuverConfig::default()
-    };
+    let renuver_config = RenuverConfig { tracer: tspec.tracer.clone(), ..RenuverConfig::default() };
     let imputers: Vec<Box<dyn Imputer>> = vec![
         Box::new(RenuverImputer::new(renuver_config, rfds.clone())),
         Box::new(DerandImputer::new(DerandConfig::default(), rfds)),
@@ -1087,12 +1063,8 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         .ok_or("prepare requires -o model.rnv")?;
     let shards = shards_flag(args)?;
     let rfds = rfds_for_model(args, &rel)?;
-    let config = RenuverConfig {
-        index_mode: index_mode_from_args(args)?,
-        ..RenuverConfig::default()
-    };
     let (engine, build_time, _) = renuver::budget::measure(|| {
-        renuver::core::Engine::prepare(rel, rfds, config)
+        renuver::core::Engine::prepare(rel, rfds, RenuverConfig::default())
     });
     // A durable layout beside `out` belongs to the model being replaced.
     // It goes first, so a crash can never pair it with the new model.
@@ -1483,11 +1455,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             schema_fingerprint: artifact::schema_fingerprint(rel.schema()),
             artifact_bytes: 0,
         };
-        let core_config = RenuverConfig {
-            index_mode: index_mode_from_args(args)?,
-            ..RenuverConfig::default()
-        };
-        let engine = renuver::core::Engine::prepare(rel, rfds, core_config);
+        let engine = renuver::core::Engine::prepare(rel, rfds, RenuverConfig::default());
         (Registry::from_engine(engine, 1), info, None)
     };
     if let Some(report) = &report {
@@ -1623,6 +1591,21 @@ mod tests {
     }
 
     #[test]
+    fn deleted_accelerator_flags_are_rejected() {
+        // Index use and batch verification are chosen by the engine (row
+        // count, artifact contents); a script still passing the old
+        // switches gets an error naming the flag, not a silent no-op.
+        for cmd in ["impute", "compare", "prepare", "serve"] {
+            let err = run(&strings(&[cmd, "x.csv", "--index-mode", "scan"])).unwrap_err();
+            assert!(err.contains("--index-mode"), "{cmd}: {err}");
+            assert!(!usage_for(cmd).contains("--index-mode"), "{cmd}");
+        }
+        let err = run(&strings(&["impute", "x.csv", "--no-batch-verify"])).unwrap_err();
+        assert!(err.contains("--no-batch-verify"), "{err}");
+        assert!(!USAGE.contains("--no-batch-verify"));
+    }
+
+    #[test]
     fn shards_flag_rejects_zero() {
         let spec = flag_spec("serve").unwrap();
         let raw = strings(&["m.rnv"]);
@@ -1693,27 +1676,6 @@ mod tests {
         // Budget flags are valid on discover/impute/compare only.
         let err = run(&strings(&["inject", "x.csv", "--ops-limit", "9"])).unwrap_err();
         assert!(err.contains("--ops-limit"), "{err}");
-    }
-
-    #[test]
-    fn index_mode_flag_parses_the_three_modes() {
-        for (given, want) in [
-            (None, IndexMode::Auto),
-            (Some("auto"), IndexMode::Auto),
-            (Some("scan"), IndexMode::Scan),
-            (Some("indexed"), IndexMode::Indexed),
-        ] {
-            let raw = match given {
-                Some(v) => strings(&["x.csv", "--index-mode", v]),
-                None => strings(&["x.csv"]),
-            };
-            let args = Args::parse(&raw, &["--index-mode"], &[]).unwrap();
-            assert_eq!(index_mode_from_args(&args).unwrap(), want);
-        }
-        let raw = strings(&["x.csv", "--index-mode", "turbo"]);
-        let args = Args::parse(&raw, &["--index-mode"], &[]).unwrap();
-        let err = index_mode_from_args(&args).unwrap_err();
-        assert!(err.contains("turbo"), "{err}");
     }
 
     #[test]

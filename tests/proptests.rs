@@ -140,7 +140,7 @@ proptest! {
 
     #[test]
     fn discovered_rfds_hold(rel in arb_relation()) {
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let rfds = discover(&rel, &cfg);
         for rfd in rfds.iter() {
             prop_assert!(
@@ -227,7 +227,6 @@ proptest! {
             &rel,
             &DiscoveryConfig {
                 max_lhs: 2,
-                parallel: false,
                 ..DiscoveryConfig::with_limit(2.0)
             },
         );
@@ -291,7 +290,7 @@ proptest! {
 
     #[test]
     fn imputation_never_invents_values(rel in arb_relation()) {
-        let cfg = DiscoveryConfig { parallel: false, ..DiscoveryConfig::with_limit(3.0) };
+        let cfg = DiscoveryConfig::with_limit(3.0);
         let rfds = discover(&rel, &cfg);
         let result = Renuver::new(RenuverConfig::default()).impute(&rel, &rfds);
         for ic in &result.imputed {
