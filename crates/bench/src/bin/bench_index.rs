@@ -20,7 +20,9 @@
 //!   decline and fall back to scans, so its speedup hovers near 1× by
 //!   design — recorded here to document that regime, not to win it.
 
-use renuver_bench::{median_ms, out_path, quick_mode, synthetic_shops, write_bench_json};
+use renuver_bench::{
+    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+};
 use renuver_core::{
     find_candidate_tuples, find_candidate_tuples_with, IndexMode, Renuver, RenuverConfig,
 };
@@ -50,23 +52,18 @@ fn measure_candidates(
     sigma: &RfdSet,
     oracle: &DistanceOracle,
     index: &SimilarityIndex,
-    pool: &rayon::ThreadPool,
     runs: usize,
 ) -> (usize, f64, f64) {
     let cells = cluster_cells(rel, sigma);
     let scan = median_ms(runs, || {
-        pool.install(|| {
-            for (row, attr, cluster) in &cells {
-                drop(find_candidate_tuples(oracle, rel, *row, *attr, cluster));
-            }
-        })
+        for (row, attr, cluster) in &cells {
+            drop(find_candidate_tuples(oracle, rel, *row, *attr, cluster));
+        }
     });
     let indexed = median_ms(runs, || {
-        pool.install(|| {
-            for (row, attr, cluster) in &cells {
-                drop(find_candidate_tuples_with(oracle, Some(index), rel, *row, *attr, cluster));
-            }
-        })
+        for (row, attr, cluster) in &cells {
+            drop(find_candidate_tuples_with(oracle, Some(index), rel, *row, *attr, cluster));
+        }
     });
     (cells.len(), scan, indexed)
 }
@@ -95,19 +92,14 @@ fn main() {
     .unwrap();
     let (incomplete, _truth) = inject(&rel, 0.002, 23);
 
-    // Single-threaded pool: the scan paths fall through to rayon, and the
-    // point here is the algorithmic gap, not the core count.
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-
-    let oracle = pool.install(|| DistanceOracle::build(&incomplete, 3_000));
-    let index_build_ms =
-        median_ms(runs, || drop(pool.install(|| SimilarityIndex::build(&incomplete, &oracle))));
-    let index = pool.install(|| SimilarityIndex::build(&incomplete, &oracle));
+    let oracle = DistanceOracle::build(&incomplete, 3_000);
+    let index_build_ms = median_ms(runs, || drop(SimilarityIndex::build(&incomplete, &oracle)));
+    let index = SimilarityIndex::build(&incomplete, &oracle);
 
     let (queries, cand_scan, cand_indexed) =
-        measure_candidates(&incomplete, &tight, &oracle, &index, &pool, runs);
+        measure_candidates(&incomplete, &tight, &oracle, &index, runs);
     let (loose_queries, loose_scan, loose_indexed) =
-        measure_candidates(&incomplete, &loose, &oracle, &index, &pool, runs);
+        measure_candidates(&incomplete, &loose, &oracle, &index, runs);
 
     // End-to-end run, index construction included.
     let engine = |mode: IndexMode| {
@@ -129,6 +121,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
+         \"machine_cores\": {},\n  \
          \"rows\": {n},\n  \
          \"runs_per_measurement\": {runs},\n  \
          \"parallelism\": 1,\n  \
@@ -147,6 +140,7 @@ fn main() {
          \"scan_ms\": {impute_scan:.3},\n    \
          \"indexed_ms\": {impute_indexed:.3},\n    \
          \"speedup\": {:.3}\n  }}\n}}\n",
+        available_cores(),
         cand_scan / cand_indexed,
         loose_scan / loose_indexed,
         impute_scan / impute_indexed,

@@ -11,15 +11,16 @@
 //!   64 / 256 / 1024 chars, plus the bounded variants at a paper-scale
 //!   band. The binary asserts the ≥4× floor at 256 chars that CI smokes.
 //! * **oracle matrix fill** — the k×k dictionary matrix that dominates
-//!   pre-processing, hand-filled with the scalar kernel vs the dispatched
-//!   one, on the long-text dictionary the end-to-end fixture uses.
+//!   pre-processing, its upper triangle hand-filled with the scalar
+//!   kernel vs a one-thread oracle build with the dispatched one, on the
+//!   long-text dictionary the end-to-end fixture uses.
 //! * **impute_end_to_end** — a full run on a long-text relation with
 //!   `batch_verify` off vs on (both single-threaded, both through the
 //!   Myers-routed oracle), isolating what signature-sharing saves. The
 //!   two runs are asserted identical — the speedup may never come from
 //!   changed decisions.
 
-use renuver_bench::{median_ms, out_path, quick_mode, write_bench_json};
+use renuver_bench::{available_cores, median_ms, out_path, quick_mode, write_bench_json};
 use renuver_core::{Renuver, RenuverConfig};
 use renuver_data::{AttrType, Relation, Schema, Value};
 use renuver_distance::{levenshtein_scalar, myers_levenshtein, DistanceOracle};
@@ -194,17 +195,20 @@ fn main() {
         .into_iter()
         .collect();
     let k = dict.len();
+    // The oracle fills the upper triangle only; so does the scalar side.
     let fill_scalar_ms = median_ms(runs, || {
         let mut acc = 0usize;
-        for a in &dict {
-            for b in &dict {
+        for (i, a) in dict.iter().enumerate() {
+            for b in &dict[i + 1..] {
                 acc = acc.wrapping_add(levenshtein_scalar(a, b));
             }
         }
         std::hint::black_box(acc);
     });
+    // One thread, like the scalar side: the kernel, not the core count.
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let fill_dispatched_ms =
-        median_ms(runs, || drop(DistanceOracle::build(&incomplete, 3_000)));
+        median_ms(runs, || drop(one_thread.install(|| DistanceOracle::build(&incomplete, 3_000))));
 
     // ---- end-to-end: batch verification off vs on ---------------------
     let sigma = RfdSet::from_text(
@@ -232,6 +236,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
+         \"machine_cores\": {},\n  \
          \"runs_per_measurement\": {runs},\n  \
          \"parallelism\": 1,\n  \
          \"kernel\": {{\n\
@@ -247,6 +252,7 @@ fn main() {
          \"unbatched_ms\": {impute_unbatched:.3},\n    \
          \"batched_ms\": {impute_batched:.3},\n    \
          \"speedup\": {:.3}\n  }}\n}}\n",
+        available_cores(),
         fill_scalar_ms / fill_dispatched_ms,
         impute_unbatched / impute_batched,
     );

@@ -31,7 +31,8 @@ fn main() {
     let oracle_par =
         median_ms(runs, || drop(par_pool.install(|| DistanceOracle::build(&rel, 3_000))));
 
-    // Hot path 2: a full imputation run (donor scans + verification scans).
+    // Hot path 2: a full imputation run, whose oracle build is its one
+    // parallel step (the per-cell scans are sequential at every width).
     let ds = Dataset::Restaurant;
     let data = ds.relation(DATA_SEED);
     let rfds = rfds_for(ds, 15.0);

@@ -26,7 +26,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use renuver_bench::{median_ms, out_path, quick_mode, synthetic_shops, write_bench_json};
+use renuver_bench::{
+    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+};
 use renuver_core::{Engine, IndexMode, RenuverConfig};
 use renuver_rfd::discovery::{discover, DiscoveryConfig};
 use renuver_serve::{artifact, Ctx, FlightOptions, ModelInfo, ServeConfig, Server};
@@ -247,6 +249,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
+         \"machine_cores\": {},\n  \
          \"rows\": {n},\n  \
          \"runs_per_measurement\": {runs},\n  \
          \"artifact\": {{\n    \
@@ -267,6 +270,7 @@ fn main() {
          \"overhead_pct\": {overhead_pct:.3},\n    \
          \"overhead_floor_asserted\": {}\n  }},\n  \
          \"throughput\": [{}]\n}}\n",
+        available_cores(),
         !quick,
         levels.join(", "),
     );

@@ -16,9 +16,9 @@ use crate::result::{
 };
 use crate::verify::VerifyPlan;
 
-/// Builds the distance structures a run imputes against, on whatever
-/// thread pool the caller installed. Shared by the one-shot path and
-/// [`crate::engine::Engine::prepare`], so both make the same decisions.
+/// Builds the distance structures a run imputes against. Shared by the
+/// one-shot path and [`crate::engine::Engine::prepare`], so both make the
+/// same decisions.
 ///
 /// - The oracle dictionary-encodes the text columns once (cap
 ///   [`DEFAULT_DICT_CAP`]); every distance query in key detection,
@@ -30,20 +30,34 @@ use crate::verify::VerifyPlan;
 ///   identical with or without it (the superset contract in
 ///   `renuver_distance::index`). Budget trips degrade construction per
 ///   attribute to the scan path.
+///
+/// The build runs under a thread pool sized by
+/// [`RenuverConfig::parallelism`]: the oracle's matrix fill is the one
+/// parallel step of an imputation run. Everything after it is sequential,
+/// because each imputation can turn its tuple into a donor for the next
+/// cell.
 pub(crate) fn build_distance(
     rel: &Relation,
     config: &RenuverConfig,
 ) -> (DistanceOracle, Option<SimilarityIndex>) {
-    let budget = &config.budget;
-    let tracer = &config.tracer;
-    let oracle = DistanceOracle::build_traced(rel, DEFAULT_DICT_CAP, budget, tracer);
-    let index = match config.index_mode {
-        IndexMode::Scan => None,
-        IndexMode::Indexed => Some(SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
-        IndexMode::Auto => (rel.len() >= AUTO_MIN_ROWS)
-            .then(|| SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
+    let build = || {
+        let budget = &config.budget;
+        let tracer = &config.tracer;
+        let oracle = DistanceOracle::build_traced(rel, DEFAULT_DICT_CAP, budget, tracer);
+        let index = match config.index_mode {
+            IndexMode::Scan => None,
+            IndexMode::Indexed => Some(SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
+            IndexMode::Auto => (rel.len() >= AUTO_MIN_ROWS)
+                .then(|| SimilarityIndex::build_traced(rel, &oracle, budget, tracer)),
+        };
+        (oracle, index)
     };
-    (oracle, index)
+    match rayon::ThreadPoolBuilder::new().num_threads(config.parallelism).build() {
+        Ok(pool) => pool.install(build),
+        // Pool construction can fail when the OS refuses new threads; the
+        // build then runs on the calling thread's default width.
+        Err(_) => build(),
+    }
 }
 
 /// What one cell's imputation attempt produced: the written cell (when one
@@ -182,38 +196,13 @@ impl Renuver {
     /// Rows outside the range participate as candidate donors and in
     /// verification but are never imputed — the engine of
     /// [`Renuver::impute_with_donors`] and [`Renuver::impute_appended`].
-    ///
-    /// Installs a thread pool sized by [`RenuverConfig::parallelism`] so
-    /// the hot-path scans (oracle build, donor scans, verification scans)
-    /// pick the configured width up from thread-local state; the per-cell
-    /// imputation loop itself stays sequential because each imputation can
-    /// turn the imputed tuple into a donor for the next cell.
     pub(crate) fn impute_rows(
         &self,
         rel: &Relation,
         sigma: &RfdSet,
         row_range: std::ops::Range<usize>,
     ) -> ImputationResult {
-        match rayon::ThreadPoolBuilder::new()
-            .num_threads(self.config.parallelism)
-            .build()
-        {
-            Ok(pool) => pool.install(|| self.impute_rows_inner(rel, sigma, row_range)),
-            // Pool construction can fail when the OS refuses new threads;
-            // the inner run needs none — the scans detect the missing pool
-            // and take their sequential paths.
-            Err(_) => self.impute_rows_inner(rel, sigma, row_range),
-        }
-    }
-
-    fn impute_rows_inner(
-        &self,
-        rel: &Relation,
-        sigma: &RfdSet,
-        row_range: std::ops::Range<usize>,
-    ) -> ImputationResult {
         let tracer = &self.config.tracer;
-        let chunks_before = rayon::chunks_dispatched();
         let run_span = tracer.span("core::impute");
         tracer.event("run_start", run_span.id(), || {
             vec![
@@ -227,15 +216,8 @@ impl Renuver {
         let mut rel = rel.clone();
         // Both structures are kept current after every imputation.
         let (mut oracle, mut index) = build_distance(&rel, &self.config);
-        let parts = self.impute_prepared(
-            &mut rel,
-            &mut oracle,
-            &mut index,
-            sigma,
-            row_range,
-            &run_span,
-            chunks_before,
-        );
+        let parts =
+            self.impute_prepared(&mut rel, &mut oracle, &mut index, sigma, row_range, &run_span);
         ImputationResult {
             relation: rel,
             imputed: parts.imputed,
@@ -248,7 +230,7 @@ impl Renuver {
         }
     }
 
-    /// The core of [`Renuver::impute_rows_inner`] over *prebuilt* state:
+    /// The core of [`Renuver::impute_rows`] over *prebuilt* state:
     /// runs pre-processing (key partitioning) and the per-cell imputation
     /// loop against a relation whose oracle and index the caller already
     /// owns. This is the seam the serving [`crate::engine::Engine`] uses
@@ -258,9 +240,7 @@ impl Renuver {
     ///
     /// `rel`, `oracle`, and `index` are mutated in place (imputations
     /// write cells and re-index them); `run_span` parents the emitted
-    /// trace; `chunks_before` is the rayon chunk counter at run start
-    /// (for the `parallel.chunks` gauge).
-    #[allow(clippy::too_many_arguments)]
+    /// trace.
     pub(crate) fn impute_prepared(
         &self,
         rel: &mut Relation,
@@ -269,7 +249,6 @@ impl Renuver {
         sigma: &RfdSet,
         row_range: std::ops::Range<usize>,
         run_span: &renuver_obs::Span,
-        chunks_before: u64,
     ) -> PreparedParts {
         let budget = &self.config.budget;
         let tracer = &self.config.tracer;
@@ -503,11 +482,6 @@ impl Renuver {
             m.counter("core.keys_reactivated").add(stats.keys_reactivated as u64);
             m.counter("core.batch_plans_built").add(cache.plans_built());
             m.counter("core.batch_plans_reused").add(cache.plans_reused());
-            m.gauge("parallel.threads").set(rayon::current_num_threads() as u64);
-            // Chunks dispatched by this run's parallel scans (the global
-            // counter is monotonic; concurrent runs inflate each other's
-            // deltas, which is acceptable for an aggregate gauge).
-            m.gauge("parallel.chunks").set(rayon::chunks_dispatched() - chunks_before);
         }
         let mut report = budget.report();
         if tracer.is_enabled() {

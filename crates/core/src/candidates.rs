@@ -85,26 +85,12 @@ pub fn find_candidate_tuples_with(
 ) -> Vec<Candidate> {
     let m = rel.arity();
     let scorer = ClusterScorer::new(m, cluster);
-    let score = |j: usize, dist_buf: &mut [Option<f64>]| -> Option<Candidate> {
-        scorer.score(oracle, rel, row, attr, j, dist_buf)
-    };
-
-    let n = rel.len();
-    if let Some(rows) = index.and_then(|ix| index_candidate_rows(ix, rel, row, cluster)) {
-        let mut dist_buf: Vec<Option<f64>> = vec![None; m];
-        return rows.into_iter().filter_map(|j| score(j, &mut dist_buf)).collect();
-    }
-    if rayon::current_num_threads() <= 1 || n < rayon::MIN_PAR_LEN {
-        // Sequential path: one reusable distance buffer for the whole scan.
-        let mut dist_buf: Vec<Option<f64>> = vec![None; m];
-        (0..n).filter_map(|j| score(j, &mut dist_buf)).collect()
-    } else {
-        // Parallel path: rows are scored in fixed index chunks and merged
-        // back in order, so the output is identical to the sequential scan.
-        rayon::par_map_indexed(n, |j| score(j, &mut vec![None; m]))
-            .into_iter()
-            .flatten()
-            .collect()
+    // One reusable distance buffer for the whole scan.
+    let mut dist_buf: Vec<Option<f64>> = vec![None; m];
+    let score = |j: usize| scorer.score(oracle, rel, row, attr, j, &mut dist_buf);
+    match index.and_then(|ix| index_candidate_rows(ix, rel, row, cluster)) {
+        Some(rows) => rows.into_iter().filter_map(score).collect(),
+        None => (0..rel.len()).filter_map(score).collect(),
     }
 }
 

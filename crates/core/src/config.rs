@@ -138,17 +138,20 @@ pub struct RenuverConfig {
     /// (clusters visited, candidates rejected). Off by default — the log
     /// grows with the candidate count.
     pub trace: bool,
-    /// Worker threads for the imputation hot paths (distance-matrix
-    /// construction, donor-row scans, verification scans). `0` (default)
-    /// uses all available cores; `1` runs the exact sequential code path;
-    /// any other value caps the pool at that many threads.
+    /// Worker threads for the distance oracle's matrix fill, the one
+    /// parallel step of an imputation run. `0` (default) uses all
+    /// available cores; `1` fills the matrix on the calling thread; any
+    /// other value caps the pool at that many threads. Key partitioning,
+    /// donor scans and verification scans run sequentially whatever the
+    /// setting: each imputation can make its tuple a donor for the next
+    /// cell, and a single cell's scans are too short to pay for a fork.
     ///
-    /// Results are bit-for-bit identical for every setting: the parallel
-    /// scans partition rows into fixed chunks and merge them back in index
-    /// order, so candidate ranking, tie-breaking, and the final
-    /// [`crate::result::ImputationResult`] never depend on the thread
-    /// count. `tests/parallel_determinism.rs` asserts this equivalence on
-    /// the restaurant sample and a 5k-row synthetic relation.
+    /// Results are bit-for-bit identical for every setting: the fill
+    /// computes matrix rows in fixed chunks and merges them back in index
+    /// order, so the final [`crate::result::ImputationResult`] never
+    /// depends on the thread count. `tests/parallel_determinism.rs`
+    /// asserts this on the restaurant sample and a 5k-row synthetic
+    /// relation.
     pub parallelism: usize,
     /// Execution budget for the run, polled before each missing cell and
     /// inside the hot scans (oracle build, key partitioning). The default

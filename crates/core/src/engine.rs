@@ -117,13 +117,7 @@ impl Engine {
     /// index once, under a thread pool sized by
     /// [`RenuverConfig::parallelism`].
     pub fn prepare(rel: Relation, sigma: RfdSet, config: RenuverConfig) -> Engine {
-        let (oracle, index) = match rayon::ThreadPoolBuilder::new()
-            .num_threads(config.parallelism)
-            .build()
-        {
-            Ok(pool) => pool.install(|| build_distance(&rel, &config)),
-            Err(_) => build_distance(&rel, &config),
-        };
+        let (oracle, index) = build_distance(&rel, &config);
         Engine::from_parts(rel, sigma, oracle, index, config)
     }
 
@@ -218,7 +212,10 @@ impl Engine {
     /// [`renuver_budget::Budget`], tracer, or explain sampling swapped
     /// in. Structural knobs that shaped the prepared state
     /// ([`RenuverConfig::index_mode`]) are taken from the engine, not
-    /// from `config`: the index either exists or it doesn't.
+    /// from `config`: the index either exists or it doesn't. A
+    /// per-request [`RenuverConfig::parallelism`] has no effect: it sizes
+    /// only the distance build, which [`Engine::prepare`] already ran,
+    /// and the per-cell loop is sequential.
     pub fn impute_batch_with(
         &mut self,
         tuples: Vec<Tuple>,
@@ -242,38 +239,26 @@ impl Engine {
 
         let runner = Renuver::new(config.clone());
         let row_range = base..self.rel.len();
-        let parts = {
-            let mut run = || {
-                let tracer = &runner.config().tracer;
-                let chunks_before = rayon::chunks_dispatched();
-                let run_span = tracer.span("core::impute");
-                tracer.event("run_start", run_span.id(), || {
-                    vec![
-                        ("subject", FieldValue::Str("impute")),
-                        ("rows", FieldValue::U64(self.rel.len() as u64)),
-                        ("attrs", FieldValue::U64(self.rel.arity() as u64)),
-                        ("missing", FieldValue::U64(self.rel.missing_count() as u64)),
-                        ("rfds", FieldValue::U64(self.sigma.len() as u64)),
-                    ]
-                });
-                runner.impute_prepared(
-                    &mut self.rel,
-                    &mut self.oracle,
-                    &mut self.index,
-                    &self.sigma,
-                    row_range.clone(),
-                    &run_span,
-                    chunks_before,
-                )
-            };
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(runner.config().parallelism)
-                .build()
-            {
-                Ok(pool) => pool.install(run),
-                Err(_) => run(),
-            }
-        };
+        let tracer = &runner.config().tracer;
+        let run_span = tracer.span("core::impute");
+        tracer.event("run_start", run_span.id(), || {
+            vec![
+                ("subject", FieldValue::Str("impute")),
+                ("rows", FieldValue::U64(self.rel.len() as u64)),
+                ("attrs", FieldValue::U64(self.rel.arity() as u64)),
+                ("missing", FieldValue::U64(self.rel.missing_count() as u64)),
+                ("rfds", FieldValue::U64(self.sigma.len() as u64)),
+            ]
+        });
+        let parts = runner.impute_prepared(
+            &mut self.rel,
+            &mut self.oracle,
+            &mut self.index,
+            &self.sigma,
+            row_range,
+            &run_span,
+        );
+        drop(run_span);
 
         let repaired: Vec<Tuple> =
             (base..self.rel.len()).map(|row| self.rel.tuple(row).clone()).collect();

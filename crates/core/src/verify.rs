@@ -235,33 +235,14 @@ fn within_mask(view: &MatrixView<'_>, d: u32, thr: f64) -> Box<[u64]> {
     mask
 }
 
-/// Collects the rows `0..n` (minus nothing — callers exclude rows inside
-/// `pred`) satisfying `pred`, in ascending order. Falls back to a plain
-/// sequential filter on one thread or short relations; the parallel path
-/// evaluates `pred` per fixed index chunk and merges chunks in order, so
-/// the result is identical either way.
-fn scan_matching_rows(n: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
-    if rayon::current_num_threads() <= 1 || n < rayon::MIN_PAR_LEN {
-        (0..n).filter(|&j| pred(j)).collect()
-    } else {
-        rayon::par_map_indexed(n, &pred)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(j, keep)| keep.then_some(j))
-            .collect()
-    }
-}
-
-/// Row collection for plan building: the full `0..n` scan, or — in the
-/// degraded (budget-pressure) mode — only the explicitly listed rows.
-fn collect_rows(
-    n: usize,
-    restrict: Option<&[usize]>,
-    pred: impl Fn(usize) -> bool + Sync,
-) -> Vec<usize> {
+/// Row collection for plan building: the rows satisfying `pred`, in
+/// ascending order, from the full `0..n` scan or — in the degraded
+/// (budget-pressure) mode — from the explicitly listed rows only. Callers
+/// exclude the imputed row inside `pred`.
+fn collect_rows(n: usize, restrict: Option<&[usize]>, pred: impl Fn(usize) -> bool) -> Vec<usize> {
     match restrict {
         Some(rows) => rows.iter().copied().filter(|&j| pred(j)).collect(),
-        None => scan_matching_rows(n, pred),
+        None => (0..n).filter(|&j| pred(j)).collect(),
     }
 }
 

@@ -4,10 +4,10 @@
 //! life. Every `/v1/impute` request, every ingest repair and every
 //! commit goes through that engine — [`Engine::impute_batch_with`] and
 //! [`Engine::commit_tuples`] — so a registry answers byte-identically to
-//! a plain engine by construction. Reads serialize on the engine lock;
-//! the engine parallelizes inside each request. A model swap replaces the
-//! engine inside the same mutex, so a request sees either the old model
-//! or the new one, never a blend.
+//! a plain engine by construction. Reads serialize on the engine lock,
+//! and each request runs its per-cell loop on the thread that took it.
+//! A model swap replaces the engine inside the same mutex, so a request
+//! sees either the old model or the new one, never a blend.
 //!
 //! Shards are only the on-disk layout: every committed row is assigned
 //! to a shard with [`renuver_core::shard_of`], and a durable registry

@@ -1,13 +1,14 @@
 //! Parallel-vs-sequential equivalence: `RenuverConfig::parallelism` must
 //! not change a single bit of the output.
 //!
-//! `parallelism: 1` takes the exact sequential code paths (reusable
-//! buffers, plain loops); any other setting routes the oracle build, donor
-//! scans, and verification scans through the chunked parallel scans. The
-//! two are designed to merge chunk results in index order — these tests
-//! pin that contract on the paper's restaurant sample and on a relation
-//! large enough (5 000 rows, ≫ the parallel fallback threshold) that the
-//! parallel branches actually execute.
+//! `parallelism` sizes only the distance oracle's matrix fill; key
+//! partitioning, donor scans and verification scans run sequentially at
+//! every setting. `parallelism: 1` fills the matrix on the calling
+//! thread; any other setting splits its rows into chunks across a pool
+//! and merges them in index order. These tests pin that contract on the
+//! paper's restaurant sample and on a relation large enough (5 000 rows,
+//! a dictionary far past the parallel fallback threshold) that the
+//! parallel fill actually executes.
 
 use renuver::core::{Renuver, RenuverConfig, ImputationResult};
 use renuver::data::{AttrType, Relation, Schema, Value};
@@ -38,9 +39,7 @@ fn restaurant_sample_identical_across_thread_counts() {
 }
 
 /// 5 000 rows with a high-cardinality text column (the oracle builds a
-/// dictionary distance matrix for it in parallel) and planted RFDs, so
-/// every parallelized scan runs over inputs past the sequential-fallback
-/// threshold.
+/// dictionary distance matrix for it in parallel) and planted RFDs.
 fn synthetic_5k() -> (Relation, RfdSet) {
     let schema = Schema::new([
         ("Name", AttrType::Text),

@@ -6,7 +6,9 @@ use renuver::core::config::VerifyScope;
 use renuver::core::{is_faultless, Renuver, RenuverConfig};
 use renuver::core::verify::VerifyPlan;
 use renuver::data::{csv, AttrType, Relation, Schema, Value};
-use renuver::distance::{levenshtein, levenshtein_bounded, value_distance, DistanceOracle};
+use renuver::distance::{
+    levenshtein, levenshtein_bounded, value_distance, DistanceOracle, SimilarityIndex,
+};
 use renuver::eval::inject;
 use renuver::rfd::check;
 use renuver::rfd::discovery::{discover, DiscoveryConfig};
@@ -72,6 +74,24 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     let row = (cell_text, cell_int.clone(), cell_int)
         .prop_map(|(a, b, c)| vec![a, b, c]);
     proptest::collection::vec(row, 2..14).prop_map(|rows| {
+        let schema = Schema::new([
+            ("T", AttrType::Text),
+            ("X", AttrType::Int),
+            ("Y", AttrType::Int),
+        ])
+        .unwrap();
+        Relation::new(schema, rows).unwrap()
+    })
+}
+
+/// Strategy: a relation of 2–40 rows over the same schema in which every
+/// cell is null with probability ½ — the regime where key semantics
+/// depend on how nulls compare.
+fn arb_null_heavy_relation() -> impl Strategy<Value = Relation> {
+    let cell_text = prop_oneof!["[a-d]{1,4}".prop_map(Value::from), Just(Value::Null)];
+    let cell_int = prop_oneof![(0i64..8).prop_map(Value::Int), Just(Value::Null)];
+    let row = (cell_text, cell_int.clone(), cell_int).prop_map(|(a, b, c)| vec![a, b, c]);
+    proptest::collection::vec(row, 2..41).prop_map(|rows| {
         let schema = Schema::new([
             ("T", AttrType::Text),
             ("X", AttrType::Int),
@@ -284,6 +304,36 @@ proptest! {
                 target.display(complete.schema()),
                 sigma.to_text(complete.schema()),
                 complete
+            );
+        }
+    }
+
+    #[test]
+    fn key_checks_match_pair_scan_on_null_heavy_relations(
+        rel in arb_null_heavy_relation(),
+        rfd in arb_rfd(),
+    ) {
+        // The reference: a pair that satisfies the LHS breaks the key.
+        let n = rel.len();
+        let lhs_pair = |i: usize, j: usize| check::pair_satisfies_lhs(&rel, &rfd, i, j);
+        let key = !(0..n).any(|i| (i + 1..n).any(|j| lhs_pair(i, j)));
+        let oracle = DistanceOracle::build(&rel, 64);
+        let index = SimilarityIndex::build(&rel, &oracle);
+        prop_assert_eq!(check::is_key(&rel, &rfd), key, "is_key on\n{}", rel);
+        prop_assert_eq!(
+            check::is_key_with_index(&oracle, Some(&index), &rel, &rfd),
+            key,
+            "is_key_with_index on\n{}",
+            rel
+        );
+        for row in 0..n {
+            let stays = !(0..n).any(|j| j != row && lhs_pair(row, j));
+            prop_assert_eq!(
+                check::stays_key_after_update_with_index(&oracle, Some(&index), &rel, &rfd, row),
+                stays,
+                "stays_key_after_update_with_index at row {} on\n{}",
+                row,
+                rel
             );
         }
     }
