@@ -6,8 +6,12 @@
 //!
 //! Run with `cargo run -p renuver-bench --release --bin bench_discovery`
 //! (`--quick` takes 3 runs per measurement instead of 7, `--out <path>`
-//! overrides the output file). Discovery spreads its lattice cells over
-//! every available core, so `machine_cores` belongs with the timings. The
+//! overrides the output file). Discovery spreads its text columns'
+//! distance fills and its lattice cells over every available core, so
+//! `machine_cores` belongs with the timings. Each RFD row also splits one
+//! traced run into its two layers: `patterns_ms` (the `rfd::patterns`
+//! span, the pair scan that builds the pattern table) and `lattice_ms`
+//! (the `rfd::lattice` span, the skyline search over it). The
 //! skyline/naive pair runs on one thread, and the run asserts that both
 //! produce an equivalent maximal RFD set.
 
@@ -18,6 +22,7 @@ use renuver_bench::{
 use renuver_data::{AttrType, Relation, Schema, Value};
 use renuver_datasets::{physician, Dataset};
 use renuver_dc::{discover_dcs, DcDiscoveryConfig};
+use renuver_obs::{FieldValue, Tracer};
 use renuver_rfd::discovery::{discover, DiscoveryConfig};
 use renuver_rfd::naive::{discover_naive, NaiveConfig};
 use renuver_rfd::RfdSet;
@@ -100,15 +105,33 @@ fn main() {
 }
 
 /// Median time of [`discover`] under the bench's discovery settings, as a
-/// JSON object with the size of the frontier it found.
+/// JSON object with the size of the frontier it found and the per-layer
+/// split of one extra traced run.
 fn time_rfd_discovery(name: &str, rel: &Relation, limit: f64, runs: usize) -> String {
     let cfg = discovery_config(limit);
     let mut rfds = 0;
     let ms = median_ms(runs, || rfds = discover(rel, &cfg).len());
+    let tracer = Tracer::enabled();
+    discover(rel, &DiscoveryConfig { tracer: tracer.clone(), ..cfg });
+    let span_ms = |label: &'static str| {
+        let us: u64 = tracer
+            .records()
+            .iter()
+            .filter(|r| r.kind == "span")
+            .filter(|r| r.fields.contains(&("label", FieldValue::Str(label))))
+            .filter_map(|r| match r.fields.iter().find(|(k, _)| *k == "dur_us") {
+                Some((_, FieldValue::U64(us))) => Some(*us),
+                _ => None,
+            })
+            .sum();
+        us as f64 / 1e3
+    };
     format!(
         "{{\"dataset\": \"{name}\", \"rows\": {}, \"limit\": {limit}, \"rfds\": {rfds}, \
-         \"median_ms\": {ms:.3}}}",
-        rel.len()
+         \"median_ms\": {ms:.3}, \"patterns_ms\": {:.3}, \"lattice_ms\": {:.3}}}",
+        rel.len(),
+        span_ms("rfd::patterns"),
+        span_ms("rfd::lattice"),
     )
 }
 

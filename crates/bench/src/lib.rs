@@ -145,6 +145,20 @@ pub fn available_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// The checkout's revision as `git describe --always --dirty` prints it,
+/// or `unknown` where git or the repository is unavailable.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 /// Median wall-clock milliseconds over `runs` executions (the first-run
 /// warm-up is included in the sample set; the median is robust to it).
 pub fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
@@ -169,10 +183,14 @@ pub fn out_path(default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-/// The shared tail of every `bench_*` binary: writes the JSON results to
-/// `path`, echoes them on stdout, and notes the destination on stderr.
+/// The shared tail of every `bench_*` binary: stamps the JSON results
+/// with the `git_revision` they measured (a committed number names its
+/// code), writes them to `path`, echoes them on stdout, and notes the
+/// destination on stderr.
 pub fn write_bench_json(path: &str, json: &str) {
-    std::fs::write(path, json).expect("write benchmark results");
+    let fields = json.strip_prefix("{\n").expect("bench results open a JSON object on its own line");
+    let json = format!("{{\n  \"git_revision\": \"{}\",\n{fields}", git_revision());
+    std::fs::write(path, &json).expect("write benchmark results");
     print!("{json}");
     eprintln!("wrote {path}");
 }

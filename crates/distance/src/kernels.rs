@@ -164,15 +164,26 @@ impl MyersPattern {
         self.run(text, max)
     }
 
-    /// The column loop shared by both entry points.
+    /// The column loop shared by both entry points. Patterns of up to
+    /// [`STACK_BLOCKS`] blocks keep the column state on the stack, so a
+    /// pattern compared against many texts allocates nothing per call.
     fn run(&self, text: &[char], max: usize) -> Option<usize> {
+        // Column 0 of the DP matrix: every cell is `i`, i.e. all vertical
+        // deltas are +1.
+        if self.blocks <= STACK_BLOCKS {
+            let mut pv = [!0u64; STACK_BLOCKS];
+            let mut mv = [0u64; STACK_BLOCKS];
+            self.run_in(text, max, &mut pv[..self.blocks], &mut mv[..self.blocks])
+        } else {
+            self.run_in(text, max, &mut vec![!0u64; self.blocks], &mut vec![0u64; self.blocks])
+        }
+    }
+
+    /// [`MyersPattern::run`] over caller-provided column state.
+    fn run_in(&self, text: &[char], max: usize, pv: &mut [u64], mv: &mut [u64]) -> Option<usize> {
         let blocks = self.blocks;
         let last = blocks - 1;
         let last_bit = 1u64 << ((self.len - 1) % 64);
-        // Column 0 of the DP matrix: every cell is `i`, i.e. all vertical
-        // deltas are +1.
-        let mut pv = vec![!0u64; blocks];
-        let mut mv = vec![0u64; blocks];
         let mut score = self.len;
         let n = text.len();
         for (j, &c) in text.iter().enumerate() {
@@ -221,6 +232,10 @@ impl MyersPattern {
         (score <= max).then_some(score)
     }
 }
+
+/// Pattern blocks (256 chars) up to which [`MyersPattern::run`] keeps its
+/// column state on the stack.
+const STACK_BLOCKS: usize = 4;
 
 /// Shared zero `Peq` row for non-ASCII text chars against dense ASCII
 /// patterns (covers up to [`MAX_DENSE_BLOCKS`] blocks).
@@ -310,6 +325,25 @@ mod tests {
                 levenshtein_scalar(&base, &prefix),
                 "prefix of {take}"
             );
+        }
+    }
+
+    #[test]
+    fn column_state_on_either_side_of_the_stack_edge_is_exact() {
+        // Patterns of up to 256 chars keep the column state on the stack,
+        // longer ones allocate it; `myers_levenshtein` takes the shorter
+        // side (one char shorter here) as the pattern.
+        let base: String = ('a'..='z').cycle().take(400).collect();
+        for take in [256, 257, 258, 320, 400] {
+            let a: String = base.chars().take(take).collect();
+            let mut edited = chars(&a);
+            edited[take / 2] = '#';
+            edited.remove(take / 3);
+            let b: String = edited.into_iter().collect();
+            let d = levenshtein_scalar(&a, &b);
+            assert_eq!(myers_levenshtein(&a, &b), d, "{take} chars");
+            assert_eq!(myers_levenshtein_bounded(&a, &b, d), Some(d), "{take} chars");
+            assert_eq!(myers_levenshtein_bounded(&a, &b, d - 1), None, "{take} chars");
         }
     }
 

@@ -13,6 +13,11 @@
 //!    sample of pairs for large instances), quantized to the integer grid:
 //!    `q = ceil(δ)` clamped to `limit + 1`, `MISSING` where either value is
 //!    null. Patterns are deduplicated; only distinct patterns drive search.
+//!    Text columns are interned first: each distinct value pair gets one
+//!    edit distance, bounded at the attribute's limit (`min(δ, limit + 1)`
+//!    is all the grid keeps), from a matrix filled up front across the
+//!    thread pool — or per pair when a column has more value pairs than
+//!    the scan visits.
 //! 2. For a fixed RHS attribute `A` and RHS threshold `β`, a pair is
 //!    **violating** iff `q[A] > β`. A candidate LHS `(X, α)` is valid iff no
 //!    violating pair satisfies it, i.e. there is no violating pattern `p`
@@ -30,11 +35,12 @@
 //! The result is deterministic for a fixed config (sampling uses a seeded
 //! in-crate PRNG).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use renuver_budget::{Budget, BudgetReport};
-use renuver_data::{AttrId, Relation};
+use renuver_data::{AttrId, AttrType, Relation};
 use renuver_distance::functions::value_distance;
+use renuver_distance::MyersPattern;
 use renuver_obs::{FieldValue, LocalBuffer, Tracer};
 
 use crate::model::{Constraint, Rfd};
@@ -73,7 +79,8 @@ pub struct DiscoveryConfig {
     pub seed: u64,
     /// Remove implied RFDs before returning.
     pub prune_implied: bool,
-    /// Execution budget, polled between pattern-building strides, lattice
+    /// Execution budget, polled between pattern-building strides (of the
+    /// pair scan and of each text column's distance fill), lattice
     /// cells, and RHS-threshold sweep steps. On a trip the search stops
     /// expanding and [`discover_outcome`] returns the Pareto frontier
     /// found so far, flagged `truncated`. The default budget is unlimited.
@@ -117,7 +124,6 @@ impl Default for DiscoveryConfig {
 /// range (say, population counts) must not translate into a
 /// hundred-thousand-step grid.
 pub fn auto_limits(rel: &Relation, fraction: f64) -> Vec<f64> {
-    use renuver_data::AttrType;
     (0..rel.arity())
         .map(|attr| {
             let spread = match rel.schema().ty(attr) {
@@ -192,8 +198,8 @@ fn attr_limits(cfg: &DiscoveryConfig, m: usize) -> Vec<u16> {
     }
 }
 
-/// Distinct quantized distance patterns with, per pattern, a multiplicity
-/// count (informational) — the search input built by step 1.
+/// Distinct quantized distance patterns — the search input built by
+/// step 1.
 struct PatternTable {
     /// One quantized entry per attribute per pattern, row-major.
     rows: Vec<u16>,
@@ -208,70 +214,214 @@ impl PatternTable {
     }
 }
 
-/// Builds the deduplicated pattern table over (a sample of) tuple pairs.
-/// The second component is `false` when the budget cut the pair scan
-/// short — the table is then a deterministic prefix sample, which makes
-/// discovery approximate in the same way `max_pairs` sampling does.
+/// The tuple pairs step 1 visits, in order: every pair `i < j` when there
+/// are at most `max_pairs` of them, otherwise `max_pairs` seeded samples
+/// (with replacement).
+fn scan_pairs(n: usize, cfg: &DiscoveryConfig) -> Box<dyn Iterator<Item = (usize, usize)>> {
+    if total_pairs(n) <= cfg.max_pairs {
+        return Box::new((0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j))));
+    }
+    let mut rng = SplitMix64(cfg.seed);
+    Box::new((0..cfg.max_pairs).map(move |_| {
+        let i = rng.below(n as u64) as usize;
+        let mut j = rng.below((n - 1) as u64) as usize;
+        if j >= i {
+            j += 1;
+        }
+        (i, j)
+    }))
+}
+
+/// `n(n-1)/2`: the unordered pairs over `n` items.
+fn total_pairs(n: usize) -> usize {
+    n.saturating_mul(n.saturating_sub(1)) / 2
+}
+
+/// Dictionary code of a missing text cell.
+const NULL_CODE: u32 = u32::MAX;
+
+/// The Myers pattern of a dictionary value; `None` for the empty string.
+fn pattern(chars: &[char]) -> Option<MyersPattern> {
+    (!chars.is_empty()).then(|| MyersPattern::new(chars))
+}
+
+/// `min(δ(pattern, text), limit + 1)` — the quantized edit distance, with
+/// the kernel stopping as soon as it is provably beyond `limit`. A `None`
+/// pattern is the empty string, whose distance to `text` is `|text|`.
+fn quantized(pattern: Option<&MyersPattern>, text: &[char], limit: u16) -> u16 {
+    let d = match pattern {
+        Some(p) => p.distance_bounded(text, limit as usize),
+        None => Some(text.len()).filter(|&d| d <= limit as usize),
+    };
+    d.map_or(limit + 1, |d| d as u16)
+}
+
+/// How step 1 quantizes one attribute of a tuple pair.
+enum Column {
+    /// Numeric and boolean columns: `quantize(value_distance(..))`.
+    Value,
+    /// A text column interned into dictionary codes.
+    Text(TextColumn),
+}
+
+/// A text column as the pattern scan reads it: per-row dictionary codes
+/// and the quantized distance of any two of its distinct values.
+struct TextColumn {
+    /// Dictionary code per row; [`NULL_CODE`] where the value is missing.
+    codes: Vec<u32>,
+    /// Each distinct value's chars, by code.
+    values: Vec<Vec<char>>,
+    limit: u16,
+    distances: Distances,
+}
+
+/// Where a text column's quantized value-pair distances come from.
+enum Distances {
+    /// Row-major `k × k`, filled before the scan.
+    Matrix(Vec<u16>),
+    /// Computed per visited pair from each value's Myers pattern.
+    PerPair(Vec<Option<MyersPattern>>),
+}
+
+impl TextColumn {
+    /// Interns `attr` and fills its matrix when the column has no more
+    /// value pairs than the scan visits (`visits`), so the fill never
+    /// computes more distances than the scan it replaces and stays within
+    /// `2 · max_pairs` cells.
+    fn build(rel: &Relation, attr: AttrId, limit: u16, visits: usize, budget: &Budget) -> Self {
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let mut values = Vec::new();
+        let codes = rel
+            .tuples()
+            .map(|t| match t[attr].as_text() {
+                None => NULL_CODE,
+                Some(s) => *index.entry(s).or_insert_with(|| {
+                    values.push(s.chars().collect());
+                    (values.len() - 1) as u32
+                }),
+            })
+            .collect();
+        let matrix = (total_pairs(values.len()) <= visits)
+            .then(|| fill_matrix(&values, limit, budget))
+            .flatten();
+        let distances = match matrix {
+            Some(matrix) => Distances::Matrix(matrix),
+            None => Distances::PerPair(values.iter().map(|v| pattern(v)).collect()),
+        };
+        TextColumn { codes, values, limit, distances }
+    }
+
+    #[inline]
+    fn quantized(&self, i: usize, j: usize) -> u16 {
+        let (a, b) = (self.codes[i], self.codes[j]);
+        if a == NULL_CODE || b == NULL_CODE {
+            return MISSING;
+        }
+        let (a, b) = (a as usize, b as usize);
+        if a == b {
+            return 0;
+        }
+        match &self.distances {
+            Distances::Matrix(q) => q[a * self.values.len() + b],
+            Distances::PerPair(patterns) => {
+                quantized(patterns[a].as_ref(), &self.values[b], self.limit)
+            }
+        }
+    }
+}
+
+/// Fills the `k × k` matrix of quantized distances, one row of the upper
+/// triangle (and one Myers pattern) per task across the installed pool
+/// (rows come back in index order, so the matrix is the same at every
+/// thread count). The budget is checked once per [`PATTERN_CHECK_STRIDE`]
+/// value pairs, counted over the triangle in row order, so the
+/// checkpoints do not depend on scheduling either. A trip returns `None`:
+/// the column then answers per pair, and the scan's own first stride
+/// still completes.
+fn fill_matrix(values: &[Vec<char>], limit: u16, budget: &Budget) -> Option<Vec<u16>> {
+    let k = values.len();
+    let tails: Vec<Option<Vec<u16>>> = rayon::par_map_indexed(k, |a| {
+        // Value pairs of the triangle's earlier rows.
+        let before = a * k - a * (a + 1) / 2;
+        let pattern = pattern(&values[a]);
+        let mut tail = Vec::with_capacity(k - a - 1);
+        for (b, text) in values.iter().enumerate().skip(a + 1) {
+            if (before + b - a).is_multiple_of(PATTERN_CHECK_STRIDE)
+                && budget.check("rfd::patterns").is_err()
+            {
+                return None;
+            }
+            tail.push(quantized(pattern.as_ref(), text, limit));
+        }
+        Some(tail)
+    });
+    let mut matrix = vec![0u16; k * k];
+    for (a, tail) in tails.into_iter().enumerate() {
+        for (b, q) in ((a + 1)..k).zip(tail?) {
+            matrix[a * k + b] = q;
+            matrix[b * k + a] = q;
+        }
+    }
+    Some(matrix)
+}
+
+/// Prepares every attribute for the pattern scan (see [`Column`]).
+fn columns(rel: &Relation, cfg: &DiscoveryConfig, limits: &[u16]) -> Vec<Column> {
+    let visits = total_pairs(rel.len()).min(cfg.max_pairs);
+    (0..rel.arity())
+        .map(|attr| match rel.schema().ty(attr) {
+            AttrType::Text => {
+                Column::Text(TextColumn::build(rel, attr, limits[attr], visits, &cfg.budget))
+            }
+            _ => Column::Value,
+        })
+        .collect()
+}
+
+/// Builds the deduplicated pattern table over the pairs of
+/// [`scan_pairs`]. Text columns are interned first, so each distinct value
+/// pair gets one edit distance bounded at the attribute's limit — from a
+/// matrix filled up front, or per pair when the column has more value
+/// pairs than the scan visits — and no text pair runs an unbounded
+/// distance. Numeric and boolean columns quantize `value_distance`
+/// directly. The second component is `false` when the budget cut the pair
+/// scan short — the table is then a deterministic prefix sample, which
+/// makes discovery approximate in the same way `max_pairs` sampling does.
 fn build_patterns(rel: &Relation, cfg: &DiscoveryConfig) -> (PatternTable, bool) {
-    let n = rel.len();
     let m = rel.arity();
     let limits = attr_limits(cfg, m);
-    let total_pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+    let columns = columns(rel, cfg, &limits);
 
-    let mut seen: HashMap<Vec<u16>, u32> = HashMap::new();
-    let pattern_of = |i: usize, j: usize, buf: &mut Vec<u16>| {
-        buf.clear();
-        let ti = rel.tuple(i);
-        let tj = rel.tuple(j);
-        for a in 0..m {
-            let q = match value_distance(&ti[a], &tj[a]) {
-                None => MISSING,
-                Some(d) => quantize(d, limits[a] + 1),
-            };
-            buf.push(q);
-        }
-    };
-
-    let mut complete = true;
-    let mut processed = 0usize;
+    let mut seen: HashSet<Vec<u16>> = HashSet::new();
     let mut buf = Vec::with_capacity(m);
-    if total_pairs <= cfg.max_pairs {
-        'scan: for i in 0..n {
-            for j in (i + 1)..n {
-                processed += 1;
-                if processed.is_multiple_of(PATTERN_CHECK_STRIDE)
-                    && cfg.budget.check("rfd::patterns").is_err()
-                {
-                    complete = false;
-                    break 'scan;
-                }
-                pattern_of(i, j, &mut buf);
-                *seen.entry(buf.clone()).or_insert(0) += 1;
-            }
+    let mut complete = true;
+    for (processed, (i, j)) in scan_pairs(rel.len(), cfg).enumerate() {
+        if (processed + 1).is_multiple_of(PATTERN_CHECK_STRIDE)
+            && cfg.budget.check("rfd::patterns").is_err()
+        {
+            complete = false;
+            break;
         }
-    } else {
-        let mut rng = SplitMix64(cfg.seed);
-        for _ in 0..cfg.max_pairs {
-            processed += 1;
-            if processed.is_multiple_of(PATTERN_CHECK_STRIDE)
-                && cfg.budget.check("rfd::patterns").is_err()
-            {
-                complete = false;
-                break;
-            }
-            let i = rng.below(n as u64) as usize;
-            let mut j = rng.below((n - 1) as u64) as usize;
-            if j >= i {
-                j += 1;
-            }
-            pattern_of(i, j, &mut buf);
-            *seen.entry(buf.clone()).or_insert(0) += 1;
+        buf.clear();
+        let (ti, tj) = (rel.tuple(i), rel.tuple(j));
+        for (a, column) in columns.iter().enumerate() {
+            buf.push(match column {
+                Column::Text(text) => text.quantized(i, j),
+                Column::Value => match value_distance(&ti[a], &tj[a]) {
+                    None => MISSING,
+                    Some(d) => quantize(d, limits[a] + 1),
+                },
+            });
+        }
+        // Probe with the slice: a key is cloned only the first time.
+        if !seen.contains(buf.as_slice()) {
+            seen.insert(buf.clone());
         }
     }
 
     let len = seen.len();
     let mut rows = Vec::with_capacity(len * m);
-    for (pat, _count) in seen {
+    for pat in seen {
         rows.extend_from_slice(&pat);
     }
     (PatternTable { rows, arity: m, len }, complete)
@@ -1093,5 +1243,181 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    /// The per-pair loop `build_patterns` replaced, kept as its reference: the
+    /// same pair sequence, with an unbounded `value_distance` quantized per
+    /// pair and attribute.
+    fn reference_pattern(rel: &Relation, limits: &[u16], i: usize, j: usize) -> Vec<u16> {
+        (0..rel.arity())
+            .map(|a| match value_distance(rel.value(i, a), rel.value(j, a)) {
+                None => MISSING,
+                Some(d) => quantize(d, limits[a] + 1),
+            })
+            .collect()
+    }
+
+    fn reference_patterns(rel: &Relation, cfg: &DiscoveryConfig) -> HashSet<Vec<u16>> {
+        let n = rel.len();
+        let limits = attr_limits(cfg, rel.arity());
+        let mut seen = HashSet::new();
+        if n * (n - 1) / 2 <= cfg.max_pairs {
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    seen.insert(reference_pattern(rel, &limits, i, j));
+                }
+            }
+        } else {
+            let mut rng = SplitMix64(cfg.seed);
+            for _ in 0..cfg.max_pairs {
+                let i = rng.below(n as u64) as usize;
+                let mut j = rng.below((n - 1) as u64) as usize;
+                if j >= i {
+                    j += 1;
+                }
+                seen.insert(reference_pattern(rel, &limits, i, j));
+            }
+        }
+        seen
+    }
+
+    fn table_set(table: &PatternTable) -> HashSet<Vec<u16>> {
+        assert_eq!(table.rows.len(), table.len * table.arity);
+        table.rows.chunks(table.arity).map(<[u16]>::to_vec).collect()
+    }
+
+    /// A seeded relation over every quantizer edge: nulls, empty strings,
+    /// non-ASCII text, values on both sides of the 64-char Myers block,
+    /// NaN and ±∞ floats, and booleans. `Short` keeps a dictionary of at
+    /// most eight values; `Long` is near-unique, so its dictionary
+    /// outgrows a small pair sample.
+    fn edge_relation(n: usize, seed: u64) -> Relation {
+        let schema = Schema::new([
+            ("Short", AttrType::Text),
+            ("Long", AttrType::Text),
+            ("F", AttrType::Float),
+            ("I", AttrType::Int),
+            ("B", AttrType::Bool),
+        ])
+        .unwrap();
+        const SHORT: [&str; 8] = ["", "a", "ab", "abc", "café", "cafe", "日本語", "日本"];
+        let base: Vec<char> = ('a'..='z').cycle().take(150).collect();
+        let mut rng = SplitMix64(seed);
+        let rows = (0..n)
+            .map(|_| {
+                let short = match rng.below(9) as usize {
+                    8 => Value::Null,
+                    s => Value::from(SHORT[s]),
+                };
+                let long = if rng.below(8) == 0 {
+                    Value::Null
+                } else {
+                    // A 56..=80-char prefix with up to five substitutions,
+                    // some non-ASCII: lengths straddle the block edge and
+                    // distances land on both sides of every limit.
+                    let mut chars = base[..56 + rng.below(25) as usize].to_vec();
+                    for _ in 0..rng.below(6) {
+                        let at = rng.below(chars.len() as u64) as usize;
+                        chars[at] = ['x', 'é', '💧', 'q'][rng.below(4) as usize];
+                    }
+                    Value::Text(chars.into_iter().collect())
+                };
+                let f = match rng.below(8) {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Float(f64::INFINITY),
+                    3 => Value::Float(f64::NEG_INFINITY),
+                    _ => Value::Float(rng.below(40) as f64 / 4.0),
+                };
+                let i = match rng.below(8) {
+                    0 => Value::Null,
+                    v => Value::Int(v as i64 * 3 - 10),
+                };
+                let b = match rng.below(3) {
+                    0 => Value::Null,
+                    v => Value::Bool(v == 1),
+                };
+                vec![short, long, f, i, b]
+            })
+            .collect();
+        Relation::new(schema, rows).unwrap()
+    }
+
+    /// Which text columns got a filled matrix, by attribute.
+    fn matrix_columns(rel: &Relation, cfg: &DiscoveryConfig) -> Vec<bool> {
+        columns(rel, cfg, &attr_limits(cfg, rel.arity()))
+            .iter()
+            .map(|c| matches!(c, Column::Text(TextColumn { distances: Distances::Matrix(_), .. })))
+            .collect()
+    }
+
+    #[test]
+    fn pattern_table_matches_the_per_pair_reference() {
+        let per_attr = DiscoveryConfig {
+            per_attr_limits: Some(vec![2.0, 7.0, 0.0, 5.0]), // B falls back
+            ..DiscoveryConfig::with_limit(3.0)
+        };
+        for seed in 0..4 {
+            let rel = edge_relation(40, seed);
+            let configs = [0.0, 1.0, 3.0, 15.0, 1000.0]
+                .map(DiscoveryConfig::with_limit)
+                .into_iter()
+                .chain([per_attr.clone()]);
+            for full in configs {
+                // 780 pairs: a full scan fills every text column's matrix.
+                assert_eq!(matrix_columns(&rel, &full), [true, true, false, false, false]);
+                // 300 sampled pairs: `Short` (≤ 28 value pairs) still
+                // fills, `Long` answers per pair.
+                let sampled = DiscoveryConfig { max_pairs: 300, ..full.clone() };
+                assert_eq!(matrix_columns(&rel, &sampled), [true, false, false, false, false]);
+                for cfg in [full, sampled] {
+                    let (table, complete) = build_patterns(&rel, &cfg);
+                    assert!(complete);
+                    assert_eq!(
+                        table_set(&table),
+                        reference_patterns(&rel, &cfg),
+                        "seed {seed}, limit {}, per-attribute {:?}, max_pairs {}",
+                        cfg.limit,
+                        cfg.per_attr_limits,
+                        cfg.max_pairs
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_trip_falls_back_per_pair_and_keeps_the_first_stride() {
+        // 60 rows: `Long`'s ~1,700 value pairs pass a fill checkpoint,
+        // which a zero budget trips. The column then answers per pair,
+        // and the scan still completes its first stride.
+        let rel = edge_relation(60, 7);
+        let cfg = DiscoveryConfig {
+            budget: Budget::unlimited().with_ops_limit(0),
+            ..DiscoveryConfig::with_limit(3.0)
+        };
+        let (table, complete) = build_patterns(&rel, &cfg);
+        assert!(!complete);
+        assert_eq!(cfg.budget.trip_phase(), Some("rfd::patterns"));
+        // `Short`'s at most 28 value pairs pass no checkpoint and still fill.
+        assert_eq!(matrix_columns(&rel, &cfg), [true, false, false, false, false]);
+        let limits = attr_limits(&cfg, rel.arity());
+        let first_stride: HashSet<Vec<u16>> = scan_pairs(rel.len(), &cfg)
+            .take(PATTERN_CHECK_STRIDE - 1)
+            .map(|(i, j)| reference_pattern(&rel, &limits, i, j))
+            .collect();
+        assert_eq!(table_set(&table), first_stride);
+    }
+
+    #[test]
+    fn scan_pairs_follows_the_documented_sequence() {
+        let cfg = DiscoveryConfig::with_limit(3.0);
+        let all: Vec<_> = scan_pairs(4, &cfg).collect();
+        assert_eq!(all, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let sampled = DiscoveryConfig { max_pairs: 5, ..cfg };
+        let pairs: Vec<_> = scan_pairs(4, &sampled).collect();
+        assert_eq!(pairs.len(), 5);
+        assert!(pairs.iter().all(|&(i, j)| i != j && i < 4 && j < 4));
+        assert_eq!(pairs, scan_pairs(4, &sampled).collect::<Vec<_>>());
     }
 }

@@ -8,8 +8,13 @@
 //! - **Subprocess tests** set the `RENUVER_FAULT` environment variable
 //!   before spawning the `renuver` binary. The kill-and-recover matrix
 //!   in `tests/wal_recovery.rs` drives `renuver ingest` through every
-//!   crash point this way and asserts recovery is bit-identical.
-//! - **In-process unit tests** call [`arm`] / [`disarm`] directly.
+//!   crash point this way and asserts recovery is bit-identical. That
+//!   plan holds for every thread of the process.
+//! - **In-process unit tests** call [`arm`] / [`disarm`] directly. Such a
+//!   point is armed for the calling thread only, so tests that share a
+//!   process (the test harness runs them on parallel threads) never trip
+//!   each other's faults; each drives the armed code path on its own
+//!   thread.
 //!
 //! Plan syntax (comma-separated): `point=action` where action is
 //! `crash` (immediate `process::abort`, simulating power loss — no
@@ -38,9 +43,10 @@
 //! | `migrate.pre_unlink`     | a single-file WAL folded into the layout,   |
 //! |                          | manifest committed, old log not yet removed |
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// What to do when execution reaches an armed crash point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,17 +61,20 @@ pub enum Action {
     Short(usize),
 }
 
-fn plan() -> &'static Mutex<HashMap<String, Action>> {
-    static PLAN: OnceLock<Mutex<HashMap<String, Action>>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let mut map = HashMap::new();
-        if let Ok(spec) = std::env::var("RENUVER_FAULT") {
-            match parse(&spec) {
-                Ok(parsed) => map = parsed,
-                Err(e) => eprintln!("renuver: ignoring malformed RENUVER_FAULT: {e}"),
-            }
-        }
-        Mutex::new(map)
+thread_local! {
+    /// Points armed by [`arm`] on this thread.
+    static ARMED: RefCell<HashMap<String, Action>> = RefCell::new(HashMap::new());
+}
+
+/// The process-wide `RENUVER_FAULT` plan, parsed on first use.
+fn env_plan() -> &'static HashMap<String, Action> {
+    static PLAN: OnceLock<HashMap<String, Action>> = OnceLock::new();
+    PLAN.get_or_init(|| match std::env::var("RENUVER_FAULT") {
+        Err(_) => HashMap::new(),
+        Ok(spec) => parse(&spec).unwrap_or_else(|e| {
+            eprintln!("renuver: ignoring malformed RENUVER_FAULT: {e}");
+            HashMap::new()
+        }),
     })
 }
 
@@ -90,21 +99,25 @@ fn parse(spec: &str) -> Result<HashMap<String, Action>, String> {
     Ok(map)
 }
 
-/// Arms `action` at `point` for this process (test hook; overrides any
-/// `RENUVER_FAULT` entry for the same point).
+/// Arms `action` at `point` for the calling thread (test hook; on that
+/// thread it overrides any `RENUVER_FAULT` entry for the same point).
 pub fn arm(point: &str, action: Action) {
-    plan().lock().unwrap().insert(point.to_string(), action);
+    ARMED.with(|armed| armed.borrow_mut().insert(point.to_string(), action));
 }
 
-/// Disarms `point`. No-op if it was not armed.
+/// Disarms a point [`arm`]ed on the calling thread. No-op if it was not
+/// armed there.
 pub fn disarm(point: &str) {
-    plan().lock().unwrap().remove(point);
+    ARMED.with(|armed| armed.borrow_mut().remove(point));
 }
 
-/// The action armed at `point`, if any, without executing it. Call
-/// sites that can honour `short:<n>` use this to stage partial writes.
+/// The action armed at `point` for the calling thread — by [`arm`], else
+/// by `RENUVER_FAULT` — without executing it. Call sites that can honour
+/// `short:<n>` use this to stage partial writes.
 pub fn armed(point: &str) -> Option<Action> {
-    plan().lock().unwrap().get(point).copied()
+    ARMED
+        .with(|armed| armed.borrow().get(point).copied())
+        .or_else(|| env_plan().get(point).copied())
 }
 
 /// Executes the action armed at `point`: aborts on `crash` (and on
@@ -144,12 +157,25 @@ mod tests {
 
     #[test]
     fn hit_returns_injected_errors_and_clears_cleanly() {
-        // Use a point name no other test arms: the plan is process-global.
         arm("test.fault.err_point", Action::Err);
         let err = hit("test.fault.err_point").unwrap_err();
         assert!(err.to_string().contains("injected fault at test.fault.err_point"));
         disarm("test.fault.err_point");
         assert!(hit("test.fault.err_point").is_ok());
         assert!(hit("test.fault.never_armed").is_ok());
+    }
+
+    #[test]
+    fn an_armed_point_is_scoped_to_the_arming_thread() {
+        arm("test.fault.scoped", Action::Err);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert_eq!(armed("test.fault.scoped"), None);
+                assert!(hit("test.fault.scoped").is_ok());
+            });
+        });
+        assert_eq!(armed("test.fault.scoped"), Some(Action::Err));
+        disarm("test.fault.scoped");
+        assert_eq!(armed("test.fault.scoped"), None);
     }
 }
