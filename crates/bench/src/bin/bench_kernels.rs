@@ -12,8 +12,11 @@
 //!   band. The binary asserts the ≥4× floor at 256 chars that CI smokes.
 //! * **oracle matrix fill** — the k×k dictionary matrix that dominates
 //!   pre-processing, its upper triangle hand-filled with the scalar
-//!   kernel vs a one-thread oracle build with the dispatched one, on the
-//!   long-text dictionary the end-to-end fixture uses.
+//!   kernel vs a one-thread oracle build, which runs one Myers pattern
+//!   per dictionary row. Two dictionaries: the long-text names the
+//!   end-to-end fixture uses (40–64 chars), and Restaurant's names
+//!   (`oracle_matrix_fill_short`), every one shorter than the 32 chars at
+//!   which a one-shot call would switch to Myers.
 //! * **impute_end_to_end** — a full run on a long-text relation with
 //!   `batch_verify` off vs on (both single-threaded, both through the
 //!   Myers-routed oracle), isolating what signature-sharing saves. The
@@ -23,6 +26,7 @@
 use renuver_bench::{available_cores, median_ms, out_path, quick_mode, write_bench_json};
 use renuver_core::{Renuver, RenuverConfig};
 use renuver_data::{AttrType, Relation, Schema, Value};
+use renuver_datasets::restaurant;
 use renuver_distance::{levenshtein_scalar, myers_levenshtein, DistanceOracle};
 use renuver_distance::functions::levenshtein_bounded_scalar;
 use renuver_distance::levenshtein_bounded;
@@ -122,6 +126,37 @@ fn long_text_relation(n: usize) -> Relation {
     Relation::new(schema, rows).unwrap()
 }
 
+/// The oracle's matrix fill of `rel`'s first column against the same
+/// upper triangle hand-filled with the scalar DP, as a JSON object. Both
+/// sides run on one thread: the kernel, not the core count.
+fn measure_fill(runs: usize, rel: &Relation) -> String {
+    let dict: Vec<&str> = rel
+        .tuples()
+        .filter_map(|t| t[0].as_text())
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let scalar_ms = median_ms(runs, || {
+        let mut acc = 0usize;
+        for (i, a) in dict.iter().enumerate() {
+            for b in &dict[i + 1..] {
+                acc = acc.wrapping_add(levenshtein_scalar(a, b));
+            }
+        }
+        std::hint::black_box(acc);
+    });
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let oracle_ms =
+        median_ms(runs, || drop(one_thread.install(|| DistanceOracle::build(rel, 3_000))));
+    let max_chars = dict.iter().map(|s| s.chars().count()).max().unwrap_or(0);
+    format!(
+        "{{ \"dictionary\": {}, \"max_chars\": {max_chars}, \"scalar_ms\": {scalar_ms:.3}, \
+         \"oracle_ms\": {oracle_ms:.3}, \"speedup\": {:.3} }}",
+        dict.len(),
+        scalar_ms / oracle_ms,
+    )
+}
+
 fn main() {
     let runs = if quick_mode() { 3 } else { 7 };
     let pair_count = if quick_mode() { 48 } else { 192 };
@@ -186,29 +221,14 @@ fn main() {
     // ---- oracle dictionary-matrix fill --------------------------------
     let n = if quick_mode() { 4_000 } else { 20_000 };
     let incomplete = long_text_relation(n);
-    let dict: Vec<String> = (0..incomplete.len())
-        .filter_map(|i| match incomplete.value(i, 0) {
-            Value::Text(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let k = dict.len();
-    // The oracle fills the upper triangle only; so does the scalar side.
-    let fill_scalar_ms = median_ms(runs, || {
-        let mut acc = 0usize;
-        for (i, a) in dict.iter().enumerate() {
-            for b in &dict[i + 1..] {
-                acc = acc.wrapping_add(levenshtein_scalar(a, b));
-            }
-        }
-        std::hint::black_box(acc);
-    });
-    // One thread, like the scalar side: the kernel, not the core count.
-    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let fill_dispatched_ms =
-        median_ms(runs, || drop(one_thread.install(|| DistanceOracle::build(&incomplete, 3_000))));
+    let long_fill = measure_fill(runs, &incomplete);
+    let restaurants = restaurant::generate_n(restaurant::TUPLES, 42);
+    let names = Relation::new(
+        Schema::new([("Name", AttrType::Text)]).unwrap(),
+        restaurants.tuples().map(|t| vec![t[0].clone()]).collect(),
+    )
+    .unwrap();
+    let short_fill = measure_fill(runs, &names);
 
     // ---- end-to-end: batch verification off vs on ---------------------
     let sigma = RfdSet::from_text(
@@ -242,18 +262,14 @@ fn main() {
          \"kernel\": {{\n\
          {kernel_json}\
          {bounded_json}  }},\n  \
-         \"oracle_matrix_fill\": {{\n    \
-         \"dictionary\": {k},\n    \
-         \"scalar_ms\": {fill_scalar_ms:.3},\n    \
-         \"dispatched_ms\": {fill_dispatched_ms:.3},\n    \
-         \"speedup\": {:.3}\n  }},\n  \
+         \"oracle_matrix_fill\": {long_fill},\n  \
+         \"oracle_matrix_fill_short\": {short_fill},\n  \
          \"impute_end_to_end\": {{\n    \
          \"rows\": {n},\n    \
          \"unbatched_ms\": {impute_unbatched:.3},\n    \
          \"batched_ms\": {impute_batched:.3},\n    \
          \"speedup\": {:.3}\n  }}\n}}\n",
         available_cores(),
-        fill_scalar_ms / fill_dispatched_ms,
         impute_unbatched / impute_batched,
     );
 

@@ -18,7 +18,10 @@
 //!   stops for another reason: convergence, a revisit, iteration cap,
 //!   budget);
 //! * **mean_iteration_ms** — the unit cost a `/v1/tune` job pays per
-//!   round, which bounds how long the single-flight slot stays busy.
+//!   round once its distances are built (`(total_ms − prepare_ms) /
+//!   iterations_run`), which bounds how long the single-flight slot
+//!   stays busy. **prepare_ms** beside it is the run's one distance
+//!   build; each trajectory row's `elapsed_ms` excludes it.
 //!
 //! The run also re-checks determinism at the bench scale: a second tune
 //! with the same seed must produce byte-identical thresholds.
@@ -67,7 +70,9 @@ fn main() {
     );
 
     let iters = report.iterations.len();
-    let mean_iteration_ms = if iters > 0 { total_ms / iters as f64 } else { 0.0 };
+    let prepare_ms = report.prepare.as_secs_f64() * 1e3;
+    let mean_iteration_ms =
+        if iters > 0 { (total_ms - prepare_ms) / iters as f64 } else { 0.0 };
     let to_target = if report.stop.label() == "target" { iters.to_string() } else { "null".into() };
 
     let mut trajectory = String::new();
@@ -102,6 +107,7 @@ fn main() {
          \"baseline_f1\": {base:.4},\n  \
          \"best_f1\": {best:.4},\n  \
          \"total_ms\": {total_ms:.3},\n  \
+         \"prepare_ms\": {prepare_ms:.3},\n  \
          \"mean_iteration_ms\": {mean_iteration_ms:.3},\n  \
          \"trajectory\": [\n    {trajectory}\n  ]\n}}\n",
         rfds = sigma.len(),

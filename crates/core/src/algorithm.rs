@@ -3,7 +3,7 @@
 use renuver_budget::{BudgetReport, BudgetTrip};
 use renuver_data::{Cell, Relation};
 use renuver_distance::{DistanceOracle, SimilarityIndex, DEFAULT_DICT_CAP};
-use renuver_obs::{Counter, Field, FieldValue, Histogram};
+use renuver_obs::{Counter, Field, FieldValue, Histogram, Span, Tracer};
 use renuver_rfd::check::stays_key_after_update_with_index;
 use renuver_rfd::{Rfd, RfdSet};
 
@@ -60,6 +60,23 @@ pub(crate) fn build_distance(
     }
 }
 
+/// Opens a run's `core::impute` span and emits its `run_start` event —
+/// shared by every caller of [`Renuver::impute_prepared`], so a run traces
+/// the same whichever path prepared its distance structures.
+pub(crate) fn start_run(tracer: &Tracer, rel: &Relation, sigma: &RfdSet) -> Span {
+    let run_span = tracer.span("core::impute");
+    tracer.event("run_start", run_span.id(), || {
+        vec![
+            ("subject", FieldValue::Str("impute")),
+            ("rows", FieldValue::U64(rel.len() as u64)),
+            ("attrs", FieldValue::U64(rel.arity() as u64)),
+            ("missing", FieldValue::U64(rel.missing_count() as u64)),
+            ("rfds", FieldValue::U64(sigma.len() as u64)),
+        ]
+    });
+    run_span
+}
+
 /// What one cell's imputation attempt produced: the written cell (when one
 /// stuck) plus the explain-level detail the caller folds into a
 /// [`CellExplain`] and the tracer's `cell` event. The heavy fields
@@ -86,6 +103,22 @@ pub(crate) struct PreparedParts {
     pub(crate) trace: Vec<TraceEvent>,
     pub(crate) explains: Vec<CellExplain>,
     pub(crate) budget: BudgetReport,
+}
+
+impl PreparedParts {
+    /// The one-shot result: these parts beside the imputed `relation`.
+    pub(crate) fn into_result(self, relation: Relation) -> ImputationResult {
+        ImputationResult {
+            relation,
+            imputed: self.imputed,
+            unimputed: self.unimputed,
+            outcomes: self.outcomes,
+            stats: self.stats,
+            trace: self.trace,
+            explains: self.explains,
+            budget: self.budget,
+        }
+    }
 }
 
 /// Metric handles the per-cell loop increments, registered once per run
@@ -202,32 +235,12 @@ impl Renuver {
         sigma: &RfdSet,
         row_range: std::ops::Range<usize>,
     ) -> ImputationResult {
-        let tracer = &self.config.tracer;
-        let run_span = tracer.span("core::impute");
-        tracer.event("run_start", run_span.id(), || {
-            vec![
-                ("subject", FieldValue::Str("impute")),
-                ("rows", FieldValue::U64(rel.len() as u64)),
-                ("attrs", FieldValue::U64(rel.arity() as u64)),
-                ("missing", FieldValue::U64(rel.missing_count() as u64)),
-                ("rfds", FieldValue::U64(sigma.len() as u64)),
-            ]
-        });
+        let run_span = start_run(&self.config.tracer, rel, sigma);
         let mut rel = rel.clone();
         // Both structures are kept current after every imputation.
         let (mut oracle, mut index) = build_distance(&rel, &self.config);
-        let parts =
-            self.impute_prepared(&mut rel, &mut oracle, &mut index, sigma, row_range, &run_span);
-        ImputationResult {
-            relation: rel,
-            imputed: parts.imputed,
-            unimputed: parts.unimputed,
-            outcomes: parts.outcomes,
-            stats: parts.stats,
-            trace: parts.trace,
-            explains: parts.explains,
-            budget: parts.budget,
-        }
+        self.impute_prepared(&mut rel, &mut oracle, &mut index, sigma, row_range, &run_span)
+            .into_result(rel)
     }
 
     /// The core of [`Renuver::impute_rows`] over *prebuilt* state:
@@ -248,7 +261,7 @@ impl Renuver {
         index: &mut Option<SimilarityIndex>,
         sigma: &RfdSet,
         row_range: std::ops::Range<usize>,
-        run_span: &renuver_obs::Span,
+        run_span: &Span,
     ) -> PreparedParts {
         let budget = &self.config.budget;
         let tracer = &self.config.tracer;

@@ -1,14 +1,23 @@
-//! A long-lived imputation engine for serving workloads.
+//! A long-lived imputation engine: distance structures built once,
+//! imputed against many times.
 //!
 //! [`Renuver::impute`] is one-shot: it clones the relation and rebuilds
 //! the distance oracle and similarity index on every call. That is the
-//! right shape for batch repair but wasteful for a server answering many
-//! small requests against the same reference instance. [`Engine`] owns
-//! the relation, oracle, index, and RFD set once and answers per-request
-//! imputation by *appending* the request tuples, running the shared
-//! per-cell loop ([`Renuver::impute_prepared`]) over just the appended
-//! rows, and rolling the appended state back — no clone of the reference
-//! relation, no rebuild of the distance structures.
+//! right shape for batch repair but wasteful for a caller that imputes
+//! against the same instance again and again. [`Engine`] owns the
+//! relation, oracle, index, and RFD set once, and both of its callers run
+//! the shared per-cell loop ([`Renuver::impute_prepared`]) on that state:
+//!
+//! - **Serving** answers per-request imputation by *appending* the
+//!   request tuples, imputing just the appended rows, and rolling the
+//!   appended state back ([`Engine::impute_batch`]) — no clone of the
+//!   reference relation, no rebuild of the distance structures.
+//! - **Threshold tuning** (`renuver_tune`) prepares one engine over the
+//!   masked relation per run. Each iteration swaps only the RFD set
+//!   ([`Engine::with_thresholds`]), imputes the relation's own holes in
+//!   place and puts every written cell back to null
+//!   ([`Engine::impute_and_restore`]), so a run builds its distances once
+//!   however many threshold vectors it scores.
 //!
 //! # Equivalence with the one-shot path
 //!
@@ -39,14 +48,13 @@
 //!   with it off.
 
 use renuver_budget::BudgetReport;
-use renuver_data::{Cell, DataError, Relation, Schema, Tuple};
+use renuver_data::{Cell, DataError, Relation, Schema, Tuple, Value};
 use renuver_distance::{DistanceOracle, SimilarityIndex, DEFAULT_DICT_CAP};
-use renuver_obs::FieldValue;
 use renuver_rfd::RfdSet;
 
-use crate::algorithm::{build_distance, Renuver};
+use crate::algorithm::{build_distance, start_run, Renuver};
 use crate::config::RenuverConfig;
-use crate::result::{CellExplain, CellOutcome, ImputationStats, ImputedCell};
+use crate::result::{CellExplain, CellOutcome, ImputationResult, ImputationStats, ImputedCell};
 
 /// A prepared imputation model: reference relation, distance oracle,
 /// similarity index, and RFD set, ready to answer
@@ -181,6 +189,53 @@ impl Engine {
         self.index.as_ref()
     }
 
+    /// The engine with its RFD set replaced by `sigma`. The relation,
+    /// oracle and index move over as they are: distances depend only on
+    /// the relation's values, never on thresholds, so the prepared
+    /// structures answer for any Σ over the same schema.
+    pub fn with_thresholds(self, sigma: RfdSet) -> Engine {
+        Engine { sigma, ..self }
+    }
+
+    /// Imputes the reference instance's own missing cells (rows
+    /// `0..donor_rows()`) with the engine's RFD set and configuration,
+    /// then puts every written cell back to null, so the engine is
+    /// exactly its prepared state again on return. This is how
+    /// `renuver_tune` scores many threshold vectors against one distance
+    /// build.
+    ///
+    /// The result equals [`Renuver::impute`]'s over the relation the
+    /// engine was prepared from (`==`, wherever that relation holds no
+    /// NaN): both run [`Renuver::impute_prepared`] over the same oracle
+    /// and index, built here once instead of per call. The restore is
+    /// exact because every written cell was null before the run. Setting
+    /// it back to [`Value::Null`] and re-interning it returns the oracle's
+    /// code to the null code and removes the index posting the write
+    /// added, keeping postings sorted. Imputation never grows a dictionary
+    /// or a matrix.
+    pub fn impute_and_restore(&mut self) -> ImputationResult {
+        let run_span = start_run(&self.renuver.config().tracer, &self.rel, &self.sigma);
+        let parts = self.renuver.impute_prepared(
+            &mut self.rel,
+            &mut self.oracle,
+            &mut self.index,
+            &self.sigma,
+            0..self.base_len,
+            &run_span,
+        );
+        drop(run_span);
+        let repaired = self.rel.clone();
+        for rec in &parts.imputed {
+            let Cell { row, col } = rec.cell;
+            self.rel.set_value(row, col, Value::Null);
+            self.oracle.update_cell(&self.rel, row, col);
+            if let Some(ix) = self.index.as_mut() {
+                ix.update_cell(&self.rel, row, col);
+            }
+        }
+        parts.into_result(repaired)
+    }
+
     /// Drops any transient (appended) rows, restoring the engine to its
     /// reference state. A no-op in normal operation — [`Engine::impute_batch`]
     /// always rolls back before returning — but a server recovering an
@@ -239,17 +294,7 @@ impl Engine {
 
         let runner = Renuver::new(config.clone());
         let row_range = base..self.rel.len();
-        let tracer = &runner.config().tracer;
-        let run_span = tracer.span("core::impute");
-        tracer.event("run_start", run_span.id(), || {
-            vec![
-                ("subject", FieldValue::Str("impute")),
-                ("rows", FieldValue::U64(self.rel.len() as u64)),
-                ("attrs", FieldValue::U64(self.rel.arity() as u64)),
-                ("missing", FieldValue::U64(self.rel.missing_count() as u64)),
-                ("rfds", FieldValue::U64(self.sigma.len() as u64)),
-            ]
-        });
+        let run_span = start_run(&runner.config().tracer, &self.rel, &self.sigma);
         let parts = runner.impute_prepared(
             &mut self.rel,
             &mut self.oracle,
@@ -361,6 +406,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AUTO_MIN_ROWS;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use renuver_data::{AttrType, Schema, Value};
     use renuver_rfd::{Constraint, Rfd};
 
@@ -527,5 +575,110 @@ mod tests {
             .impute_batch(vec![vec![Value::Text("Provo".into()), Value::Null]])
             .unwrap();
         assert_eq!(ok.tuples[0][1], Value::Text("84601".into()));
+    }
+
+    /// A seeded relation with planted dependencies (a name's base decides
+    /// its city and class), name variants one or two edits apart,
+    /// non-ASCII text, NaN floats, and about one null in eight cells.
+    fn seeded_relation(rows: usize, seed: u64) -> Relation {
+        const BASES: [&str; 5] = ["Granita", "Grañita", "Spago", "Ōsaka", "Café Bleu"];
+        const SUFFIXES: [&str; 4] = ["", "s", " 2", "é"];
+        const CITIES: [&str; 4] = ["Malibu", "Málibu", "Los Angeles", "Zürich"];
+        let schema = Schema::new([
+            ("Name", AttrType::Text),
+            ("City", AttrType::Text),
+            ("Class", AttrType::Int),
+            ("Score", AttrType::Float),
+        ])
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tuples = (0..rows)
+            .map(|_| {
+                let base = rng.random_range(0..BASES.len());
+                let city = base % CITIES.len();
+                let suffix = SUFFIXES[rng.random_range(0..SUFFIXES.len())];
+                let mut tuple = vec![
+                    Value::Text(format!("{}{suffix}", BASES[base])),
+                    Value::from(CITIES[city]),
+                    Value::Int(city as i64),
+                    if rng.random_bool(0.1) {
+                        Value::Float(f64::NAN)
+                    } else {
+                        Value::Float(rng.random_range(0..6i64) as f64 / 2.0)
+                    },
+                ];
+                for value in &mut tuple {
+                    if rng.random_bool(0.12) {
+                        *value = Value::Null;
+                    }
+                }
+                tuple
+            })
+            .collect();
+        Relation::new(schema, tuples).unwrap()
+    }
+
+    /// The RFD set of [`seeded_relation`] with `width` added to every LHS
+    /// threshold, as the tune loop widens it.
+    fn widened_sigma(width: f64) -> RfdSet {
+        let rfd = |lhs: &[(usize, f64)], rhs: (usize, f64)| {
+            Rfd::new(
+                lhs.iter().map(|&(a, t)| Constraint::new(a, t + width)).collect::<Vec<_>>(),
+                Constraint::new(rhs.0, rhs.1),
+            )
+        };
+        RfdSet::from_vec(vec![
+            rfd(&[(0, 0.0)], (1, 0.0)),
+            rfd(&[(1, 0.0)], (2, 0.0)),
+            rfd(&[(0, 1.0)], (2, 0.0)),
+            rfd(&[(1, 0.0), (2, 0.0)], (3, 0.5)),
+            rfd(&[(3, 0.0)], (2, 1.0)),
+        ])
+    }
+
+    /// Everything `ImputationResult`'s `==` compares, as `Debug` text:
+    /// the relations hold NaN, which `==` never equates with itself.
+    fn canon(r: &ImputationResult) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            r.relation, r.imputed, r.unimputed, r.outcomes, r.stats, r.trace, r.explains
+        )
+    }
+
+    #[test]
+    fn impute_and_restore_matches_one_shot_runs_and_restores_exactly() {
+        for (rows, seed) in [(60, 1), (AUTO_MIN_ROWS + 44, 2)] {
+            let masked = seeded_relation(rows, seed);
+            let config = RenuverConfig {
+                parallelism: 1,
+                trace: true,
+                explain: true,
+                ..RenuverConfig::default()
+            };
+            let fresh = Engine::prepare(masked.clone(), widened_sigma(0.0), config.clone());
+            assert_eq!(fresh.index().is_some(), rows >= AUTO_MIN_ROWS);
+            let oracle = fresh.oracle().to_snapshot();
+            let index = fresh.index().map(SimilarityIndex::to_snapshot);
+            let mut engine = fresh;
+            // Text cells written (and so restored) across the sequence.
+            let mut text_imputed = 0;
+            for width in [0.0, 1.0, 2.0, 0.0, 3.0] {
+                let sigma = widened_sigma(width);
+                engine = engine.with_thresholds(sigma.clone());
+                let got = engine.impute_and_restore();
+                let want = Renuver::new(config.clone()).impute(&masked, &sigma);
+                let case = format!("{rows} rows, width {width}");
+                assert_eq!(canon(&got), canon(&want), "{case}: result");
+                assert_eq!(format!("{:?}", engine.relation()), format!("{masked:?}"), "{case}");
+                assert_eq!(engine.oracle().to_snapshot(), oracle, "{case}: oracle");
+                assert_eq!(engine.index().map(SimilarityIndex::to_snapshot), index, "{case}");
+                text_imputed += got
+                    .imputed
+                    .iter()
+                    .filter(|rec| masked.schema().ty(rec.cell.col) == AttrType::Text)
+                    .count();
+            }
+            assert!(text_imputed > 0, "{rows} rows: no text cell was written, so none restored");
+        }
     }
 }

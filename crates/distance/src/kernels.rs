@@ -23,14 +23,18 @@
 //! equals the scalar two-row DP and [`MyersPattern::distance_bounded`]
 //! equals the banded Ukkonen kernel wherever that returns `Some` — which
 //! `tests/kernel_parity.rs` pins over the fuzz corpus. Dispatch between
-//! the scalar and bit-parallel kernels lives in
-//! [`crate::functions`]; the rule of thumb is in [`myers_wins`].
+//! the scalar and bit-parallel kernels for one-shot calls lives in
+//! [`crate::functions`]; the rule of thumb is in [`myers_wins`]. Matrix
+//! fills (the oracle's and discovery's) skip the dispatch: they build
+//! one [`MyersPattern`] per dictionary row and run it at every length.
 
 use std::collections::HashMap;
 
-/// Pattern length (in chars) below which the scalar kernels stay in
-/// charge: under half a word, building `Peq` costs about as much as the
-/// whole two-row DP.
+/// Pattern length (in chars) below which a *one-shot* call keeps the
+/// scalar kernels: under half a word, building `Peq` costs about as much
+/// as the whole two-row DP. A matrix fill is not one-shot — it builds one
+/// [`MyersPattern`] per dictionary row and amortizes `Peq` over the row,
+/// so it runs Myers at every length.
 pub const MYERS_MIN_CHARS: usize = 32;
 
 /// ASCII alphabet size for the dense `Peq` fast path.
@@ -41,9 +45,11 @@ const ASCII: usize = 128;
 /// keep table memory proportional to the pattern's own alphabet.
 const MAX_DENSE_BLOCKS: usize = 64;
 
-/// Decides whether the bit-parallel kernel should run for a pattern of
-/// `short_len` chars. `band` is the Ukkonen half-width (`max`) when the
-/// caller has a bound, `None` for an unbounded query.
+/// Decides whether the bit-parallel kernel should run for a one-shot
+/// query on a pattern of `short_len` chars, whose `Peq` build the query
+/// pays alone. `band` is the Ukkonen half-width (`max`) when the caller
+/// has a bound, `None` for an unbounded query. Fills that reuse one
+/// pattern across a dictionary row skip this rule.
 ///
 /// Unbounded queries always prefer Myers once the pattern clears
 /// [`MYERS_MIN_CHARS`]. Bounded queries keep the banded scalar kernel

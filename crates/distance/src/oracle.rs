@@ -17,8 +17,8 @@ use renuver_budget::Budget;
 use renuver_data::{AttrId, AttrType, Relation, Value};
 use renuver_obs::{Counter, FieldValue, Metrics, Tracer};
 
-use crate::functions::{lev_core, value_distance, value_distance_bounded};
-use crate::kernels;
+use crate::functions::{value_distance, value_distance_bounded};
+use crate::kernels::MyersPattern;
 
 /// The dictionary cap every production call site builds with: columns
 /// with more distinct values than this answer directly instead of paying
@@ -54,6 +54,16 @@ enum ColumnTable {
     },
     /// Text column whose dictionary exceeded the cap.
     Direct,
+}
+
+/// The matrix fill's kernel for one dictionary row: `value`'s Myers
+/// pattern, built once and run against every other value the row pairs
+/// with, so a comparison allocates nothing (for values of up to 256
+/// chars, whose column state fits on the stack). The empty value has no
+/// bit-vector; its distance to any text is the text's length.
+fn row_kernel(value: &[char]) -> impl Fn(&[char]) -> usize {
+    let pattern = (!value.is_empty()).then(|| MyersPattern::new(value));
+    move |other| pattern.as_ref().map_or(other.len(), |p| p.distance(other))
 }
 
 /// Per-row dictionary status of a matrix-encoded text column, as exposed
@@ -190,13 +200,11 @@ impl DistanceOracle {
                 if budget.check("distance::matrix_fill").is_err() {
                     return None;
                 }
-                // Long dictionary values run Myers' bit-parallel kernel
-                // with the Peq preprocessing amortized over the whole row
-                // of the matrix; short values keep the two-row DP. Both
-                // kernels are exact, so the matrix is bit-identical
-                // either way.
-                let pattern = (kernels::myers_wins(chars[a].len(), None))
-                    .then(|| kernels::MyersPattern::new(&chars[a]));
+                // Every row runs Myers' bit-parallel kernel, whatever the
+                // value's length, with the Peq preprocessing amortized
+                // over the row. The kernel is exact, so the matrix holds
+                // the same integers the scalar DP would.
+                let distance = row_kernel(&chars[a]);
                 let mut tail = Vec::with_capacity(k - a - 1);
                 for (off, b) in ((a + 1)..k).enumerate() {
                     if off % FILL_CHECK_STRIDE == FILL_CHECK_STRIDE - 1
@@ -204,11 +212,7 @@ impl DistanceOracle {
                     {
                         return None;
                     }
-                    let d = match &pattern {
-                        Some(p) => p.distance(&chars[b]),
-                        None => lev_core(&chars[a], &chars[b]),
-                    };
-                    tail.push(d as f32);
+                    tail.push(distance(&chars[b]) as f32);
                 }
                 Some(tail)
             });
@@ -424,9 +428,9 @@ impl DistanceOracle {
     ///   first-occurrence order — exactly the codes assigned here.
     /// - The grown matrix embeds the old `k × k` matrix in its top-left
     ///   corner (old pairs keep their distances) and fills the new
-    ///   row/column band with the same exact kernels the build uses;
-    ///   Levenshtein distances are integers, exact in `f32`, so kernel
-    ///   dispatch cannot perturb a bit.
+    ///   row/column band with the exact kernel the build uses;
+    ///   Levenshtein distances are integers, exact in `f32`, so the fill
+    ///   order cannot perturb a bit.
     /// - A rebuild degrades the column to [`ColumnTable::Direct`] when
     ///   the full dictionary exceeds `cap` or any value exceeds
     ///   [`MAX_MATRIX_VALUE_CHARS`]; the commit applies the same rules to
@@ -486,10 +490,10 @@ impl DistanceOracle {
             // `k` to `k2`, last row first: a row only ever moves to a
             // higher offset, past every row not yet moved. Then fill the
             // new band, whose entries and zero diagonal overwrite every
-            // slot the re-stride left stale. Both kernels are exact, so
-            // pairing each new value's pattern against every earlier
-            // value answers the same integers the build's upper-triangle
-            // fill would.
+            // slot the re-stride left stale. The band runs the build's
+            // row kernel, and edit distance is symmetric, so pairing each
+            // new value's pattern against every earlier value answers the
+            // same integers the build's upper-triangle fill would.
             let mut grown = std::mem::take(data);
             grown.resize(k2 * k2, 0.0);
             for a in (1..k).rev() {
@@ -497,13 +501,9 @@ impl DistanceOracle {
             }
             for b in k..k2 {
                 grown[b * k2 + b] = 0.0;
-                let pattern = (kernels::myers_wins(chars[b].len(), None))
-                    .then(|| kernels::MyersPattern::new(&chars[b]));
+                let distance = row_kernel(&chars[b]);
                 for (a, other) in chars.iter().enumerate().take(b) {
-                    let d = match &pattern {
-                        Some(p) => p.distance(other),
-                        None => lev_core(&chars[b], other),
-                    } as f32;
+                    let d = distance(other) as f32;
                     grown[a * k2 + b] = d;
                     grown[b * k2 + a] = d;
                 }
@@ -712,6 +712,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fill_matches_the_scalar_dp_at_every_length() {
+        // The empty value, short ASCII and non-ASCII values, and one past
+        // a 64-bit word: the row kernel runs Myers on every one of them,
+        // in the build's fill and in a commit's band.
+        let long = "Grill on the Alley ".repeat(4);
+        let values = ["", "a", "Granita", "Grañita", "αβγ", "Granita", long.as_str(), "ab"];
+        let schema = Schema::new([("Name", AttrType::Text)]).unwrap();
+        let rel = Relation::new(schema, values.iter().map(|&v| vec![v.into()]).collect()).unwrap();
+        let check = |oracle: &DistanceOracle| {
+            for (i, a) in values.iter().enumerate() {
+                for (j, b) in values.iter().enumerate() {
+                    let want = crate::functions::levenshtein_scalar(a, b) as f64;
+                    assert_eq!(oracle.distance(&rel, 0, i, j), Some(want), "{a:?} vs {b:?}");
+                }
+            }
+        };
+        check(&DistanceOracle::build(&rel, 1024));
+        let mut head = rel.clone();
+        head.truncate(3);
+        let mut oracle = DistanceOracle::build(&head, 1024);
+        for row in 3..rel.len() {
+            oracle.append_row(&rel, row);
+        }
+        oracle.commit_rows(&rel, 3, 1024);
+        check(&oracle);
     }
 
     #[test]

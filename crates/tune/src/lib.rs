@@ -7,7 +7,12 @@
 //!
 //! 1. **Mask** a seeded, stratified sample of known cells in every
 //!    attribute the RFD set can impute ([`mask::mask_sample`]).
-//! 2. **Impute** the masked relation with the current thresholds.
+//! 2. **Impute** the masked relation with the current thresholds. A run
+//!    builds its distances once: it prepares one
+//!    [`renuver_core::Engine`] over the masked relation, and each
+//!    iteration swaps in only the widened RFD set, imputes the masked
+//!    cells in place and puts them back to null. A width vector the run
+//!    has already scored is answered from a memo, without imputing.
 //! 3. **Score** the result against the hidden truth with `eval`'s
 //!    precision/recall machinery.
 //! 4. **Adjust**: per target attribute, widen the LHS thresholds of the
@@ -25,10 +30,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use renuver_budget::Budget;
-use renuver_core::{Renuver, RenuverConfig};
+use renuver_core::{Engine, RenuverConfig};
 use renuver_data::{AttrId, Relation};
 use renuver_eval::{evaluate, GroundTruth, Scores, WorkMetrics};
 use renuver_obs::{FieldValue, Tracer};
@@ -64,12 +69,13 @@ pub struct TuneConfig {
     /// Precision floor: an attribute imputing below it gets tightened
     /// and frozen (no further widening) to prevent oscillation.
     pub min_precision: f64,
-    /// Worker threads for each imputation run (`0` = all cores). The
-    /// tuned thresholds are identical for every setting.
+    /// Worker threads for the run's one distance build (`0` = all
+    /// cores); the per-cell loop is sequential. The tuned thresholds are
+    /// identical for every setting.
     pub parallelism: usize,
     /// Execution budget; checked before every iteration and polled
-    /// inside every imputation run. Cancel it to stop a tune mid-run
-    /// with a partial report.
+    /// inside the distance build and every imputation run. Cancel it to
+    /// stop a tune mid-run with a partial report.
     pub budget: Budget,
     /// Structured tracer: emits `tune_start` / `tune_iter` / `tune_end`.
     pub tracer: Tracer,
@@ -161,7 +167,25 @@ fn attr_scores(rel: &Relation, truth: &GroundTruth, rules: &RuleSet, attr: AttrI
     Scores::from_counts(missing, imputed, correct)
 }
 
+/// What one imputation run measured: everything a later iteration on
+/// the same widths needs, so a revisit is answered without imputing.
+#[derive(Clone)]
+struct Scored {
+    scores: Scores,
+    work: WorkMetrics,
+    /// Held-out scores per target attribute, in `targets` order.
+    per_attr: Vec<Scores>,
+}
+
 /// Runs the tune loop over `rel` with `rfds` as the starting thresholds.
+///
+/// The run prepares one [`Engine`] over the masked relation — one
+/// distance build, after the first budget checkpoint passes — and each
+/// iteration swaps in only the widened RFD set and imputes the masked
+/// cells in place ([`Engine::impute_and_restore`]). Distances depend on
+/// values, never on thresholds, so every iteration answers exactly what
+/// [`renuver_core::Renuver::impute`] would on the masked relation. A
+/// width vector the run has already scored is answered from a memo.
 ///
 /// The returned report always reflects the iterations that actually ran;
 /// when the budget trips or the run is cancelled, `partial` is set and
@@ -195,7 +219,12 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
     let mut baseline = Scores::default();
     let mut best: Option<(f64, usize)> = None;
     let mut best_widths = widths.clone();
-    let mut scored: Vec<BTreeMap<AttrId, f64>> = Vec::new();
+    // Every width vector scored so far, with what it scored. A run that
+    // tripped the budget is never stored: the loop ends there.
+    let mut memo: Vec<(BTreeMap<AttrId, f64>, Scored)> = Vec::new();
+    let mut masked = Some(masked);
+    let mut engine: Option<Engine> = None;
+    let mut prepare = Duration::ZERO;
     let mut stop = if truth.is_empty() { StopReason::Converged } else { StopReason::MaxIters };
 
     for iter in 0..cfg.max_iters {
@@ -210,19 +239,47 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
             };
             break;
         }
-        let revisited = scored.contains(&widths);
-        scored.push(widths.clone());
-        let effective = widened(rfds, &widths);
-        let engine_cfg = RenuverConfig {
-            budget: cfg.budget.clone(),
-            parallelism: cfg.parallelism,
-            ..RenuverConfig::default()
-        };
+        // The run's one distance build, after the first checkpoint
+        // passed: a run cancelled before it starts builds nothing.
+        if let Some(masked) = masked.take() {
+            let started = Instant::now();
+            let engine_cfg = RenuverConfig {
+                budget: cfg.budget.clone(),
+                parallelism: cfg.parallelism,
+                ..RenuverConfig::default()
+            };
+            engine = Some(Engine::prepare(masked, rfds.clone(), engine_cfg));
+            prepare = started.elapsed();
+        }
         let started = Instant::now();
-        let result = Renuver::new(engine_cfg).impute(&masked, &effective);
+        let memoized = memo.iter().find(|(w, _)| *w == widths).map(|(_, run)| run.clone());
+        let revisited = memoized.is_some();
+        let (run, tripped) = match memoized {
+            Some(run) => (run, false),
+            None => {
+                let mut prepared = engine
+                    .take()
+                    .expect("the engine is prepared before the first iteration")
+                    .with_thresholds(widened(rfds, &widths));
+                let result = prepared.impute_and_restore();
+                engine = Some(prepared);
+                let tripped = result.budget.tripped.is_some();
+                let run = Scored {
+                    scores: evaluate(&result.relation, &truth, &cfg.rules),
+                    work: WorkMetrics::from_stats(&result.stats, result.budget.phases.clone()),
+                    per_attr: targets
+                        .iter()
+                        .map(|&attr| attr_scores(&result.relation, &truth, &cfg.rules, attr))
+                        .collect(),
+                };
+                if !tripped {
+                    memo.push((widths.clone(), run.clone()));
+                }
+                (run, tripped)
+            }
+        };
         let elapsed = started.elapsed();
-        let scores = evaluate(&result.relation, &truth, &cfg.rules);
-        let work = WorkMetrics::from_stats(&result.stats, result.budget.phases.clone());
+        let Scored { scores, work, per_attr } = run;
         let diff = prev_work.as_ref().map(|p| work.diff(p)).unwrap_or_default();
         if iter == 0 {
             baseline = scores;
@@ -234,11 +291,9 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
 
         // Decide the next moves from this iteration's per-attribute
         // scores — unless the loop is done here.
-        let tripped = result.budget.tripped.is_some();
         let mut moves: Vec<ThresholdMove> = Vec::new();
         if scores.f1 < cfg.target_f1 && !tripped {
-            for &attr in &targets {
-                let s = attr_scores(&result.relation, &truth, &cfg.rules, attr);
+            for (&attr, s) in targets.iter().zip(&per_attr) {
                 let w = widths[&attr];
                 if s.imputed > 0 && s.precision < cfg.min_precision && w > 0.0 {
                     // Precision bleeding: step back and freeze the
@@ -310,6 +365,7 @@ pub fn tune(rel: &Relation, rfds: &RfdSet, cfg: &TuneConfig) -> TuneReport {
     TuneReport {
         seed: cfg.seed,
         masked: truth.len(),
+        prepare,
         baseline,
         best_f1,
         best_iter,

@@ -69,8 +69,9 @@ pub struct TuneIteration {
     /// Threshold moves chosen *after* scoring this iteration (empty when
     /// the loop stopped here).
     pub moves: Vec<ThresholdMove>,
-    /// Wall time of the iteration (reporting only; never a decision
-    /// input).
+    /// Wall time of the iteration, excluding the run's one distance
+    /// build ([`TuneReport::prepare`]); a revisit answered from the memo
+    /// takes only the lookup. Reporting only, never a decision input.
     pub elapsed: Duration,
 }
 
@@ -81,6 +82,9 @@ pub struct TuneReport {
     pub seed: u64,
     /// Held-out cells masked.
     pub masked: usize,
+    /// Wall time of the run's one distance build over the masked
+    /// relation (zero when no iteration ran). Reporting only.
+    pub prepare: Duration,
     /// Scores of the unmodified discovery thresholds (iteration 0).
     pub baseline: Scores,
     /// Best held-out F1 reached.
@@ -197,6 +201,7 @@ mod tests {
         let report = TuneReport {
             seed: 42,
             masked: 6,
+            prepare: Duration::from_micros(800),
             baseline: Scores::from_counts(6, 2, 1),
             best_f1: 0.9,
             best_iter: 2,

@@ -57,7 +57,7 @@ fn twin_engine(pairs: usize) -> Engine {
 }
 
 /// Slow fixture: names are pairwise far apart (distance >= 4), so a
-/// tune run at a tiny `step` widens for hundreds of iterations without
+/// tune run at a tiny `step` widens for thousands of iterations without
 /// ever reaching its target — a long-running job we can cancel or
 /// drain mid-flight with no timing luck involved.
 fn slow_engine() -> Engine {
@@ -74,7 +74,7 @@ fn slow_engine() -> Engine {
     Engine::prepare(rel, rfds, RenuverConfig::default())
 }
 
-const SLOW_BODY: &str = r#"{"seed": 1, "rate": 0.5, "max_iters": 500, "step": 0.01}"#;
+const SLOW_BODY: &str = r#"{"seed": 1, "rate": 0.5, "max_iters": 3000, "step": 0.001}"#;
 
 // ------------------------------------------------------------- harness
 
@@ -474,8 +474,10 @@ fn ingest_during_an_installing_tune_is_kept() {
     let info = info(registry.schema());
     let (addr, ctx, stop, handle) = serve(Ctx::new_sharded(registry, info, None, 60_000));
 
-    // About 300 × 7 ms: the job is still running when the ingest lands.
-    let body = r#"{"seed": 1, "rate": 0.5, "max_iters": 300, "step": 0.01, "install": true}"#;
+    // About 3,000 × 0.8 ms: the job is still running when the ingest
+    // lands. Widths stay below the names' distance of 4, so it never
+    // converges early.
+    let body = r#"{"seed": 1, "rate": 0.5, "max_iters": 3000, "step": 0.001, "install": true}"#;
     let (status, rest) = request(addr, &post("/v1/tune", body));
     assert_eq!(status, 202, "{rest}");
     let id = submitted_id(&rest);
