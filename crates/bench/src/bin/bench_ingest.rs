@@ -21,10 +21,10 @@
 //!    on.
 
 use std::path::Path;
-use std::time::Instant;
 
 use renuver_bench::{
-    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+    available_cores, median, median_ms, out_path, quick_mode, synthetic_shops, time_ms,
+    write_bench_json,
 };
 use renuver_core::{Engine, RenuverConfig};
 use renuver_data::{Relation, Tuple};
@@ -64,16 +64,13 @@ fn open(model: &Path, config: &RenuverConfig) -> (Registry, ShardRecovery) {
 /// Median milliseconds of `timed` over `runs`, each run on fresh state
 /// from the untimed `setup`.
 fn median_timed<S>(runs: usize, mut setup: impl FnMut() -> S, mut timed: impl FnMut(S)) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
+    let samples = (0..runs)
         .map(|_| {
             let state = setup();
-            let start = Instant::now();
-            timed(state);
-            start.elapsed().as_secs_f64() * 1e3
+            time_ms(|| timed(state))
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(samples)
 }
 
 fn main() {

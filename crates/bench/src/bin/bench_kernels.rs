@@ -1,10 +1,9 @@
-//! Measures what the Myers bit-parallel kernel and the batch-verification
-//! cache buy over the scalar DP and the per-cell scans, and writes the
-//! results to `BENCH_kernels.json`.
+//! Measures what the Myers bit-parallel kernel buys over the scalar DP,
+//! and writes the results to `BENCH_kernels.json`.
 //!
 //! Run with `cargo run -p renuver-bench --release --bin bench_kernels`
 //! (`--quick` shrinks sample counts, `--out <path>` overrides the output
-//! file). Three layers are measured, innermost out:
+//! file). Two layers are measured, innermost out:
 //!
 //! * **kernel** — `levenshtein_scalar` (the O(n·m) row DP) vs
 //!   `myers_levenshtein` (O(⌈m/64⌉·n) bit-vectors) on string pairs of
@@ -13,24 +12,17 @@
 //! * **oracle matrix fill** — the k×k dictionary matrix that dominates
 //!   pre-processing, its upper triangle hand-filled with the scalar
 //!   kernel vs a one-thread oracle build, which runs one Myers pattern
-//!   per dictionary row. Two dictionaries: the long-text names the
-//!   end-to-end fixture uses (40–64 chars), and Restaurant's names
-//!   (`oracle_matrix_fill_short`), every one shorter than the 32 chars at
-//!   which a one-shot call would switch to Myers.
-//! * **impute_end_to_end** — a full run on a long-text relation with
-//!   `batch_verify` off vs on (both single-threaded, both through the
-//!   Myers-routed oracle), isolating what signature-sharing saves. The
-//!   two runs are asserted identical — the speedup may never come from
-//!   changed decisions.
+//!   per dictionary row. Two dictionaries: 100 random names of 64 chars,
+//!   and Restaurant's names (`oracle_matrix_fill_short`), every one
+//!   shorter than the 32 chars at which a one-shot call would switch to
+//!   Myers.
 
 use renuver_bench::{available_cores, median_ms, out_path, quick_mode, write_bench_json};
-use renuver_core::{Renuver, RenuverConfig};
 use renuver_data::{AttrType, Relation, Schema, Value};
 use renuver_datasets::restaurant;
 use renuver_distance::{levenshtein_scalar, myers_levenshtein, DistanceOracle};
 use renuver_distance::functions::levenshtein_bounded_scalar;
 use renuver_distance::levenshtein_bounded;
-use renuver_rfd::RfdSet;
 
 /// Deterministic 64-bit LCG — the bench must not depend on a seeded run
 /// of the `rand` crate, and the pairs must be identical across machines.
@@ -92,38 +84,17 @@ fn measure_kernel(
     })
 }
 
-/// Long-text relation: 12 cities and 100 shop names of 40–64 chars, so
-/// every distance the oracle computes goes through the multi-block Myers
-/// path, and missing cells share `City` signatures heavily (the regime
-/// the batch-verification cache serves).
-fn long_text_relation(n: usize) -> Relation {
+/// A one-column `Name` relation over `names`.
+fn names_relation(names: impl Iterator<Item = Value>) -> Relation {
+    let schema = Schema::new([("Name", AttrType::Text)]).unwrap();
+    Relation::new(schema, names.map(|v| vec![v]).collect()).unwrap()
+}
+
+/// `n` rows cycling through 100 random names of 64 chars.
+fn long_text_names(n: usize) -> Relation {
     let mut rng = Lcg(7);
-    let cities: Vec<String> = (0..12).map(|_| random_string(&mut rng, 48)).collect();
-    let zips: Vec<String> = (0..12).map(|_| random_string(&mut rng, 40)).collect();
     let names: Vec<String> = (0..100).map(|_| random_string(&mut rng, 64)).collect();
-    let schema = Schema::new([
-        ("Name", AttrType::Text),
-        ("City", AttrType::Text),
-        ("Zip", AttrType::Text),
-        ("Class", AttrType::Int),
-    ])
-    .unwrap();
-    let rows: Vec<Vec<Value>> = (0..n)
-        .map(|i| {
-            let c = i % 12;
-            // Holes concentrate on Zip and Class — the columns the RFD
-            // set can impute — at a combined ~3% of cells, so missing
-            // cells share LHS signatures the way dirty real data does
-            // (the same broken extractor hits the same column).
-            vec![
-                Value::from(names[i % 100].as_str()),
-                Value::from(cities[c].as_str()),
-                if i % 8 == 7 { Value::Null } else { Value::from(zips[c].as_str()) },
-                if i % 8 == 3 { Value::Null } else { Value::Int((i % 9) as i64) },
-            ]
-        })
-        .collect();
-    Relation::new(schema, rows).unwrap()
+    names_relation((0..n).map(|i| Value::from(names[i % 100].as_str())))
 }
 
 /// The oracle's matrix fill of `rel`'s first column against the same
@@ -220,39 +191,10 @@ fn main() {
 
     // ---- oracle dictionary-matrix fill --------------------------------
     let n = if quick_mode() { 4_000 } else { 20_000 };
-    let incomplete = long_text_relation(n);
-    let long_fill = measure_fill(runs, &incomplete);
+    let long_fill = measure_fill(runs, &long_text_names(n));
     let restaurants = restaurant::generate_n(restaurant::TUPLES, 42);
-    let names = Relation::new(
-        Schema::new([("Name", AttrType::Text)]).unwrap(),
-        restaurants.tuples().map(|t| vec![t[0].clone()]).collect(),
-    )
-    .unwrap();
-    let short_fill = measure_fill(runs, &names);
-
-    // ---- end-to-end: batch verification off vs on ---------------------
-    let sigma = RfdSet::from_text(
-        "City(<=2) -> Zip(<=2)\n\
-         Zip(<=2) -> City(<=4)\n\
-         Name(<=6) -> City(<=8)\n\
-         Zip(<=2) -> Class(<=8)",
-        incomplete.schema(),
-    )
-    .unwrap();
-    let engine = |batch: bool| {
-        Renuver::new(RenuverConfig {
-            parallelism: 1,
-            batch_verify: batch,
-            ..RenuverConfig::default()
-        })
-    };
-    let impute_unbatched = median_ms(runs, || drop(engine(false).impute(&incomplete, &sigma)));
-    let impute_batched = median_ms(runs, || drop(engine(true).impute(&incomplete, &sigma)));
-    assert_eq!(
-        engine(false).impute(&incomplete, &sigma),
-        engine(true).impute(&incomplete, &sigma),
-        "batched and unbatched runs diverged"
-    );
+    let short_fill =
+        measure_fill(runs, &names_relation(restaurants.tuples().map(|t| t[0].clone())));
 
     let json = format!(
         "{{\n  \
@@ -263,14 +205,8 @@ fn main() {
          {kernel_json}\
          {bounded_json}  }},\n  \
          \"oracle_matrix_fill\": {long_fill},\n  \
-         \"oracle_matrix_fill_short\": {short_fill},\n  \
-         \"impute_end_to_end\": {{\n    \
-         \"rows\": {n},\n    \
-         \"unbatched_ms\": {impute_unbatched:.3},\n    \
-         \"batched_ms\": {impute_batched:.3},\n    \
-         \"speedup\": {:.3}\n  }}\n}}\n",
+         \"oracle_matrix_fill_short\": {short_fill}\n}}\n",
         available_cores(),
-        impute_unbatched / impute_batched,
     );
 
     write_bench_json(&out_path("BENCH_kernels.json"), &json);

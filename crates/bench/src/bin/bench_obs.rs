@@ -14,11 +14,16 @@
 //!   most a few percent; `overhead_pct` records the measured figure and
 //!   the budget in DESIGN.md is 5%.
 //!
+//! Plain and traced runs are timed in interleaved pairs, alternating which
+//! of the two goes first, so host drift over the measurement lands on
+//! both sides alike. `overhead_pct` is the median of the per-pair
+//! overheads; both per-side medians are reported next to it.
+//!
 //! The binary also asserts the traced run's decisions are bit-identical to
 //! the plain run's — tracing observes the pipeline, it never steers it.
 
 use renuver_bench::{
-    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+    available_cores, median, out_path, quick_mode, synthetic_shops, time_ms, write_bench_json,
 };
 use renuver_core::{Renuver, RenuverConfig};
 use renuver_eval::inject;
@@ -27,7 +32,7 @@ use renuver_rfd::RfdSet;
 
 fn main() {
     let cores = available_cores();
-    let runs = if quick_mode() { 3 } else { 7 };
+    let pairs = if quick_mode() { 3 } else { 15 };
     let n = if quick_mode() { 1_000 } else { 5_000 };
     let rel = synthetic_shops(n);
     // The tight-threshold set of `bench_index`: the discovery-realistic
@@ -47,13 +52,26 @@ fn main() {
     let engine = |tracer: Tracer| {
         Renuver::new(RenuverConfig { parallelism: 1, tracer, ..RenuverConfig::default() })
     };
-
-    let plain_ms =
-        median_ms(runs, || drop(engine(Tracer::disabled()).impute(&incomplete, &sigma)));
+    let plain_run = || drop(engine(Tracer::disabled()).impute(&incomplete, &sigma));
     // A fresh tracer per run: an accumulating buffer would make later
     // samples pay for earlier runs' records.
-    let traced_ms =
-        median_ms(runs, || drop(engine(Tracer::enabled()).impute(&incomplete, &sigma)));
+    let traced_run = || drop(engine(Tracer::enabled()).impute(&incomplete, &sigma));
+
+    let (mut plain, mut traced, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (p, t) = if pair % 2 == 0 {
+            let p = time_ms(plain_run);
+            (p, time_ms(traced_run))
+        } else {
+            let t = time_ms(traced_run);
+            (time_ms(plain_run), t)
+        };
+        plain.push(p);
+        traced.push(t);
+        overhead.push((t - p) / p * 100.0);
+    }
+    let (plain_ms, traced_ms) = (median(plain), median(traced));
+    let overhead_pct = median(overhead);
 
     // Correctness cross-check: tracing never changes a decision.
     let tracer = Tracer::enabled();
@@ -62,11 +80,10 @@ fn main() {
     assert_eq!(traced, plain, "tracing changed the run's decisions");
     let records = tracer.records().len();
 
-    let overhead_pct = (traced_ms - plain_ms) / plain_ms * 100.0;
     let json = format!(
         "{{\n  \
          \"machine_cores\": {cores},\n  \
-         \"runs_per_measurement\": {runs},\n  \
+         \"pairs\": {pairs},\n  \
          \"rows\": {n},\n  \
          \"missing_cells\": {missing},\n  \
          \"trace_records\": {records},\n  \

@@ -162,13 +162,18 @@ fn git_revision() -> String {
 /// Median wall-clock milliseconds over `runs` executions (the first-run
 /// warm-up is included in the sample set; the median is robust to it).
 pub fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    median((0..runs).map(|_| time_ms(&mut f)).collect())
+}
+
+/// Wall-clock milliseconds of one call of `f`.
+pub fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = std::time::Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The upper median of `samples` (non-empty).
+pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }

@@ -7,9 +7,10 @@ use renuver_obs::{Counter, Field, FieldValue, Histogram, Span, Tracer};
 use renuver_rfd::check::stays_key_after_update_with_index;
 use renuver_rfd::{Rfd, RfdSet};
 
-use crate::batch::CellCache;
 use crate::candidates::{find_candidate_tuples_with, sort_candidates};
-use crate::config::{ClusterOrder, ImputationOrder, IndexMode, RenuverConfig, AUTO_MIN_ROWS};
+use crate::config::{
+    ClusterOrder, ImputationOrder, IndexMode, RenuverConfig, AUTO_MIN_ROWS, DEGRADE_AT,
+};
 use crate::result::{
     CellExplain, CellOutcome, DryReason, ExplainWinner, ImputationResult, ImputationStats,
     ImputedCell, TraceEvent,
@@ -303,14 +304,10 @@ impl Renuver {
         // Rows imputed in this run — the witness neighborhood the degraded
         // verification rung restricts itself to.
         let mut touched: Vec<usize> = Vec::new();
-        // Batch verification: witness and candidate scans shared between
-        // cells with the same imputed attribute and LHS signature (see
-        // `crate::batch`). Decisions are identical with the cache off.
-        let mut cache = CellCache::new(self.config.batch_verify, sigma, rel.arity());
 
         // Imputation (lines 11-14): visit missing cells in the configured
         // order (paper default: tuple by tuple, attributes within). The
-        // budget ladder per cell: full verify → (pressure ≥ degrade_at)
+        // budget ladder per cell: full verify → (pressure ≥ DEGRADE_AT)
         // changed-cell neighborhood verify → (tripped) skip the rest.
         let cells_span = run_span.child("core::impute_cells");
         let cells = self.ordered_cells(rel, &incomplete);
@@ -360,8 +357,7 @@ impl Renuver {
                 }
                 // The intermediate rung: close to the limit, verify only
                 // against rows changed this run and stop re-examining keys.
-                let degraded =
-                    budget.is_limited() && budget.pressure() >= self.config.degrade_at;
+                let degraded = budget.is_limited() && budget.pressure() >= DEGRADE_AT;
                 if self.config.trace {
                     trace.push(TraceEvent::CellStarted { cell });
                 }
@@ -391,7 +387,6 @@ impl Renuver {
                     explain_on,
                     &mut stats,
                     &mut trace,
-                    &mut cache,
                 );
                 if let Some(cm) = &metrics {
                     cm.candidates_per_cell.observe(candidates as u64);
@@ -402,7 +397,6 @@ impl Renuver {
                         if let Some(ix) = index.as_mut() {
                             ix.update_cell(rel, row, attr);
                         }
-                        cache.note_write(row, attr);
                         if self.config.trace {
                             trace.push(TraceEvent::Imputed {
                                 cell: cell_rec.cell,
@@ -419,7 +413,6 @@ impl Renuver {
                         // a usable one; only pairs involving `row` changed.
                         // The degraded rung skips this O(n·|keys|) scan.
                         if !self.config.skip_key_reevaluation && !degraded {
-                            let reactivated_before = stats.keys_reactivated;
                             dormant_keys.retain(|&k| {
                                 if stays_key_after_update_with_index(
                                     oracle,
@@ -435,11 +428,6 @@ impl Renuver {
                                     false
                                 }
                             });
-                            if stats.keys_reactivated != reactivated_before {
-                                // Σ' grew: cluster composition (and thus
-                                // cached candidate lists) may change.
-                                cache.bump_active();
-                            }
                         }
                         CellOutcome::Imputed
                     }
@@ -493,8 +481,6 @@ impl Renuver {
             m.counter("core.verification_failures")
                 .add(stats.verification_failures as u64);
             m.counter("core.keys_reactivated").add(stats.keys_reactivated as u64);
-            m.counter("core.batch_plans_built").add(cache.plans_built());
-            m.counter("core.batch_plans_reused").add(cache.plans_reused());
         }
         let mut report = budget.report();
         if tracer.is_enabled() {
@@ -582,7 +568,6 @@ impl Renuver {
         explain_on: bool,
         stats: &mut ImputationStats,
         trace: &mut Vec<TraceEvent>,
-        cache: &mut CellCache,
     ) -> CellAttempt {
         // RFD selection (Algorithm 1 lines 8-9), restricted to the active
         // Σ'. Clusters hold sigma indices (so explain records can name the
@@ -628,54 +613,16 @@ impl Renuver {
         // scan to the rows this run already changed — a deliberate
         // weakening (violations against untouched rows go unseen) traded
         // for finishing more cells before the budget's hard stop.
-        // The batch cache shares the plan's witness scans (and the cluster
-        // loop's candidate scans below) between same-signature cells; the
-        // degraded rung bypasses it — restricted witness lists depend on
-        // the changed-rows set, not the signature.
-        let cache_key = match restrict {
-            None => cache.key_for(rel, row, attr),
-            Some(_) => None,
-        };
-        let plan = match (&cache_key, restrict) {
-            (Some(key), _) => cache.plan_for(
-                key,
-                oracle,
-                index,
-                rel,
-                row,
-                attr,
-                sigma,
-                self.config.verify_scope,
-            ),
-            (None, Some(rows)) => VerifyPlan::build_over(
-                oracle,
-                rel,
-                row,
-                attr,
-                sigma.iter(),
-                self.config.verify_scope,
-                rows,
-            ),
-            (None, None) => VerifyPlan::build_with(
-                oracle,
-                index,
-                rel,
-                row,
-                attr,
-                sigma.iter(),
-                self.config.verify_scope,
-            ),
+        let scope = self.config.verify_scope;
+        let plan = match restrict {
+            Some(rows) => VerifyPlan::build_over(oracle, rel, row, attr, sigma.iter(), scope, rows),
+            None => VerifyPlan::build_with(oracle, index, rel, row, attr, sigma.iter(), scope),
         };
 
-        for (cluster_idx, (cluster_threshold, members)) in clusters.iter().enumerate() {
+        for (cluster_threshold, members) in &clusters {
             stats.clusters_visited += 1;
             let rfds: Vec<&Rfd> = members.iter().map(|&i| sigma.get(i)).collect();
-            let mut candidates = match &cache_key {
-                Some(key) => cache.cluster_candidates(
-                    key, cluster_idx, members, oracle, index, rel, row, attr, &rfds,
-                ),
-                None => find_candidate_tuples_with(oracle, index, rel, row, attr, &rfds),
-            };
+            let mut candidates = find_candidate_tuples_with(oracle, index, rel, row, attr, &rfds);
             stats.candidates_scored += candidates.len();
             attempt.candidates += candidates.len();
             if self.config.trace {
@@ -1462,10 +1409,11 @@ mod tests {
 
     #[test]
     fn degraded_mode_still_imputes() {
-        // degrade_at = 0.0 forces the changed-cell-neighborhood rung for
-        // every cell of a limited (but never-tripping) run. The doc example
-        // still fills its cell: restricted verification only weakens
-        // rejection, never acceptance.
+        // A manual clock 95 s into a 100 s deadline holds the budget at
+        // pressure 0.95 ≥ DEGRADE_AT without tripping, so every cell takes
+        // the changed-cell-neighborhood rung. The doc example still fills
+        // its cell: restricted verification only weakens rejection, never
+        // acceptance.
         let schema =
             Schema::new([("City", AttrType::Text), ("Zip", AttrType::Text)]).unwrap();
         let rel = Relation::new(
@@ -1480,14 +1428,23 @@ mod tests {
             vec![Constraint::new(0, 0.0)],
             Constraint::new(1, 0.0),
         )]);
+        let clock = renuver_budget::ManualClock::new();
+        clock.advance(std::time::Duration::from_secs(95));
+        let tracer = renuver_obs::Tracer::enabled();
         let cfg = RenuverConfig {
-            budget: renuver_budget::Budget::unlimited().with_ops_limit(1_000_000),
-            degrade_at: 0.0,
+            budget: renuver_budget::Budget::unlimited()
+                .with_deadline(std::time::Duration::from_secs(100))
+                .with_manual_clock(clock),
             parallelism: 1,
+            tracer: tracer.clone(),
             ..RenuverConfig::default()
         };
         let result = Renuver::new(cfg).impute(&rel, &rfds);
         assert_eq!(result.relation.value(1, 1), &Value::Text("84084".into()));
         assert_eq!(result.stats.imputed, 1);
+        assert!(result.budget.tripped.is_none());
+        let m = tracer.metrics();
+        assert_eq!(m.counter("core.verify_changed_rows").get(), 1);
+        assert_eq!(m.counter("core.verify_full").get(), 0);
     }
 }

@@ -84,61 +84,29 @@ pub fn find_candidate_tuples_with(
     cluster: &[&Rfd],
 ) -> Vec<Candidate> {
     let m = rel.arity();
-    let scorer = ClusterScorer::new(m, cluster);
-    // One reusable distance buffer for the whole scan.
-    let mut dist_buf: Vec<Option<f64>> = vec![None; m];
-    let score = |j: usize| scorer.score(oracle, rel, row, attr, j, &mut dist_buf);
-    match index.and_then(|ix| index_candidate_rows(ix, rel, row, cluster)) {
-        Some(rows) => rows.into_iter().filter_map(score).collect(),
-        None => (0..rel.len()).filter_map(score).collect(),
-    }
-}
-
-/// The per-donor scoring core of FIND_CANDIDATE_TUPLES, split out so the
-/// batch-verification cache can re-score a *single* donor row (a row
-/// written since a cached list was computed) with exactly the arithmetic
-/// the full scan uses.
-pub(crate) struct ClusterScorer<'c> {
-    cluster: &'c [&'c Rfd],
-    /// Largest threshold each attribute is compared against in this
-    /// cluster; distances above it are never needed exactly.
-    max_thr: Vec<Option<f64>>,
-}
-
-impl<'c> ClusterScorer<'c> {
-    pub(crate) fn new(arity: usize, cluster: &'c [&'c Rfd]) -> ClusterScorer<'c> {
-        let mut max_thr: Vec<Option<f64>> = vec![None; arity];
-        for rfd in cluster {
-            for c in rfd.lhs() {
-                let slot = &mut max_thr[c.attr];
-                *slot = Some(slot.map_or(c.threshold, |t: f64| t.max(c.threshold)));
-            }
+    // Largest threshold each attribute is compared against in this
+    // cluster; distances above it are never needed exactly.
+    let mut max_thr: Vec<Option<f64>> = vec![None; m];
+    for rfd in cluster {
+        for c in rfd.lhs() {
+            let slot = &mut max_thr[c.attr];
+            *slot = Some(slot.map_or(c.threshold, |t: f64| t.max(c.threshold)));
         }
-        ClusterScorer { cluster, max_thr }
     }
-
-    /// Scores donor row `j` for the cell `(row, attr)`, filling `dist_buf`
-    /// (of length `rel.arity()`) with the partial distance pattern over
-    /// the attributes this cluster uses (`None` = missing value on either
-    /// side, or beyond every threshold).
-    pub(crate) fn score(
-        &self,
-        oracle: &DistanceOracle,
-        rel: &Relation,
-        row: usize,
-        attr: AttrId,
-        j: usize,
-        dist_buf: &mut [Option<f64>],
-    ) -> Option<Candidate> {
+    // One reusable distance buffer for the whole scan: the partial distance
+    // pattern over the attributes this cluster uses (`None` = missing value
+    // on either side, or beyond every threshold).
+    let mut dist_buf: Vec<Option<f64>> = vec![None; m];
+    let score = |j: usize| {
         if j == row || rel.is_missing(j, attr) {
             return None;
         }
         for (a, slot) in dist_buf.iter_mut().enumerate() {
-            *slot = self.max_thr[a].and_then(|thr| oracle.distance_bounded(rel, a, row, j, thr));
+            *slot = max_thr[a].and_then(|thr| oracle.distance_bounded(rel, a, row, j, thr));
         }
         let mut dist_min = f64::INFINITY;
         let mut via = 0usize;
-        for (idx, rfd) in self.cluster.iter().enumerate() {
+        for (idx, rfd) in cluster.iter().enumerate() {
             let lhs = rfd.lhs();
             let satisfied =
                 lhs.iter().all(|c| matches!(dist_buf[c.attr], Some(d) if d <= c.threshold));
@@ -152,6 +120,10 @@ impl<'c> ClusterScorer<'c> {
             }
         }
         dist_min.is_finite().then_some(Candidate { row: j, distance: dist_min, via })
+    };
+    match index.and_then(|ix| index_candidate_rows(ix, rel, row, cluster)) {
+        Some(rows) => rows.into_iter().filter_map(score).collect(),
+        None => (0..rel.len()).filter_map(score).collect(),
     }
 }
 

@@ -86,6 +86,13 @@ pub enum IndexMode {
 /// costs more than it saves.
 pub const AUTO_MIN_ROWS: usize = 256;
 
+/// Budget-pressure fraction (see [`Budget::pressure`]) at which the engine
+/// drops from full verification to the changed-cell neighborhood check
+/// ([`crate::verify::VerifyPlan::build_over`]): the last tenth of a
+/// limited budget is spent in the cheap mode, to fill more cells before
+/// the hard stop.
+pub(crate) const DEGRADE_AT: f64 = 0.9;
+
 /// Which missing cells get a [`crate::result::CellExplain`] record (and a
 /// `cell` trace event). On very wide runs the per-cell events dominate the
 /// trace; sampling keeps traced runs small without touching any
@@ -157,16 +164,8 @@ pub struct RenuverConfig {
     /// inside the hot scans (oracle build, key partitioning). The default
     /// budget is unlimited; with a limit set the run degrades instead of
     /// overrunning — see [`crate::result::CellOutcome`] for the per-cell
-    /// taxonomy and [`RenuverConfig::degrade_at`] for the intermediate
-    /// rung.
+    /// taxonomy and this module's `DEGRADE_AT` for the intermediate rung.
     pub budget: Budget,
-    /// Budget-pressure fraction (see [`Budget::pressure`]) at which the
-    /// engine drops from full verification to the changed-cell
-    /// neighborhood check ([`crate::verify::VerifyPlan::build_over`]).
-    /// `1.0` disables the intermediate rung (full verify until the budget
-    /// trips); the default `0.9` spends the last tenth of the budget in
-    /// the cheap mode to fill more cells before the hard stop.
-    pub degrade_at: f64,
     /// Similarity-index usage (default: [`IndexMode::Auto`]). The indexed
     /// and scan paths make identical decisions; this only trades index
     /// construction time against per-cell scan time.
@@ -189,13 +188,6 @@ pub struct RenuverConfig {
     /// Applies to both [`RenuverConfig::explain`] records and the
     /// tracer's `cell` events; decisions are unaffected.
     pub explain_sample: ExplainSample,
-    /// Share witness scans and candidate scans between missing cells with
-    /// the same imputed attribute and LHS signature (the batch
-    /// verification cache, `crate::batch`). `true` (default) caches;
-    /// results are bit-for-bit identical either way (asserted by
-    /// `tests/batch_differential.rs`) — this only trades memory for
-    /// skipped relation scans on signature-sharing cells.
-    pub batch_verify: bool,
 }
 
 impl Default for RenuverConfig {
@@ -209,12 +201,10 @@ impl Default for RenuverConfig {
             trace: false,
             parallelism: 0,
             budget: Budget::unlimited(),
-            degrade_at: 0.9,
             index_mode: IndexMode::default(),
             tracer: Tracer::disabled(),
             explain: false,
             explain_sample: ExplainSample::default(),
-            batch_verify: true,
         }
     }
 }
@@ -240,12 +230,10 @@ mod tests {
         assert_eq!(cfg.imputation_order, ImputationOrder::RowMajor);
         assert_eq!(cfg.parallelism, 0, "default uses all available cores");
         assert!(!cfg.budget.is_limited(), "default budget is unlimited");
-        assert_eq!(cfg.degrade_at, 0.9);
         assert_eq!(cfg.index_mode, IndexMode::Auto);
         assert!(!cfg.tracer.is_enabled(), "default tracer is disabled");
         assert!(!cfg.explain, "explain records are opt-in");
         assert_eq!(cfg.explain_sample, ExplainSample::All, "no sampling by default");
-        assert!(cfg.batch_verify, "signature-sharing cache is on by default");
     }
 
     #[test]

@@ -36,16 +36,6 @@
 //!   exactly, so pruning differences cannot change decisions.
 //! - **Key partitioning** runs per request over the full instance
 //!   including the appended rows, exactly as `impute_appended` would.
-//! - **Batch verification.** The shared per-cell loop carries the
-//!   signature-sharing cache (`crate::batch`) when
-//!   [`RenuverConfig::batch_verify`] is on, so request tuples whose
-//!   missing cells share an imputed attribute and LHS signature — the
-//!   common shape of a `/v1/impute` batch drawn from one broken feed —
-//!   reuse one witness scan and one candidate scan per cluster. The
-//!   cache lives and dies inside a single `impute_prepared` call, so it
-//!   never leaks state across requests, and
-//!   `tests/batch_differential.rs` pins that batches answer identically
-//!   with it off.
 
 use renuver_budget::BudgetReport;
 use renuver_data::{Cell, DataError, Relation, Schema, Tuple, Value};

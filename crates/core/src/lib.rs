@@ -18,7 +18,6 @@
 
 pub mod algorithm;
 pub mod audit;
-mod batch;
 pub mod candidates;
 pub mod config;
 pub mod engine;

@@ -56,41 +56,10 @@ pub fn is_faultless<'a>(
 
 use renuver_distance::{intersect_sorted, DistanceOracle, MatrixView, RowCode, SimilarityIndex};
 
-/// Which side of an RFD the witness rows constrain a candidate from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WitnessKind {
-    /// Candidate rejected when *within* `thr` of a witness (`attr` on the
-    /// RFD's LHS: the witnesses already violate the RHS).
-    Close,
-    /// Candidate rejected when *beyond* `thr` from a witness (`attr` is the
-    /// RFD's RHS: the witnesses satisfy the whole LHS).
-    Far,
-}
-
-/// The violation witnesses one RFD contributes to a cell's plan, tagged
-/// with the RFD's position in `sigma` so the batch-verification cache can
-/// re-evaluate individual rows later ([`close_witness`] /
-/// [`far_witness`]). Unlike the compiled [`VerifyPlan`], empty row lists
-/// are *kept*: a row written after the scan may join them.
-#[derive(Debug, Clone)]
-pub(crate) struct RfdWitnesses {
-    pub(crate) sigma_idx: usize,
-    pub(crate) kind: WitnessKind,
-    pub(crate) thr: f64,
-    /// Witness rows, ascending.
-    pub(crate) rows: Vec<usize>,
-}
-
-/// All witness lists for one cell, in `sigma` order — the raw (and
-/// expensive-to-compute) form a [`VerifyPlan`] compiles from, and the form
-/// the batch cache stores and patches between cells.
-#[derive(Debug, Clone)]
-pub(crate) struct WitnessLists(pub(crate) Vec<RfdWitnesses>);
-
 /// The per-RFD witness predicate for `attr`-on-LHS entries: `j` witnesses
 /// a rejection iff it has a value on `attr`, satisfies the RFD's other LHS
 /// constraints against `row`, and already violates the RHS against `row`.
-pub(crate) fn close_witness(
+fn close_witness(
     oracle: &DistanceOracle,
     rel: &Relation,
     row: usize,
@@ -123,7 +92,7 @@ pub(crate) fn close_witness(
 /// The per-RFD witness predicate for `attr`-as-RHS entries (`Full` scope):
 /// `j` witnesses a rejection iff it has a value on `attr` and satisfies
 /// the RFD's whole LHS against `row`.
-pub(crate) fn far_witness(
+fn far_witness(
     oracle: &DistanceOracle,
     rel: &Relation,
     row: usize,
@@ -167,7 +136,7 @@ pub(crate) fn far_witness(
 /// per-row path, so decisions are bit-identical to the row loop.
 ///
 /// Equivalent to [`is_faultless`] (asserted by tests and the
-/// `verify_plan_matches_reference` property test in `tests/`), but one
+/// `verify_plan_matches_is_faultless` property test in `tests/`), but one
 /// relation scan per cell instead of one per candidate.
 pub struct VerifyPlan {
     /// Reject when the candidate value is *within* the threshold of any
@@ -257,8 +226,7 @@ impl VerifyPlan {
         sigma: impl Iterator<Item = &'a Rfd>,
         scope: VerifyScope,
     ) -> VerifyPlan {
-        let lists = Self::collect_witnesses(oracle, None, rel, row, attr, sigma, scope, None);
-        Self::from_witnesses(oracle, attr, &lists)
+        Self::build_inner(oracle, None, rel, row, attr, sigma, scope, None)
     }
 
     /// [`VerifyPlan::build`] with an optional [`SimilarityIndex`]: each
@@ -276,8 +244,7 @@ impl VerifyPlan {
         sigma: impl Iterator<Item = &'a Rfd>,
         scope: VerifyScope,
     ) -> VerifyPlan {
-        let lists = Self::collect_witnesses(oracle, index, rel, row, attr, sigma, scope, None);
-        Self::from_witnesses(oracle, attr, &lists)
+        Self::build_inner(oracle, index, rel, row, attr, sigma, scope, None)
     }
 
     /// [`VerifyPlan::build`] restricted to `rows` as the only potential
@@ -296,16 +263,15 @@ impl VerifyPlan {
         scope: VerifyScope,
         rows: &[usize],
     ) -> VerifyPlan {
-        let lists =
-            Self::collect_witnesses(oracle, None, rel, row, attr, sigma, scope, Some(rows));
-        Self::from_witnesses(oracle, attr, &lists)
+        Self::build_inner(oracle, None, rel, row, attr, sigma, scope, Some(rows))
     }
 
-    /// The expensive half of plan building: scan the relation once per
-    /// relevant RFD for its violation witnesses. Empty lists are kept (see
-    /// [`WitnessLists`]); [`VerifyPlan::from_witnesses`] drops them.
+    /// Scans the relation once per relevant RFD for its violation
+    /// witnesses and compiles each non-empty list into a [`WitnessSet`]:
+    /// code bitsets for matrix-encoded columns, exact row lists otherwise.
+    /// An empty list can never reject, so it is dropped.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collect_witnesses<'a>(
+    fn build_inner<'a>(
         oracle: &DistanceOracle,
         index: Option<&SimilarityIndex>,
         rel: &Relation,
@@ -314,7 +280,7 @@ impl VerifyPlan {
         sigma: impl Iterator<Item = &'a Rfd>,
         scope: VerifyScope,
         restrict: Option<&[usize]>,
-    ) -> WitnessLists {
+    ) -> VerifyPlan {
         debug_assert!(rel.is_missing(row, attr));
         // Superset of the rows within threshold of `row` on every *indexed*
         // constraint in `lhs` (minus the `skip` attribute); `None` when no
@@ -344,9 +310,11 @@ impl VerifyPlan {
             }
             base
         };
-        let mut entries = Vec::new();
+        let view = oracle.matrix_view(attr);
+        let mut reject_if_close = Vec::new();
+        let mut reject_if_far = Vec::new();
         let t = rel.tuple(row);
-        for (sigma_idx, rfd) in sigma.enumerate() {
+        for rfd in sigma {
             if rfd.lhs_contains(attr) {
                 // Candidate-independent parts: the other LHS constraints
                 // and the (fixed) RHS comparison.
@@ -362,47 +330,19 @@ impl VerifyPlan {
                 let rows = collect_rows(rel.len(), base.as_deref().or(restrict), |j| {
                     close_witness(oracle, rel, row, attr, rfd, j)
                 });
-                entries.push(RfdWitnesses {
-                    sigma_idx,
-                    kind: WitnessKind::Close,
-                    thr: attr_thr,
-                    rows,
-                });
+                if !rows.is_empty() {
+                    reject_if_close.push(WitnessSet::build(view.as_ref(), attr_thr, rows));
+                }
             } else if scope == VerifyScope::Full && rfd.rhs_attr() == attr {
                 // LHS is fully candidate-independent.
                 let base = index_base(rfd.lhs(), None);
                 let rows = collect_rows(rel.len(), base.as_deref().or(restrict), |j| {
                     far_witness(oracle, rel, row, attr, rfd, j)
                 });
-                entries.push(RfdWitnesses {
-                    sigma_idx,
-                    kind: WitnessKind::Far,
-                    thr: rfd.rhs_threshold(),
-                    rows,
-                });
-            }
-        }
-        WitnessLists(entries)
-    }
-
-    /// Compiles witness lists into an admissibility plan: code bitsets for
-    /// matrix-encoded columns, exact row lists otherwise.
-    pub(crate) fn from_witnesses(
-        oracle: &DistanceOracle,
-        attr: AttrId,
-        lists: &WitnessLists,
-    ) -> VerifyPlan {
-        let view = oracle.matrix_view(attr);
-        let mut reject_if_close = Vec::new();
-        let mut reject_if_far = Vec::new();
-        for w in &lists.0 {
-            if w.rows.is_empty() {
-                continue; // an empty witness list can never reject
-            }
-            let set = WitnessSet::build(view.as_ref(), w.thr, w.rows.clone());
-            match w.kind {
-                WitnessKind::Close => reject_if_close.push(set),
-                WitnessKind::Far => reject_if_far.push(set),
+                if !rows.is_empty() {
+                    let thr = rfd.rhs_threshold();
+                    reject_if_far.push(WitnessSet::build(view.as_ref(), thr, rows));
+                }
             }
         }
         VerifyPlan { reject_if_close, reject_if_far, masks: RefCell::new(HashMap::new()) }
@@ -673,53 +613,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn compiled_plan_matches_witness_lists() {
-        // `collect_witnesses` + `from_witnesses` is the composition the
-        // batch cache relies on: recompiling stored lists yields a plan
-        // that admits exactly like a fresh build, and re-running the
-        // per-row predicates reproduces every stored list.
-        let rel = restaurant_sample();
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let sigma = [
-            Rfd::new(vec![Constraint::new(2, 1.0)], Constraint::new(4, 0.0)),
-            Rfd::new(vec![Constraint::new(0, 20.0)], Constraint::new(2, 2.0)),
-        ];
-        let (row, attr) = (6, 2);
-        let lists = VerifyPlan::collect_witnesses(
-            &oracle,
-            None,
-            &rel,
-            row,
-            attr,
-            sigma.iter(),
-            VerifyScope::Full,
-            None,
-        );
-        for w in &lists.0 {
-            let rfd = &sigma[w.sigma_idx];
-            let fresh: Vec<usize> = (0..rel.len())
-                .filter(|&j| match w.kind {
-                    WitnessKind::Close => close_witness(&oracle, &rel, row, attr, rfd, j),
-                    WitnessKind::Far => far_witness(&oracle, &rel, row, attr, rfd, j),
-                })
-                .collect();
-            assert_eq!(w.rows, fresh, "rfd {} kind {:?}", w.sigma_idx, w.kind);
-        }
-        let recompiled = VerifyPlan::from_witnesses(&oracle, attr, &lists);
-        let fresh = VerifyPlan::build(&oracle, &rel, row, attr, sigma.iter(), VerifyScope::Full);
-        for donor in 0..rel.len() {
-            if rel.is_missing(donor, attr) {
-                continue;
-            }
-            assert_eq!(
-                recompiled.admits(&oracle, &rel, attr, donor),
-                fresh.admits(&oracle, &rel, attr, donor),
-                "donor {donor}"
-            );
         }
     }
 

@@ -214,7 +214,13 @@ pub fn value_distance_bounded(a: &Value, b: &Value, max: f64) -> Option<f64> {
     match (a, b) {
         (Value::Null, _) | (_, Value::Null) => None,
         (Value::Text(x), Value::Text(y)) => {
-            levenshtein_bounded(x, y, max.floor().max(0.0) as usize).map(|d| d as f64)
+            // No distance is ≤ a NaN or negative bound; flooring one to an
+            // edit bound of 0 would admit equal strings, which the matrix
+            // lookup (`d <= max`) rejects.
+            if max.is_nan() || max < 0.0 {
+                return None;
+            }
+            levenshtein_bounded(x, y, max.floor() as usize).map(|d| d as f64)
         }
         _ => value_distance(a, b).filter(|d| *d <= max),
     }
@@ -358,5 +364,17 @@ mod tests {
         assert_eq!(value_distance_bounded(&a, &b, 0.0), None);
         assert_eq!(value_distance_bounded(&Value::Int(9), &Value::Int(3), 5.0), None);
         assert_eq!(value_distance_bounded(&Value::Int(9), &Value::Int(3), 6.0), Some(6.0));
+    }
+
+    #[test]
+    fn bounded_value_distance_admits_nothing_past_a_nan_or_negative_bound() {
+        // Text answers like numbers: `d ≤ max` is false for every `d`.
+        let a = Value::Text("Granita".into());
+        for max in [f64::NAN, -1.0, -0.5] {
+            assert_eq!(value_distance_bounded(&a, &a, max), None, "max={max}");
+            assert_eq!(value_distance_bounded(&Value::Int(3), &Value::Int(3), max), None);
+        }
+        assert_eq!(value_distance_bounded(&a, &a, -0.0), Some(0.0));
+        assert_eq!(value_distance_bounded(&a, &a, f64::INFINITY), Some(0.0));
     }
 }

@@ -698,9 +698,9 @@ impl TextIndex {
             // `distance_bounded` is `None` on a null side).
             return Ok(Vec::new());
         }
-        // Same threshold conversion as `value_distance_bounded`: floor to
-        // an integer edit bound, NaN/negative → 0, so the candidate set
-        // stays a superset of whatever the exact check accepts.
+        // Floor to an integer edit bound, NaN/negative → 0: the candidate
+        // set stays a superset of whatever the exact check accepts (which
+        // is nothing at a NaN or negative bound).
         let t = thr.floor().max(0.0);
         if t >= u32::MAX as f64 {
             // Effectively unbounded: every dictionary value qualifies, so

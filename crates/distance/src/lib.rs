@@ -7,14 +7,12 @@
 //! per-tuple-pair [`pattern::DistancePattern`] (Definition 5.4), and small
 //! pairwise-computation helpers used by RFD discovery.
 
-pub mod extra;
 pub mod functions;
 pub mod index;
 pub mod kernels;
 pub mod oracle;
 pub mod pattern;
 
-pub use extra::{jaccard_token_distance, jaro_winkler_distance, soundex};
 pub use functions::{
     levenshtein, levenshtein_bounded, levenshtein_bounded_scalar, levenshtein_scalar,
     value_distance, value_distance_bounded,

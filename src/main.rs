@@ -1592,9 +1592,10 @@ mod tests {
 
     #[test]
     fn deleted_accelerator_flags_are_rejected() {
-        // Index use and batch verification are chosen by the engine (row
-        // count, artifact contents); a script still passing the old
-        // switches gets an error naming the flag, not a silent no-op.
+        // Index use is chosen by the engine (row count, artifact
+        // contents) and there is no batch-verification cache to switch
+        // off; a script still passing the old switches gets an error
+        // naming the flag, not a silent no-op.
         for cmd in ["impute", "compare", "prepare", "serve"] {
             let err = run(&strings(&[cmd, "x.csv", "--index-mode", "scan"])).unwrap_err();
             assert!(err.contains("--index-mode"), "{cmd}: {err}");

@@ -408,6 +408,24 @@ fn regression_unicode_and_empty_strings() {
         Rfd::new(vec![Constraint::new(0, 0.0)], Constraint::new(1, 1.0)),
     ]);
     assert_modes_agree(&rel, &sigma);
+
+    // A two-attribute LHS over the same kind of values, whose imputed
+    // column C is itself the LHS of a second RFD: every C imputation is
+    // verified against that RFD, and filled C cells feed later D cells.
+    let rel = text_relation(&[
+        ("A", &["", "αβγ", "αβ", "", "αβγ", "", "αβ", "αβγ"]),
+        ("B", &["x", "y", "x", "x", "y", "x", "x", "y"]),
+        ("C", &["p", "q", "_", "p", "_", "_", "r", "q"]),
+        ("D", &["u", "v", "u", "_", "v", "u", "_", "v"]),
+    ]);
+    let sigma = RfdSet::from_vec(vec![
+        Rfd::new(
+            vec![Constraint::new(0, 1.0), Constraint::new(1, 0.0)],
+            Constraint::new(2, 1.0),
+        ),
+        Rfd::new(vec![Constraint::new(2, 0.0)], Constraint::new(3, 1.0)),
+    ]);
+    assert_modes_agree(&rel, &sigma);
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Differential harness for the serving registry: a [`Registry`] at any
 //! shard count must answer **bit-identically** to a plain
-//! [`Engine::impute_batch`], for every index mode and batch-verification
-//! setting.
+//! [`Engine::impute_batch`], for every index mode.
 //!
 //! The registry serves through one prepared engine and shards are only
 //! its durable on-disk layout, so the equality holds by construction;
 //! this suite pins it so the layout can never leak into answers. It
-//! sweeps shard counts {1, 2, 4, 7} × {scan, indexed} × batch-verify
-//! on/off on the paper's Restaurant stand-in, the 5 000-row synthetic
-//! shop fixture, and randomly generated relations.
+//! sweeps shard counts {1, 2, 4, 7} × {scan, indexed} on the paper's
+//! Restaurant stand-in, the 5 000-row synthetic shop fixture, and
+//! randomly generated relations.
 //!
 //! Ingest is covered too: committing the repaired batch through the
 //! registry must leave it answering the *next* batch exactly like the
@@ -35,12 +34,11 @@ use renuver_bench::synthetic_shops;
 /// splits, and a prime count that leaves shards unevenly loaded.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-fn config(mode: IndexMode, batch_verify: bool) -> RenuverConfig {
+fn config(mode: IndexMode) -> RenuverConfig {
     RenuverConfig {
         parallelism: 1,
         index_mode: mode,
         explain: true,
-        batch_verify,
         ..RenuverConfig::default()
     }
 }
@@ -72,9 +70,8 @@ fn assert_all_shard_counts_match(
     batch: &[Tuple],
     sigma: &RfdSet,
     mode: IndexMode,
-    batch_verify: bool,
 ) -> BatchResult {
-    let cfg = config(mode, batch_verify);
+    let cfg = config(mode);
     let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
     let single = engine.impute_batch(batch.to_vec()).expect("single-engine batch");
     let want = canon_batch(&single);
@@ -86,7 +83,7 @@ fn assert_all_shard_counts_match(
             canon_batch(&got),
             want,
             "registry diverged from the engine \
-             (shards={shards}, mode={mode:?}, batch_verify={batch_verify})"
+             (shards={shards}, mode={mode:?})"
         );
     }
     single
@@ -107,11 +104,9 @@ fn restaurant_sharded_matches_single_engine() {
     let (base, batch, sigma) = restaurant_fixture();
     assert!(batch.iter().any(|t| t.iter().any(|v| v.is_null())), "batch must contain holes");
     for mode in [IndexMode::Scan, IndexMode::Indexed] {
-        for batch_verify in [true, false] {
-            let single = assert_all_shard_counts_match(&base, &batch, &sigma, mode, batch_verify);
-            assert!(single.stats.missing_total > 0, "fixture imputed nothing");
-            assert!(single.stats.imputed > 0, "fixture imputed nothing");
-        }
+        let single = assert_all_shard_counts_match(&base, &batch, &sigma, mode);
+        assert!(single.stats.missing_total > 0, "fixture imputed nothing");
+        assert!(single.stats.imputed > 0, "fixture imputed nothing");
     }
 }
 
@@ -123,7 +118,7 @@ fn restaurant_ingest_sharded_matches_single_engine() {
     // identically on both topologies.
     let (batch1, batch2) = batch.split_at(batch.len() / 2);
     for shards in SHARD_COUNTS {
-        let cfg = config(IndexMode::Indexed, true);
+        let cfg = config(IndexMode::Indexed);
         let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
         let (r1, commit) = engine.ingest_batch_with(batch1.to_vec(), &cfg).expect("ingest");
         assert_eq!(commit.rows, batch1.len());
@@ -148,7 +143,7 @@ fn restaurant_recovered_registry_matches_grown_engine() {
     let third = batch.len() / 3;
     let (batch1, rest) = batch.split_at(third);
     let (batch2, batch3) = rest.split_at(third);
-    let cfg = config(IndexMode::Indexed, true);
+    let cfg = config(IndexMode::Indexed);
 
     // The reference: one engine grown by the same two commits.
     let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
@@ -227,14 +222,14 @@ fn synthetic_fixture() -> (Relation, Vec<Tuple>, RfdSet) {
 fn synthetic_5k_sharded_matches_single_engine() {
     let (base, batch, sigma) = synthetic_fixture();
     for mode in [IndexMode::Scan, IndexMode::Indexed] {
-        assert_all_shard_counts_match(&base, &batch, &sigma, mode, true);
+        assert_all_shard_counts_match(&base, &batch, &sigma, mode);
     }
 }
 
 #[test]
 fn synthetic_5k_ingest_sharded_matches_single_engine() {
     let (base, batch, sigma) = synthetic_fixture();
-    let cfg = config(IndexMode::Indexed, true);
+    let cfg = config(IndexMode::Indexed);
     let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
     let (r1, _) = engine.ingest_batch_with(batch.clone(), &cfg).expect("ingest");
     let probe = vec![vec![
@@ -329,14 +324,14 @@ proptest! {
     fn random_sharded_matches_single(
         input in arb_relation().prop_flat_map(|rel| {
             let arity = rel.arity();
-            (Just(rel), arb_rfds(arity), 1usize..8, any::<bool>(), any::<bool>())
+            (Just(rel), arb_rfds(arity), 1usize..8, any::<bool>())
         }),
     ) {
-        let (rel, sigma, shards, indexed, batch_verify) = input;
+        let (rel, sigma, shards, indexed) = input;
         let k = (rel.len() / 3).max(1);
         let (base, batch) = split(&rel, k);
         let mode = if indexed { IndexMode::Indexed } else { IndexMode::Scan };
-        let cfg = config(mode, batch_verify);
+        let cfg = config(mode);
 
         let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
         let single = engine.impute_batch(batch.clone()).expect("single-engine batch");
