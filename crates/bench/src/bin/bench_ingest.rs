@@ -11,14 +11,12 @@
 //!    claim behind `/v1/ingest`: the rebuild is quadratic in the
 //!    dictionary, the append touches only the new rows' values.
 //! 2. **WAL overhead** — `Registry::ingest` of the same batch on a
-//!    one-shard durable registry (the CRC-framed, fsynced shard-log
-//!    write in front of the commit, as `renuver ingest` and the server
-//!    run it) vs on an in-memory registry. The delta is the durability
-//!    tax.
-//! 3. **Recovery** — reopening a one-shard durable registry whose log
-//!    holds many small records (shard snapshot merge plus replay), plus
-//!    one compaction: the cold-restart cost an operator actually waits
-//!    on.
+//!    durable registry (the CRC-framed, fsynced WAL write in front of
+//!    the commit, as `renuver ingest` and the server run it) vs on an
+//!    in-memory registry. The delta is the durability tax.
+//! 3. **Recovery** — reopening a durable registry whose log holds many
+//!    small records (snapshot read plus replay), plus one compaction:
+//!    the cold-restart cost an operator actually waits on.
 
 use std::path::Path;
 
@@ -29,7 +27,7 @@ use renuver_bench::{
 use renuver_core::{Engine, RenuverConfig};
 use renuver_data::{Relation, Tuple};
 use renuver_rfd::{Constraint, Rfd, RfdSet};
-use renuver_serve::{artifact, DurabilityOptions, Registry, ShardRecovery, Wal};
+use renuver_serve::{artifact, DurabilityOptions, RecoveryReport, Registry, Wal};
 
 fn sigma() -> RfdSet {
     // The planted City→Zip / Zip→City dependencies of the fixture.
@@ -45,9 +43,9 @@ fn split(rel: &Relation, base_rows: usize) -> (Relation, Vec<Tuple>) {
     (Relation::new(rel.schema().clone(), base).unwrap(), rest)
 }
 
-/// Opens the one-shard durable registry beside `model` (writing its
-/// layout on the first open, recovering it afterwards).
-fn open(model: &Path, config: &RenuverConfig) -> (Registry, ShardRecovery) {
+/// Opens the durable registry beside `model` (writing its layout on the
+/// first open, recovering it afterwards).
+fn open(model: &Path, config: &RenuverConfig) -> (Registry, RecoveryReport) {
     let opts = DurabilityOptions::beside(model, "bench");
     Registry::open_durable(
         artifact::load(model).unwrap(),
@@ -97,7 +95,7 @@ fn main() {
     });
 
     // 2. The durability tax: the same batch through `Registry::ingest`,
-    // with and without the shard log in front of the commit.
+    // with and without the WAL in front of the commit.
     let dir = std::env::temp_dir().join(format!("renuver-bench-ingest-{}", std::process::id()));
     let model = dir.join("model.rnv");
     let fresh_layout = || {
@@ -111,14 +109,14 @@ fn main() {
     });
     let in_memory_ms = median_timed(
         runs,
-        || Registry::from_engine(artifact::decode(&bytes).unwrap().into_engine(config.clone()), 1),
+        || Registry::from_engine(artifact::decode(&bytes).unwrap().into_engine(config.clone())),
         |reg| {
             reg.ingest(batch.clone(), &config).unwrap();
         },
     );
 
-    // 3. Cold recovery: `wal_records` one-row records in the shard log,
-    // replayed on reopen (which also folds them into the shard snapshot),
+    // 3. Cold recovery: `wal_records` one-row records in the WAL,
+    // replayed on reopen (which also folds them into the snapshot),
     // then one compaction of the recovered registry.
     let logged_layout = || {
         let schema_fp = fresh_layout().schema_fp();
@@ -142,7 +140,7 @@ fn main() {
         "{{\n  \"rows\": {rows},\n  \"machine_cores\": {},\n  \"batch_rows\": {batch_rows},\n  \"runs_per_measurement\": {runs},\n  \
          \"append\": {{\n    \"commit_ms\": {commit_only_ms:.3},\n    \"commit_rows_per_s\": {:.1},\n    \
          \"rebuild_ms\": {rebuild_ms:.3},\n    \"speedup_vs_rebuild\": {:.3}\n  }},\n  \
-         \"durability\": {{\n    \"shards\": 1,\n    \"ingest_ms\": {in_memory_ms:.3},\n    \
+         \"durability\": {{\n    \"ingest_ms\": {in_memory_ms:.3},\n    \
          \"wal_ingest_ms\": {durable_ms:.3},\n    \"overhead_ms\": {:.3}\n  }},\n  \
          \"recovery\": {{\n    \"wal_records\": {wal_records},\n    \"replay_ms\": {replay_ms:.3},\n    \
          \"records_per_s\": {:.1},\n    \"compact_ms\": {compact_ms:.3}\n  }}\n}}\n",

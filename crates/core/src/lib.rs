@@ -23,7 +23,6 @@ pub mod config;
 pub mod engine;
 pub mod external;
 pub mod result;
-pub mod shard;
 pub mod verify;
 
 pub use algorithm::Renuver;
@@ -38,5 +37,4 @@ pub use result::{
     CellExplain, CellOutcome, DryReason, ExplainWinner, ImputationResult, ImputationStats,
     ImputedCell, TraceEvent,
 };
-pub use shard::{assign, partition_attrs, shard_of};
 pub use verify::{is_faultless, VerifyPlan};

@@ -655,12 +655,12 @@ mod tests {
     fn prometheus_rendering_is_well_formed() {
         let m = Metrics::new();
         m.counter("http.requests").add(3);
-        m.gauge("serve.shard0.rows").set(12);
+        m.gauge("serve.rows").set(12);
         m.windowed("serve.latency.impute.2xx").observe(300);
         m.windowed("serve.latency.impute.2xx").observe(5);
         let text = m.render_prometheus();
         assert!(text.contains("# TYPE http_requests counter\nhttp_requests 3\n"), "{text}");
-        assert!(text.contains("# TYPE serve_shard0_rows gauge\nserve_shard0_rows 12\n"));
+        assert!(text.contains("# TYPE serve_rows gauge\nserve_rows 12\n"));
         assert!(text.contains("# TYPE serve_latency_impute_2xx histogram"), "{text}");
         assert!(text.contains("serve_latency_impute_2xx_bucket{le=\"7\"} 1\n"));
         assert!(text.contains("serve_latency_impute_2xx_bucket{le=\"511\"} 2\n"));

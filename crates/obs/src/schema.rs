@@ -47,11 +47,10 @@ pub const SERVER_EVENTS: &[&str] = &[
     "recovery",
     "swap",
     "compaction",
-    "shard_degraded",
-    "shard_healed",
     "shed",
     "read_timeout",
     "wal_degraded",
+    "wal_healed",
     "tune_started",
     "tune_finished",
     "tune_cancelled",
@@ -172,15 +171,14 @@ pub const SPEC: &[KindSpec] = &[
         ],
     ),
     // Server lifecycle: recovery done, model swap (with the layout
-    // generation when durable), compaction, shard degradation
-    // and heal, accept-loop shed, read-deadline timeout, WAL fault trip.
+    // generation when durable), compaction, accept-loop shed,
+    // read-deadline timeout, WAL fault trip and the swap that heals it.
     (
         "server_event",
         &[("v", Ty::U64), ("event", Ty::Enum(SERVER_EVENTS))],
         &[
             ("seq", Ty::U64),
             ("generation", Ty::U64),
-            ("shard", Ty::U64),
             ("job", Ty::U64),
             ("detail", Ty::Str),
         ],
@@ -314,7 +312,8 @@ mod tests {
             r#"{"ts_us":1,"kind":"access","span":0,"v":1,"id":"9f3a-1","endpoint":"impute","status":200,"latency_us":850,"bytes_in":64,"bytes_out":512,"phases":{"core::scan":500},"cells_imputed":1,"cells_missing":2,"trace_events":7}"#,
             r#"{"ts_us":1,"kind":"access","span":0,"v":1,"id":"x","endpoint":"error","status":400,"latency_us":5}"#,
             r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"swap","seq":9,"generation":2}"#,
-            r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"shard_degraded","shard":1,"detail":"wal append failed"}"#,
+            r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"wal_degraded","detail":"wal append failed"}"#,
+            r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"wal_healed","seq":4}"#,
             r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"shed"}"#,
             r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"tune_started","job":3,"detail":"seed 42"}"#,
             r#"{"ts_us":1,"kind":"tune_start","span":1,"seed":42,"masked":12,"rfds":3,"target_f1":0.95,"max_iters":12}"#,
@@ -355,6 +354,10 @@ mod tests {
             (
                 r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"rebooted"}"#,
                 "event not in enum",
+            ),
+            (
+                r#"{"ts_us":1,"kind":"server_event","span":0,"v":1,"event":"wal_degraded","shard":1}"#,
+                "no per-shard events",
             ),
             (
                 r#"{"ts_us":1,"kind":"server_event","span":0,"event":"shed"}"#,

@@ -347,9 +347,9 @@ fn finish(mut w: Writer) -> Vec<u8> {
 
 /// The artifact of `rows` (tuples over `schema`) with no distance cache
 /// and no index: every text column is written direct, without
-/// materializing the rows as a relation. Shard snapshots are written
-/// this way, cut straight from the serving engine's relation; recovery
-/// reads back only their rows, RFDs and seq.
+/// materializing the rows as a relation. A durable layout's snapshots
+/// are written this way, cut straight from the serving engine's
+/// relation; recovery reads back only their rows, RFDs and seq.
 pub fn encode_uncached<'a, I>(
     schema: &Schema,
     rows: I,
@@ -654,7 +654,7 @@ mod tests {
                 rel.schema(),
                 rows.iter().map(|&r| rel.tuple(r)),
                 &rfds,
-                "shard",
+                "snapshot",
                 3,
             );
             let art = decode(&bytes).unwrap_or_else(|e| panic!("rows {rows:?}: {e}"));

@@ -30,18 +30,21 @@
 //! | `wal.append.mid_write`   | honours `short:<n>`: partial frame, abort   |
 //! | `wal.append.pre_fsync`   | frame written, not yet fsynced              |
 //! | `wal.append.post_fsync`  | frame durable, caller not yet acknowledged  |
-//! | `compact.pre_write`      | before a shard's temp snapshot is written   |
-//! | `compact.pre_rename`     | temp file complete, rename not yet issued   |
-//! | `compact.shard_done`     | one shard snapshot renamed, later shards    |
-//! |                          | and the manifest still old                  |
-//! | `compact.post_rename`    | manifest live, WALs not yet reset           |
-//! | `compact.pre_truncate`   | directly before each WAL reset              |
-//! | `registry.append.shard<k>` | the ingest fan-out reaches shard `k` —    |
-//! |                          | earlier logs hold the frame                 |
+//! | `compact.pre_write`      | before the temp snapshot is written         |
+//! | `compact.pre_rename`     | temp snapshot complete, rename not yet      |
+//! |                          | issued                                      |
+//! | `compact.snapshot_done`  | snapshot renamed, manifest still old        |
+//! | `compact.post_rename`    | manifest live, WAL not yet reset            |
+//! | `compact.pre_truncate`   | directly before the WAL reset               |
+//! | `registry.append`        | an ingest is about to append to the WAL     |
 //! | `swap.pre_commit`        | the new generation's files are all written, |
 //! |                          | manifest not yet flipped                    |
 //! | `migrate.pre_unlink`     | a single-file WAL folded into the layout,   |
 //! |                          | manifest committed, old log not yet removed |
+//! | `migrate.pre_commit`     | an `n`-shard layout's one-snapshot          |
+//! |                          | successor written, manifest not yet flipped |
+//! | `migrate.pre_sweep`      | the one-shard manifest committed, the       |
+//! |                          | `n`-shard generation not yet swept          |
 
 use std::cell::RefCell;
 use std::collections::HashMap;

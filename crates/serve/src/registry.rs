@@ -9,49 +9,56 @@
 //! A model swap replaces the engine inside the same mutex, so a request
 //! sees either the old model or the new one, never a blend.
 //!
-//! Shards are only the on-disk layout: every committed row is assigned
-//! to a shard with [`renuver_core::shard_of`], and a durable registry
-//! keeps one snapshot and one write-ahead log per shard. In memory the
-//! registry keeps the assignment (one shard id per global row), never a
-//! second copy of the relation; per-shard row sets are cut from the
-//! engine's relation whenever a snapshot is written.
+//! A durable registry keeps one snapshot and one write-ahead log beside
+//! its base model; the snapshot is cut from the engine's relation
+//! whenever one is written, never kept as a second copy.
 //!
 //! ## On-disk layout
 //!
-//! Beside a base model at `model.rnv`, a durable registry keeps
+//! | file                   | holds                                           |
+//! |------------------------|-------------------------------------------------|
+//! | `model.rnv.shard0`     | the snapshot (a v2 artifact, no distance cache) |
+//! | `model.rnv.shard0.wal` | the write-ahead log                             |
+//! | `model.rnv.manifest`   | the live generation and the seq it folds        |
 //!
-//! | file                  | holds                                         |
-//! |-----------------------|-----------------------------------------------|
-//! | `model.rnv.shard<k>`  | shard `k`'s snapshot (a normal v2 artifact)   |
-//! | `model.rnv.shard<k>.wal` | shard `k`'s write-ahead log                |
-//! | `model.rnv.manifest`  | routing table: shard id per global base row   |
-//!
-//! A model swap never rewrites those files in place: it writes the whole
-//! replacement layout under the next generation's names
-//! (`model.rnv.g<gen>.shard<k>[.wal]`) and commits by atomically
-//! renaming a manifest that records the new generation — the manifest is
-//! the single switch, so a crash anywhere inside a swap leaves either
-//! the complete old layout or the complete new one, never a mix.
-//!
-//! Every shard WAL records the **full repaired batch** (not just the
-//! shard's own rows). That redundancy is the recovery story: any healthy
-//! WAL can rebuild the rows of a shard whose own log is gone, so a
-//! single-shard crash degrades exactly one shard instead of the registry.
+//! These are the names and the v2 manifest an earlier, sharded build
+//! wrote at one shard (one shard, no partition attributes, an all-zero
+//! row-owner table), so such a layout opens as it is. A model swap
+//! writes the whole replacement under the next generation's names
+//! (`model.rnv.g<gen>.shard0[.wal]`) and commits by atomically renaming
+//! a manifest that records the new generation, so a crash anywhere
+//! inside a swap leaves either the complete old layout or the complete
+//! new one.
 //!
 //! ## Recovery
 //!
-//! With the manifest at seq `M` and shard snapshots at seqs `s_k ≥ M`
-//! (mixed after a mid-compaction crash), every WAL is opened at
-//! `snapshot_seq = M` — the manifest is always written before any WAL is
-//! truncated, so `base_seq ≤ M` holds for every log. The committed
-//! horizon is the minimum `last_seq` over healthy WALs. The manifest's
-//! rows are merged from the shard snapshots in global row order into one
-//! relation, the model's RFD set is read from the snapshots (so a swapped
-//! model survives a restart), the engine is prepared once, and batches
-//! `M+1 ..= committed` replay through [`Engine::commit_tuples`]. A
-//! snapshot ahead of the manifest must hold exactly the replayed rows its
-//! seq covers. A recovery that finds mixed snapshot seqs compacts once to
-//! normalize.
+//! With the manifest at seq `M`, the log opens at `snapshot_seq = M` (the
+//! manifest is written before the log is reset) and its last seq is the
+//! committed horizon. The snapshot supplies the relation and RFD set (so
+//! a swapped model survives a restart), the engine is prepared once, and
+//! batches `M+1 ..= committed` replay through [`Engine::commit_tuples`].
+//! A snapshot ahead of the manifest (a crash between the two renames of
+//! a compaction) must hold exactly the replayed rows its seq covers.
+//! Whenever the snapshot is behind the committed horizon, recovery folds
+//! the replayed tail into a fresh snapshot with one compaction. A log
+//! that will not open (a foreign header, or a flipped byte before its
+//! last frame) leaves the registry `degraded`: it serves its snapshot,
+//! refuses ingest, and leaves the log as it is until a swap writes a
+//! fresh one.
+//!
+//! An earlier build could write `n > 1` shards, each snapshot holding the
+//! rows the manifest's owner table assigns it and each log holding every
+//! batch. The reader reads such a layout for any `n` — it merges the
+//! rows in global order, takes the minimum horizon over the readable
+//! logs, and checks every snapshot that is ahead — so a read-only
+//! [`Registry::load`] serves it as it is. The first durable open
+//! migrates it: with the logs only read, it writes generation `g+1` (one
+//! snapshot at the committed seq and a fresh log), stores a one-shard
+//! manifest (the commit point) and sweeps generation `g`. A crash before
+//! the rename reopens onto the untouched layout and migrates again. A
+//! shard whose log will not open is rebuilt from a sibling's log. The
+//! shard counts [`Registry::build`] and [`Registry::open_durable`] still
+//! take (and `serve --shards N`) are ignored.
 //!
 //! The first durable open of an artifact with no manifest reuses the
 //! artifact's decoded oracle and index, replays a `model.rnv.wal` left by
@@ -59,8 +66,8 @@
 //! then writes the layout; the old log is removed only after the manifest
 //! rename is durable.
 //!
-//! Compaction folds into the shard snapshots, never into the base model,
-//! so once a layout exists the model a `model.rnv` path holds is the
+//! Compaction folds into the snapshot, never into the base model, so
+//! once a layout exists the model a `model.rnv` path holds is the
 //! layout's committed state. [`Registry::load`] reads it that way for
 //! non-durable consumers (`serve` without `--wal`, `tune`, `inspect`) —
 //! the same algorithm with the logs only read, never truncated or
@@ -69,11 +76,11 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use renuver_core::{assign, partition_attrs, shard_of, BatchResult, Engine, RenuverConfig};
-use renuver_data::{DataError, Relation, Schema, Tuple};
+use renuver_core::{BatchResult, Engine, RenuverConfig};
+use renuver_data::{AttrId, DataError, Relation, Schema, Tuple, Value};
 use renuver_rfd::RfdSet;
 
 use crate::artifact::{self, Artifact, ArtifactError};
@@ -85,14 +92,14 @@ const MANIFEST_MAGIC: [u8; 4] = *b"RNVM";
 /// Manifest format version. v2 added the layout generation.
 const MANIFEST_VERSION: u32 = 2;
 
-/// Compact once any shard WAL exceeds this many bytes (default).
+/// Compact once the WAL exceeds this many bytes (default).
 pub const DEFAULT_COMPACT_BYTES: u64 = 4 << 20;
-/// Compact once any shard WAL holds this many records (default).
+/// Compact once the WAL holds this many records (default).
 pub const DEFAULT_COMPACT_RECORDS: u64 = 256;
 
 // ---------------------------------------------------------------- layout
 
-/// Path conventions for a sharded model rooted at a base `.rnv` path.
+/// Path conventions for the durable layout rooted at a base `.rnv` path.
 #[derive(Debug, Clone)]
 pub struct ShardLayout {
     base: PathBuf,
@@ -112,24 +119,25 @@ impl ShardLayout {
     }
 
     /// `.g<gen>` for swapped-in layouts; generation 0 keeps the bare
-    /// names `prepare` writes.
+    /// names.
     fn gen_prefix(gen: u64) -> String {
         if gen == 0 { String::new() } else { format!(".g{gen}") }
     }
 
-    /// `model.rnv[.g<gen>].shard<k>` — shard `k`'s snapshot in layout
-    /// generation `gen`.
+    /// `model.rnv[.g<gen>].shard<k>` — the snapshot of layout generation
+    /// `gen` (`k` is 0; an earlier build's `n`-shard layouts also have
+    /// `k` up to `n - 1`).
     pub fn shard_snapshot(&self, gen: u64, k: usize) -> PathBuf {
         self.suffixed(&format!("{}.shard{k}", Self::gen_prefix(gen)))
     }
 
-    /// `model.rnv[.g<gen>].shard<k>.wal` — shard `k`'s write-ahead log
-    /// in layout generation `gen`.
+    /// `model.rnv[.g<gen>].shard<k>.wal` — the write-ahead log of layout
+    /// generation `gen`, numbered like [`ShardLayout::shard_snapshot`].
     pub fn shard_wal(&self, gen: u64, k: usize) -> PathBuf {
         self.suffixed(&format!("{}.shard{k}.wal", Self::gen_prefix(gen)))
     }
 
-    /// `model.rnv.manifest` — the routing manifest. Generation-less: the
+    /// `model.rnv.manifest` — the layout manifest. Generation-less: the
     /// manifest names the live generation and its atomic rename is the
     /// commit point of every layout rewrite.
     pub fn manifest(&self) -> PathBuf {
@@ -143,19 +151,19 @@ impl ShardLayout {
     }
 
     /// Removes the whole durable layout beside the base — manifest, every
-    /// generation's shard files and a single-file WAL — leaving the base
-    /// model alone. `prepare` clears the layout of the model it replaces
-    /// before writing the new one.
+    /// generation's snapshot and log files and a single-file WAL —
+    /// leaving the base model alone. `prepare` clears the layout of the
+    /// model it replaces before writing the new one.
     pub fn clear(&self) -> io::Result<()> {
         remove_if_present(&self.manifest())?;
         self.sweep_generations(None);
         remove_if_present(&self.legacy_wal())
     }
 
-    /// Best-effort removal of every shard file whose generation is not
-    /// `current` (`None` removes them all): losers of an interrupted
-    /// swap, or the previous layout after a committed one. Never touches
-    /// the manifest or the base model.
+    /// Best-effort removal of every snapshot and log file whose
+    /// generation is not `current` (`None` removes them all): losers of
+    /// an interrupted swap, or the previous layout after a committed one.
+    /// Never touches the manifest or the base model.
     fn sweep_generations(&self, current: Option<u64>) {
         let Some(base_name) = self.base.file_name().and_then(|n| n.to_str()) else {
             return;
@@ -198,16 +206,16 @@ impl ShardLayout {
 }
 
 /// How to wire durability for a model: where the layout lives and when
-/// to fold the shard WALs back into snapshots.
+/// to fold the WAL back into the snapshot.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
     /// The layout beside the model.
     pub layout: ShardLayout,
-    /// Provenance string stamped into shard snapshots.
+    /// Provenance string stamped into snapshots.
     pub source: String,
-    /// Compact once any shard WAL exceeds this many bytes.
+    /// Compact once the WAL exceeds this many bytes.
     pub compact_bytes: u64,
-    /// Compact once any shard WAL holds this many records.
+    /// Compact once the WAL holds this many records.
     pub compact_records: u64,
 }
 
@@ -226,21 +234,23 @@ impl DurabilityOptions {
 
 // -------------------------------------------------------------- manifest
 
-/// The routing manifest: which shard owns each global base row, plus the
-/// partition attributes so WAL replay re-derives identical assignments.
+/// The layout manifest: the live generation and the seq its snapshot
+/// folds, plus the row-owner table of an earlier build's `n`-shard
+/// layouts (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// Schema fingerprint — must match every shard snapshot and WAL.
+    /// Schema fingerprint — must match every snapshot and WAL.
     pub schema_fp: u64,
-    /// Number of shards in the layout.
+    /// Number of shards in the layout: 1 for every layout this build
+    /// writes.
     pub n_shards: usize,
     /// The seq this manifest (and the `assign` table) covers.
     pub seq: u64,
-    /// Layout generation: which `[.g<gen>]` file set holds the shard
-    /// snapshots and WALs. A model swap writes the whole next generation
-    /// before flipping this in one atomic manifest rename.
+    /// Layout generation: which `[.g<gen>]` file set holds the snapshot
+    /// and WAL. A model swap writes the whole next generation before
+    /// flipping this in one atomic manifest rename.
     pub generation: u64,
-    /// Partition attributes hashed by [`shard_of`].
+    /// Partition attributes an `n`-shard layout hashed rows by.
     pub attrs: Vec<usize>,
     /// `assign[g]` = owning shard of global row `g`, for all rows at
     /// `seq`. Locals are re-derived by counting in order.
@@ -248,6 +258,12 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// The manifest this build writes: one shard owning all `rows`, no
+    /// partition attributes.
+    fn single(schema_fp: u64, seq: u64, generation: u64, rows: usize) -> Manifest {
+        Manifest { schema_fp, n_shards: 1, seq, generation, attrs: Vec::new(), assign: vec![0; rows] }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(48 + self.attrs.len() * 4 + self.assign.len() * 4);
         buf.extend_from_slice(&MANIFEST_MAGIC);
@@ -328,16 +344,22 @@ impl Manifest {
 
     /// Writes the manifest durably: temp file, fsync, rename, dir fsync.
     pub fn store(&self, path: &Path) -> io::Result<()> {
-        write_atomic(path, &self.encode())
+        write_atomic(path, &self.encode(), None)
     }
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `bytes` to `path` durably: temp file, fsync, rename, dir
+/// fsync. `pre_rename` names the fault point hit between the fsync and
+/// the rename.
+fn write_atomic(path: &Path, bytes: &[u8], pre_rename: Option<&str>) -> io::Result<()> {
     let mut tmp_os = path.to_path_buf().into_os_string();
     tmp_os.push(".tmp");
     let tmp = PathBuf::from(tmp_os);
     fs::write(&tmp, bytes)?;
     fs::File::open(&tmp)?.sync_all()?;
+    if let Some(point) = pre_rename {
+        fault::hit(point)?;
+    }
     fs::rename(&tmp, path)?;
     sync_parent_dir(path);
     Ok(())
@@ -351,7 +373,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub enum RegistryError {
     /// Filesystem error.
     Io(io::Error),
-    /// A shard snapshot failed to load or encode.
+    /// A snapshot failed to load or encode.
     Artifact(ArtifactError),
     /// A WAL failed to open or is corrupt beyond its torn tail.
     Wal(WalError),
@@ -361,12 +383,12 @@ pub enum RegistryError {
     SchemaMismatch { expected: u64, got: u64 },
     /// Replay could not reconstruct a consistent state.
     Recovery(String),
-    /// A shard WAL append failed; the batch was not committed.
+    /// The WAL append failed; the batch was not committed.
     WalAppend(io::Error),
     /// The batch itself was rejected by the imputation core.
     Data(DataError),
-    /// Ingest refused because one or more shards are degraded.
-    Degraded(Vec<usize>),
+    /// Ingest refused because the WAL is degraded.
+    Degraded,
     /// A tune install refused because the model was swapped while the
     /// job ran.
     Swapped,
@@ -376,19 +398,17 @@ impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RegistryError::Io(e) => write!(f, "registry i/o error: {e}"),
-            RegistryError::Artifact(e) => write!(f, "shard snapshot error: {e}"),
+            RegistryError::Artifact(e) => write!(f, "snapshot error: {e}"),
             RegistryError::Wal(e) => write!(f, "{e}"),
             RegistryError::Manifest(m) => write!(f, "manifest error: {m}"),
             RegistryError::SchemaMismatch { expected, got } => write!(
                 f,
                 "schema fingerprint mismatch: registry has {expected:#x}, model has {got:#x}"
             ),
-            RegistryError::Recovery(m) => write!(f, "shard recovery failed: {m}"),
+            RegistryError::Recovery(m) => write!(f, "recovery failed: {m}"),
             RegistryError::WalAppend(e) => write!(f, "wal append failed, nothing committed: {e}"),
             RegistryError::Data(e) => write!(f, "{e}"),
-            RegistryError::Degraded(shards) => {
-                write!(f, "shards degraded: {shards:?} — ingest refused")
-            }
+            RegistryError::Degraded => write!(f, "the wal is degraded — ingest refused"),
             RegistryError::Swapped => write!(f, "the model was swapped while the job ran"),
         }
     }
@@ -433,11 +453,6 @@ pub struct Snap {
 }
 
 impl Snap {
-    /// The model schema.
-    pub fn schema(&self) -> &Schema {
-        self.reg.schema()
-    }
-
     /// Donor rows in the live model.
     pub fn rows(&self) -> usize {
         self.reg.lock_engine().donor_rows()
@@ -453,61 +468,74 @@ impl Snap {
     }
 }
 
-/// Per-shard health, reported by `/healthz`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardState {
-    /// Serving and accepting ingests.
-    Ok,
-    /// The shard's WAL is unusable: imputes are served (its rows were
-    /// rebuilt from sibling logs) but ingest is refused.
-    Degraded,
-}
-
-impl ShardState {
-    /// Stable label for JSON payloads.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardState::Ok => "ok",
-            ShardState::Degraded => "degraded",
-        }
-    }
-}
-
 /// What recovery found and did, for startup logging.
 #[derive(Debug, Clone, Default)]
-pub struct ShardRecovery {
-    /// Batches replayed from the WAL horizon (or from a migrated
-    /// single-file WAL).
+pub struct RecoveryReport {
+    /// Batches replayed from the WAL (or from a migrated single-file
+    /// WAL).
     pub replayed: usize,
     /// Rows committed by replay.
     pub rows: usize,
     /// The committed seq after recovery.
     pub seq: u64,
-    /// Shards whose WAL could not be opened.
-    pub degraded: Vec<usize>,
-    /// Whether recovery compacted to normalize mixed snapshot seqs.
-    pub normalized: bool,
+    /// Whether the WAL could not be opened: the registry serves its
+    /// snapshot and refuses ingest.
+    pub degraded: bool,
+    /// Whether recovery folded the replayed batches into a fresh
+    /// snapshot.
+    pub folded: bool,
 }
 
 // ------------------------------------------------------------- registry
 
-/// The durable half of a registry: per-shard WALs (`None` = degraded)
-/// plus the layout and compaction thresholds.
+/// The durable half of a registry: the WAL (`None` while degraded) plus
+/// the layout and compaction thresholds.
 struct Store {
     layout: ShardLayout,
-    wals: Vec<Option<Wal>>,
-    /// The live layout generation (file-name suffix of snapshots/WALs).
+    wal: Option<Wal>,
+    /// The live layout generation (file-name suffix of snapshot and WAL).
     generation: u64,
     source: String,
     compact_bytes: u64,
     compact_records: u64,
 }
 
-/// The commit-locked half of a registry: the row assignment and the
+impl Store {
+    /// Writes layout generation `gen` — `engine`'s snapshot at `seq` and a
+    /// fresh WAL — and commits it by storing its manifest; `pre_commit`
+    /// names the fault point just before that rename. Files of other
+    /// generations are left for the caller to sweep.
+    fn commit_generation(
+        &mut self,
+        gen: u64,
+        engine: &Engine,
+        seq: u64,
+        schema_fp: u64,
+        pre_commit: Option<&str>,
+    ) -> Result<(), RegistryError> {
+        let rel = engine.relation();
+        let snapshot = snapshot_bytes(engine, &self.source, seq);
+        write_atomic(&self.layout.shard_snapshot(gen, 0), &snapshot, None)?;
+        // An earlier attempt at this generation may have failed before
+        // its commit point; a fresh log is wanted either way, and a stale
+        // or corrupt predecessor being gone is what lets a swap heal a
+        // degraded registry.
+        let wal_path = self.layout.shard_wal(gen, 0);
+        remove_if_present(&wal_path)?;
+        let (wal, _) = Wal::open(&wal_path, schema_fp, seq, rel.arity())?;
+        if let Some(point) = pre_commit {
+            fault::hit(point)?;
+        }
+        Manifest::single(schema_fp, seq, gen, rel.len()).store(&self.layout.manifest())?;
+        self.generation = gen;
+        self.wal = Some(wal);
+        Ok(())
+    }
+}
+
+/// The commit-locked half of a registry: the committed seq and the
 /// durable store. Lock order: this before the engine.
 struct State {
-    attrs: Vec<usize>,
-    assign: Vec<u32>,
     seq: u64,
     store: Option<Store>,
 }
@@ -518,15 +546,15 @@ struct Inner {
     config: RenuverConfig,
     schema: Schema,
     schema_fp: u64,
-    n_shards: usize,
     /// Whether commits are logged (fixed at construction).
     durable: bool,
     /// The committed seq, published so handles never wait on the commit
     /// lock (which compaction holds across its file writes).
     seq: AtomicU64,
-    /// Rows per shard, published for `/healthz` and the shard gauges.
-    shard_rows: Vec<AtomicUsize>,
-    shard_states: Vec<AtomicU8>,
+    /// Committed rows, published for `/healthz` beside the seq.
+    rows: AtomicUsize,
+    /// Whether the WAL is unusable (ingest refused).
+    degraded: AtomicBool,
     compacting: AtomicBool,
     swaps: AtomicU64,
 }
@@ -542,12 +570,6 @@ impl Inner {
                 g.reset_transient();
                 g
             }
-        }
-    }
-
-    fn publish_rows(&self, assign: &[u32]) {
-        for (slot, n) in self.shard_rows.iter().zip(shard_counts(assign, self.n_shards)) {
-            slot.store(n, Ordering::Release);
         }
     }
 }
@@ -571,9 +593,7 @@ pub struct IngestOutcome {
     pub donor_rows: usize,
     /// Dictionary entries the oracle grew by.
     pub dict_grown: usize,
-    /// The owning shard of each committed row, in batch order.
-    pub shards: Vec<usize>,
-    /// Whether any shard WAL has crossed its compaction thresholds.
+    /// Whether the WAL has crossed its compaction thresholds.
     pub wants_compact: bool,
 }
 
@@ -581,84 +601,57 @@ impl Registry {
     // -------------------------------------------------------- construct
 
     /// Builds an in-memory (non-durable) registry by preparing an engine
-    /// over `rel`.
-    pub fn build(rel: &Relation, sigma: RfdSet, config: RenuverConfig, n_shards: usize) -> Registry {
-        Registry::from_engine(Engine::prepare(rel.clone(), sigma, config), n_shards)
+    /// over `rel`. `_n_shards` is ignored; it stays for callers written
+    /// against the sharded registry (the repository benchmark passes 2).
+    pub fn build(rel: &Relation, sigma: RfdSet, config: RenuverConfig, _n_shards: usize) -> Registry {
+        Registry::from_engine(Engine::prepare(rel.clone(), sigma, config))
     }
 
     /// Wraps an already prepared engine in an in-memory (non-durable)
     /// registry. The engine's oracle and index are kept as they are.
-    pub fn from_engine(engine: Engine, n_shards: usize) -> Registry {
-        let n_shards = n_shards.max(1);
-        let (attrs, assign) = route(engine.relation(), engine.sigma(), n_shards);
-        let state = State { attrs, assign, seq: 0, store: None };
-        Registry::assemble(engine, state, n_shards, &[])
+    pub fn from_engine(engine: Engine) -> Registry {
+        Registry::assemble(engine, State { seq: 0, store: None }, false)
     }
 
-    fn assemble(engine: Engine, state: State, n_shards: usize, degraded: &[usize]) -> Registry {
+    fn assemble(engine: Engine, state: State, degraded: bool) -> Registry {
         let schema = engine.schema().clone();
         let inner = Inner {
             config: engine.config().clone(),
             schema_fp: artifact::schema_fingerprint(&schema),
             schema,
-            n_shards,
             durable: state.store.is_some(),
             seq: AtomicU64::new(state.seq),
-            shard_rows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
-            shard_states: (0..n_shards)
-                .map(|k| AtomicU8::new(u8::from(degraded.contains(&k))))
-                .collect(),
+            rows: AtomicUsize::new(engine.donor_rows()),
+            degraded: AtomicBool::new(degraded),
             compacting: AtomicBool::new(false),
             swaps: AtomicU64::new(0),
             engine: Mutex::new(engine),
             state: Mutex::new(state),
         };
-        inner.publish_rows(&inner.state.lock().expect("fresh lock").assign);
         Registry { inner: Arc::new(inner) }
-    }
-
-    /// Writes the layout for `rel` beside `layout`'s base at `seq`
-    /// without opening WALs — the `prepare --shards` path, run on a
-    /// [cleared](ShardLayout::clear) layout. Returns the shard row counts.
-    pub fn prepare_layout(
-        rel: &Relation,
-        sigma: &RfdSet,
-        n_shards: usize,
-        layout: &ShardLayout,
-        source: &str,
-        seq: u64,
-    ) -> Result<Vec<usize>, RegistryError> {
-        let n_shards = n_shards.max(1);
-        let (attrs, assign) = route(rel, sigma, n_shards);
-        write_shard_snapshots(layout, 0, n_shards, false, |k| {
-            shard_bytes(rel, &assign, k, sigma, source, seq)
-        })?;
-        let schema_fp = artifact::schema_fingerprint(rel.schema());
-        let rows = shard_counts(&assign, n_shards);
-        Manifest { schema_fp, n_shards, seq, generation: 0, attrs, assign }
-            .store(&layout.manifest())?;
-        Ok(rows)
     }
 
     /// Opens (or initializes) a durable registry beside `base`.
     ///
     /// With no manifest on disk the artifact's engine is used as decoded
     /// (oracle and index included), a single-file WAL beside it is
-    /// migrated, and the layout is written at `n_shards`. With a
-    /// manifest, the layout recovers per the module-level algorithm and
-    /// keeps its own shard count.
+    /// migrated, and the layout is written. With a manifest, the layout
+    /// recovers per the module-level algorithm, and an earlier build's
+    /// `n`-shard layout is migrated to one snapshot and one WAL.
+    /// `_n_shards` is ignored; it stays for callers written against the
+    /// sharded registry (the repository benchmark passes 2).
     pub fn open_durable(
         base: Artifact,
         config: RenuverConfig,
-        n_shards: usize,
+        _n_shards: usize,
         layout: ShardLayout,
         source: &str,
         compact_bytes: u64,
         compact_records: u64,
-    ) -> Result<(Registry, ShardRecovery), RegistryError> {
+    ) -> Result<(Registry, RecoveryReport), RegistryError> {
         let store = Store {
             layout,
-            wals: Vec::new(),
+            wal: None,
             generation: 0,
             source: source.to_string(),
             compact_bytes,
@@ -667,31 +660,30 @@ impl Registry {
         if store.layout.manifest().exists() {
             Registry::recover(base, config, store)
         } else {
-            Registry::first_open(base, config, n_shards.max(1), store)
+            Registry::first_open(base, config, store)
         }
     }
 
     fn first_open(
         base: Artifact,
         config: RenuverConfig,
-        n_shards: usize,
         mut store: Store,
-    ) -> Result<(Registry, ShardRecovery), RegistryError> {
+    ) -> Result<(Registry, RecoveryReport), RegistryError> {
         let schema_fp = base.schema_fingerprint;
         let mut seq = base.committed_seq;
         let mut engine = base.into_engine(config);
         let arity = engine.relation().arity();
         let layout = &store.layout;
-        // No manifest references any shard file yet: leftovers of an
+        // No manifest references any layout file yet: leftovers of an
         // interrupted first open are garbage.
         layout.sweep_generations(None);
 
         // Migrate the single-file store: its records above the artifact's
         // seq replay through the live commit path before the layout is
-        // written, so the layout's first snapshots already hold them.
+        // written, so the layout's first snapshot already holds them.
         let legacy = layout.legacy_wal();
         let migrating = legacy.exists();
-        let mut report = ShardRecovery::default();
+        let mut report = RecoveryReport::default();
         if migrating {
             let (wal, records) = Wal::open(&legacy, schema_fp, seq, arity)?;
             for rec in records {
@@ -701,13 +693,7 @@ impl Registry {
             seq = wal.last_seq();
         }
 
-        let (attrs, assign) = route(engine.relation(), engine.sigma(), n_shards);
-        write_shard_snapshots(layout, 0, n_shards, false, |k| {
-            shard_bytes(engine.relation(), &assign, k, engine.sigma(), &store.source, seq)
-        })?;
-        store.wals = fresh_wals(layout, 0, n_shards, schema_fp, seq, arity)?;
-        Manifest { schema_fp, n_shards, seq, generation: 0, attrs: attrs.clone(), assign: assign.clone() }
-            .store(&layout.manifest())?;
+        store.commit_generation(0, &engine, seq, schema_fp, None)?;
         if migrating {
             // The manifest rename is durable: the layout now holds every
             // record the old log did.
@@ -715,55 +701,61 @@ impl Registry {
             remove_if_present(&legacy)?;
         }
         report.seq = seq;
-        let state = State { attrs, assign, seq, store: Some(store) };
-        Ok((Registry::assemble(engine, state, n_shards, &[]), report))
+        Ok((Registry::assemble(engine, State { seq, store: Some(store) }, false), report))
     }
 
     fn recover(
         base: Artifact,
         config: RenuverConfig,
         mut store: Store,
-    ) -> Result<(Registry, ShardRecovery), RegistryError> {
+    ) -> Result<(Registry, RecoveryReport), RegistryError> {
         let layout = store.layout.clone();
         let schema_fp = base.schema_fingerprint;
         let arity = base.relation.arity();
         let read = read_layout(base, config, &layout, true)?;
-        let gen = read.manifest.generation;
-        // Sweep losers of an interrupted swap (files of any generation
-        // other than the committed one) before they can shadow a later
-        // swap to the same generation number, and finish a migration
-        // that crashed after its manifest commit.
+        let (n, gen) = (read.manifest.n_shards, read.manifest.generation);
+        // Sweep losers of an interrupted swap or migration (files of any
+        // generation other than the committed one) before they can
+        // shadow a later write to the same generation number, and finish
+        // a single-file migration that crashed after its manifest commit.
         layout.sweep_generations(Some(gen));
         finish_migration(&layout, schema_fp, read.manifest.seq, arity);
         store.generation = gen;
-        store.wals = read.wals;
         let mut report = read.report;
-        let state =
-            State { attrs: read.manifest.attrs, assign: read.assign, seq: report.seq, store: Some(store) };
-        let reg = Registry::assemble(read.engine, state, read.manifest.n_shards, &report.degraded);
-        if read.mixed {
-            // Normalize: rewrite every snapshot + the manifest at the
-            // committed horizon and reset the healthy logs.
+        if n > 1 {
+            let point = Some("migrate.pre_commit");
+            store.commit_generation(gen + 1, &read.engine, report.seq, schema_fp, point)?;
+            fault::hit("migrate.pre_sweep")?;
+            layout.sweep_generations(Some(gen + 1));
+            eprintln!("renuver: migrated the {n}-shard layout into one snapshot and one wal");
+            report.folded = true;
+        } else {
+            store.wal = read.wal;
+            report.degraded = store.wal.is_none();
+        }
+        let state = State { seq: report.seq, store: Some(store) };
+        let reg = Registry::assemble(read.engine, state, report.degraded);
+        if n == 1 && read.behind {
+            // Fold the replayed tail into a fresh snapshot at the
+            // committed horizon and reset the log.
             reg.compact()?;
-            report.normalized = true;
+            report.folded = true;
         }
         Ok((reg, report))
     }
 
-    /// A non-durable one-shard registry over the model the file at
-    /// `layout`'s base holds: `base` (that file, decoded) as is, or — when
-    /// a durable layout sits beside the file — the layout's committed
-    /// state, read the way recovery reads it. Writes nothing. `serve`
-    /// without `--wal`, `tune` and `inspect` load models this way.
+    /// A non-durable registry over the model the file at `layout`'s base
+    /// holds: `base` (that file, decoded) as is, or — when a durable
+    /// layout sits beside the file — the layout's committed state, read
+    /// the way recovery reads it. Writes nothing. `serve` without
+    /// `--wal`, `tune` and `inspect` load models this way.
     pub fn load(
         base: Artifact,
         config: RenuverConfig,
         layout: &ShardLayout,
     ) -> Result<Registry, RegistryError> {
         let (engine, seq) = load_model(base, config, layout)?;
-        let assign = vec![0; engine.relation().len()];
-        let state = State { attrs: Vec::new(), assign, seq, store: None };
-        Ok(Registry::assemble(engine, state, 1, &[]))
+        Ok(Registry::assemble(engine, State { seq, store: None }, false))
     }
 
     // ---------------------------------------------------------- queries
@@ -801,14 +793,22 @@ impl Registry {
         self.inner.seq.load(Ordering::Acquire)
     }
 
+    /// Committed rows in the live model. Never waits on the engine.
+    pub fn rows(&self) -> usize {
+        self.inner.rows.load(Ordering::Acquire)
+    }
+
     /// The model schema.
     pub fn schema(&self) -> &Schema {
         &self.inner.schema
     }
 
-    /// Number of shards in the layout.
+    /// The layout's shard count: 1 for every registry. Kept for callers
+    /// written against the sharded registry; it goes together with the
+    /// unused shard-count arguments of [`Registry::build`] and
+    /// [`Registry::open_durable`].
     pub fn n_shards(&self) -> usize {
-        self.inner.n_shards
+        1
     }
 
     /// The registry's schema fingerprint.
@@ -816,28 +816,15 @@ impl Registry {
         self.inner.schema_fp
     }
 
-    /// Whether commits are logged to per-shard WALs.
+    /// Whether commits are logged to the WAL.
     pub fn is_durable(&self) -> bool {
         self.inner.durable
     }
 
-    /// Per-shard health, shard order.
-    pub fn shard_states(&self) -> Vec<ShardState> {
-        self.inner
-            .shard_states
-            .iter()
-            .map(|s| if s.load(Ordering::Acquire) == 0 { ShardState::Ok } else { ShardState::Degraded })
-            .collect()
-    }
-
-    /// Indices of degraded shards.
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        self.shard_states()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == ShardState::Degraded)
-            .map(|(k, _)| k)
-            .collect()
+    /// Whether the WAL is unusable: imputes are served, ingest is
+    /// refused until a swap or a restart rebuilds the log.
+    pub fn degraded(&self) -> bool {
+        self.inner.degraded.load(Ordering::Acquire)
     }
 
     /// Whether a background compaction is in flight.
@@ -856,11 +843,6 @@ impl Registry {
         self.lock_state().store.as_ref().map_or(0, |s| s.generation)
     }
 
-    /// Committed rows per shard.
-    pub fn shard_rows(&self) -> Vec<usize> {
-        self.inner.shard_rows.iter().map(|n| n.load(Ordering::Acquire)).collect()
-    }
-
     fn lock_state(&self) -> MutexGuard<'_, State> {
         self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -868,12 +850,11 @@ impl Registry {
     // ----------------------------------------------------------- ingest
 
     /// Repairs and commits a batch: impute under the engine lock, append
-    /// the full repaired batch to every healthy shard WAL (no engine lock
-    /// held across the fsync), then commit under the engine lock. The
-    /// commit lock serializes the three steps against other commits.
-    /// Refused while any shard is degraded — acknowledging a batch a
-    /// degraded log never saw would silently fork the shards on the next
-    /// recovery.
+    /// the repaired batch to the WAL (no engine lock held across the
+    /// fsync), then commit under the engine lock. The commit lock
+    /// serializes the three steps against other commits. Refused while
+    /// the WAL is degraded — acknowledging a batch the log never saw
+    /// would lose it on the next recovery.
     pub fn ingest(
         &self,
         tuples: Vec<Tuple>,
@@ -881,60 +862,49 @@ impl Registry {
     ) -> Result<IngestOutcome, RegistryError> {
         let mut state = self.lock_state();
         // Degradation only transitions while this lock is held (the
-        // append fan-out below, `swap`, and recovery all run under it),
-        // so checking here cannot race with a concurrent ingest that
-        // degrades a shard after we looked.
-        let degraded = self.degraded_shards();
-        if !degraded.is_empty() {
-            return Err(RegistryError::Degraded(degraded));
+        // append below, `swap`, and recovery all run under it), so
+        // checking here cannot race with a concurrent ingest that
+        // degrades the log after we looked.
+        if self.degraded() {
+            return Err(RegistryError::Degraded);
         }
         let batch = self.inner.lock_engine().impute_batch_with(tuples, config)?;
 
         let seq = state.seq + 1;
         if let Some(store) = state.store.as_mut() {
-            for k in 0..store.wals.len() {
-                // A missing handle is a hard refusal, never a skip.
-                let Some(wal) = store.wals[k].as_mut() else {
-                    return Err(RegistryError::Degraded(vec![k]));
-                };
-                let appended = fault::hit(&format!("registry.append.shard{k}"))
-                    .and_then(|()| wal.append(&batch.tuples).map(|_| ()));
-                if let Err(e) = appended {
-                    // Drop the handle: the shard is degraded until a swap
-                    // or restart rebuilds its log. The batch is NOT
-                    // acknowledged; logs that already hold this seq are
-                    // beyond the committed horizon and will be truncated
-                    // by the next compaction.
-                    store.wals[k] = None;
-                    self.inner.shard_states[k].store(1, Ordering::Release);
-                    return Err(RegistryError::WalAppend(e));
-                }
+            // A missing handle is a hard refusal, never a skip.
+            let Some(wal) = store.wal.as_mut() else {
+                return Err(RegistryError::Degraded);
+            };
+            let appended = fault::hit("registry.append")
+                .and_then(|()| wal.append(&batch.tuples).map(|_| ()));
+            if let Err(e) = appended {
+                // Drop the handle: the log is degraded until a swap or
+                // restart rebuilds it. The batch is NOT acknowledged; a
+                // frame that did reach the log is a torn tail to the next
+                // recovery, or beyond the horizon it replays.
+                store.wal = None;
+                self.inner.degraded.store(true, Ordering::Release);
+                return Err(RegistryError::WalAppend(e));
             }
         }
 
         let stats = match self.inner.lock_engine().commit_tuples(batch.tuples.clone()) {
             Ok(stats) => stats,
             Err(e) => {
-                // The logs hold a batch the engine refused: only a
+                // The log holds a batch the engine refused: only a
                 // restart (replay) re-syncs them, so refuse writes.
                 if state.store.is_some() {
-                    for s in &self.inner.shard_states {
-                        s.store(1, Ordering::Release);
-                    }
+                    self.inner.degraded.store(true, Ordering::Release);
                 }
                 return Err(RegistryError::Data(e));
             }
         };
-        let shards: Vec<usize> =
-            batch.tuples.iter().map(|t| shard_of(t, &state.attrs, self.inner.n_shards)).collect();
-        for &k in &shards {
-            state.assign.push(k as u32);
-            self.inner.shard_rows[k].fetch_add(1, Ordering::AcqRel);
-        }
         state.seq = seq;
         self.inner.seq.store(seq, Ordering::Release);
+        self.inner.rows.store(stats.donors, Ordering::Release);
         let wants_compact = state.store.as_ref().is_some_and(|s| {
-            s.wals.iter().flatten().any(|w| {
+            s.wal.as_ref().is_some_and(|w| {
                 w.bytes() >= s.compact_bytes || w.records() >= s.compact_records
             })
         });
@@ -945,43 +915,37 @@ impl Registry {
             dict_grown: stats.dict_grown,
             batch,
             seq,
-            shards,
             wants_compact,
         })
     }
 
     // ------------------------------------------------------- compaction
 
-    /// Folds every shard's WAL into a fresh snapshot, rewrites the
-    /// manifest, and resets the healthy logs. Fault points, hit per
-    /// shard: `compact.pre_write`, `compact.pre_rename`, and
-    /// `compact.shard_done` after each shard's snapshot goes live — the
-    /// window where a crash leaves snapshot seqs mixed; then
+    /// Folds the WAL into a fresh snapshot, rewrites the manifest, and
+    /// resets the log. Fault points: `compact.pre_write`,
+    /// `compact.pre_rename`, `compact.snapshot_done` once the snapshot is
+    /// live — the window where it is ahead of the manifest —
     /// `compact.post_rename` after the manifest and `compact.pre_truncate`
-    /// before each log reset. Readers wait on the engine only while a
-    /// shard's rows are cut from the relation, never across file writes.
+    /// before the log reset. Readers wait on the engine only while the
+    /// snapshot is cut from the relation, never across file writes.
     pub fn compact(&self) -> Result<u64, RegistryError> {
         let mut state = self.lock_state();
         let seq = state.seq;
-        let State { attrs, assign, store, .. } = &mut *state;
-        let Some(store) = store.as_mut() else {
+        let Some(store) = state.store.as_mut() else {
             return Ok(seq);
         };
-        write_shard_snapshots(&store.layout, store.generation, self.inner.n_shards, true, |k| {
+        fault::hit("compact.pre_write")?;
+        let (snapshot, rows) = {
             let engine = self.inner.lock_engine();
-            shard_bytes(engine.relation(), assign, k, engine.sigma(), &store.source, seq)
-        })?;
-        Manifest {
-            schema_fp: self.inner.schema_fp,
-            n_shards: self.inner.n_shards,
-            seq,
-            generation: store.generation,
-            attrs: attrs.clone(),
-            assign: assign.clone(),
-        }
-        .store(&store.layout.manifest())?;
+            (snapshot_bytes(&engine, &store.source, seq), engine.relation().len())
+        };
+        let path = store.layout.shard_snapshot(store.generation, 0);
+        write_atomic(&path, &snapshot, Some("compact.pre_rename"))?;
+        fault::hit("compact.snapshot_done")?;
+        Manifest::single(self.inner.schema_fp, seq, store.generation, rows)
+            .store(&store.layout.manifest())?;
         fault::hit("compact.post_rename")?;
-        for wal in store.wals.iter_mut().flatten() {
+        if let Some(wal) = store.wal.as_mut() {
             fault::hit("compact.pre_truncate")?;
             wal.reset(seq)?;
         }
@@ -1015,17 +979,17 @@ impl Registry {
     // ------------------------------------------------------------- swap
 
     /// Atomically replaces the model with `art` (its decoded oracle and
-    /// index included): rewrites the durable layout (fresh WALs — this
-    /// also clears any degraded shard) and replaces the engine inside its
+    /// index included): rewrites the durable layout (a fresh WAL — this
+    /// also clears a degraded log) and replaces the engine inside its
     /// mutex. In-flight imputes finish on the old engine; the seq counter
     /// keeps running. Rejected when the schema fingerprint differs.
     ///
     /// The durable rewrite is crash-atomic: every file of the new layout
-    /// — snapshots *and* fresh WALs — is written under the next
+    /// — snapshot *and* fresh WAL — is written under the next
     /// generation's names, invisible to recovery, and the single commit
     /// point is the atomic manifest rename that flips the generation. A
     /// crash before it leaves the old generation byte-for-byte intact
-    /// (including its logs, so no acknowledged batch is lost); a crash
+    /// (including its log, so no acknowledged batch is lost); a crash
     /// after it recovers onto the complete new layout. Files of the
     /// losing generation are swept post-commit and again at recovery.
     pub fn swap(&self, art: Artifact) -> Result<u64, RegistryError> {
@@ -1080,49 +1044,19 @@ impl Registry {
         engine: Engine,
         seq: u64,
     ) -> Result<u64, RegistryError> {
-        let n = self.inner.n_shards;
         let seq = state.seq.max(seq);
-        let (attrs, assign) = route(engine.relation(), engine.sigma(), n);
         if let Some(store) = state.store.as_mut() {
-            let old_gen = store.generation;
-            let new_gen = old_gen + 1;
-            write_shard_snapshots(&store.layout, new_gen, n, false, |k| {
-                shard_bytes(engine.relation(), &assign, k, engine.sigma(), &store.source, seq)
-            })?;
-            // An earlier swap to this generation may have failed before
-            // its commit point; fresh logs are wanted either way, and
-            // stale or corrupt predecessors being gone is what lets a
-            // swap heal a degraded shard.
-            let arity = engine.relation().arity();
-            let wals = fresh_wals(&store.layout, new_gen, n, self.inner.schema_fp, seq, arity)?;
-            fault::hit("swap.pre_commit")?;
-            Manifest {
-                schema_fp: self.inner.schema_fp,
-                n_shards: n,
-                seq,
-                generation: new_gen,
-                attrs: attrs.clone(),
-                assign: assign.clone(),
-            }
-            .store(&store.layout.manifest())?;
+            let gen = store.generation + 1;
+            store.commit_generation(gen, &engine, seq, self.inner.schema_fp, Some("swap.pre_commit"))?;
             // Committed. The old generation is garbage from here on.
-            store.generation = new_gen;
-            store.wals = wals;
-            for k in 0..n {
-                let _ = fs::remove_file(store.layout.shard_snapshot(old_gen, k));
-                let _ = fs::remove_file(store.layout.shard_wal(old_gen, k));
-            }
+            store.layout.sweep_generations(Some(gen));
         }
+        self.inner.rows.store(engine.donor_rows(), Ordering::Release);
         let old = std::mem::replace(&mut *self.inner.lock_engine(), engine);
         drop(old);
-        self.inner.publish_rows(&assign);
-        state.attrs = attrs;
-        state.assign = assign;
         state.seq = seq;
         self.inner.seq.store(seq, Ordering::Release);
-        for s in &self.inner.shard_states {
-            s.store(0, Ordering::Release);
-        }
+        self.inner.degraded.store(false, Ordering::Release);
         // Counted before the commit lock is released, so `retune` sees
         // every swap that landed before it took the lock.
         self.inner.swaps.fetch_add(1, Ordering::AcqRel);
@@ -1133,36 +1067,25 @@ impl Registry {
 
 // ---------------------------------------------------------------- shared
 
-/// Rows per shard under `assign`.
-fn shard_counts(assign: &[u32], n: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; n];
-    for &k in assign {
-        counts[k as usize] += 1;
-    }
-    counts
-}
-
 /// A durable layout as recovery reads it.
 struct LayoutRead {
     manifest: Manifest,
     /// The engine at the committed horizon: the manifest's rows merged
-    /// from the shard snapshots, then the WAL suffix replayed.
+    /// from the snapshots, then the WAL suffix replayed.
     engine: Engine,
-    /// The manifest's assignment extended by the replayed rows.
-    assign: Vec<u32>,
-    /// Shard logs opened for append (`None` = degraded, or a read-only
-    /// read).
-    wals: Vec<Option<Wal>>,
-    /// Replay counts, the committed seq and the degraded shards.
-    report: ShardRecovery,
-    /// Whether snapshot or log seqs differ from the committed horizon.
-    mixed: bool,
+    /// The log of a one-shard layout, opened for append (`None` when it
+    /// is unusable, or the read was read-only or of an `n`-shard layout).
+    wal: Option<Wal>,
+    /// Replay counts and the committed seq.
+    report: RecoveryReport,
+    /// Whether a snapshot or log seq differs from the committed horizon.
+    behind: bool,
 }
 
 /// Reads the layout beside `base`'s file per the module-level algorithm
-/// and builds its engine. `writable` opens the shard logs for append
-/// (truncating torn tails); otherwise they are only read, and nothing is
-/// written.
+/// and builds its engine. `writable` opens the log of a one-shard layout
+/// for append (truncating a torn tail); otherwise, and for every log of
+/// an `n`-shard layout, the logs are only read, and nothing is written.
 fn read_layout(
     base: Artifact,
     config: RenuverConfig,
@@ -1178,7 +1101,7 @@ fn read_layout(
     let arity = base.relation.arity();
     // `shard_of` indexes tuples with these, so a stale manifest paired
     // with a same-fingerprint model must fail cleanly here rather than
-    // panic out of bounds during replay or ingest.
+    // panic out of bounds during replay.
     if let Some(&a) = m.attrs.iter().find(|&&a| a >= arity) {
         return Err(RegistryError::Manifest(format!(
             "manifest partition attribute {a} out of range for arity {arity}"
@@ -1186,7 +1109,7 @@ fn read_layout(
     }
     let gen = m.generation;
 
-    // Shard snapshots, each possibly ahead of the manifest after a
+    // Snapshots, each possibly ahead of the manifest after a
     // mid-compaction crash. They carry the live RFD set — a swapped
     // model's, not the base artifact's.
     let mut parts = Vec::with_capacity(n);
@@ -1215,42 +1138,46 @@ fn read_layout(
         rows.push(row);
     }
 
-    // WALs open at the manifest seq: the manifest is written before any
-    // WAL reset, so every base_seq ≤ m.seq. An unopenable WAL degrades
-    // its shard; siblings carry the full batches.
+    // Logs open at the manifest seq: the manifest is written before any
+    // log reset, so every base_seq ≤ m.seq. An `n`-shard layout's logs
+    // each hold every batch, so one readable log rebuilds the rows of a
+    // shard whose own log is unreadable.
+    let append = writable && n == 1;
     let mut records = Vec::new();
-    let mut wals = Vec::with_capacity(n);
+    let mut wal = None;
     let mut healthy_seqs = Vec::with_capacity(n);
-    let mut degraded = Vec::new();
     for k in 0..n {
         let path = layout.shard_wal(gen, k);
-        let opened = if writable {
-            Wal::open(&path, schema_fp, m.seq, arity).map(|(wal, recs)| (wal.last_seq(), recs, Some(wal)))
+        let opened = if append {
+            Wal::open(&path, schema_fp, m.seq, arity).map(|(log, recs)| (log.last_seq(), recs, Some(log)))
         } else {
             Wal::read(&path, schema_fp, m.seq, arity).map(|(last, recs)| (last, recs, None))
         };
         match opened {
-            Ok((last, recs, wal)) => {
+            Ok((last, recs, log)) => {
                 if recs.len() > records.len() {
                     records = recs;
                 }
                 healthy_seqs.push(last);
-                wals.push(wal);
+                wal = wal.or(log);
             }
             Err(e) => {
-                eprintln!("renuver: shard {k} wal unusable ({e}); shard degraded");
-                degraded.push(k);
-                wals.push(None);
+                eprintln!("renuver: wal {} unusable ({e})", path.display());
             }
         }
     }
+    if healthy_seqs.is_empty() && writable && n > 1 {
+        return Err(RegistryError::Recovery(format!(
+            "no wal of the {n}-shard layout is readable; nothing to migrate from"
+        )));
+    }
     if healthy_seqs.is_empty() && snap_seq.iter().any(|&s| s != m.seq) {
         return Err(RegistryError::Recovery(
-            "no readable wal and shard snapshots are ahead of the manifest".to_string(),
+            "no readable wal and a snapshot is ahead of the manifest".to_string(),
         ));
     }
     let committed = healthy_seqs.iter().copied().min().unwrap_or(m.seq);
-    // Every healthy log holds m.seq+1 ..= its last_seq; the longest list
+    // Every readable log holds m.seq+1 ..= its last_seq; the longest list
     // read covers the committed horizon.
     records.retain(|r| r.seq <= committed);
 
@@ -1277,10 +1204,10 @@ fn read_layout(
     }
     drop(parts);
 
-    let mixed =
+    let behind =
         snap_seq.iter().any(|&s| s != committed) || healthy_seqs.iter().any(|&s| s != committed);
     let rel = Relation::new(base.relation.schema().clone(), rows)
-        .map_err(|e| RegistryError::Recovery(format!("shard snapshots disagree with the schema: {e}")))?;
+        .map_err(|e| RegistryError::Recovery(format!("snapshots disagree with the schema: {e}")))?;
     // A layout that still holds exactly the artifact's model keeps the
     // artifact's decoded oracle and index; anything else (a compacted or
     // swapped layout) is prepared once.
@@ -1290,14 +1217,33 @@ fn read_layout(
         drop(base);
         Engine::prepare(rel, sigma, config)
     };
-    let mut assign = m.assign.clone();
-    let mut report = ShardRecovery { seq: committed, degraded, ..Default::default() };
+    let mut report = RecoveryReport { seq: committed, ..Default::default() };
     for rec in records {
-        assign.extend(rec.tuples.iter().map(|t| shard_of(t, &m.attrs, n) as u32));
         report.rows += commit_replayed(&mut engine, rec.seq, rec.tuples)?;
         report.replayed += 1;
     }
-    Ok(LayoutRead { manifest: m, engine, assign, wals, report, mixed })
+    Ok(LayoutRead { manifest: m, engine, wal, report, behind })
+}
+
+/// The shard an `n`-shard layout of an earlier build assigned `tuple`
+/// to: FNV-1a over the rendered partition-attribute values, mod `n`. Only
+/// the reader's check of snapshots ahead of the manifest routes rows.
+fn shard_of(tuple: &[Value], attrs: &[AttrId], n: usize) -> usize {
+    if n <= 1 {
+        return 0;
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &a in attrs {
+        for &b in tuple[a].render().as_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        // Attribute separator: ("ab", "") and ("a", "b") must not collide
+        // into systematically identical buckets.
+        h ^= 0x1f;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    (h % n as u64) as usize
 }
 
 /// The model the file at `layout`'s base holds, read without writing
@@ -1317,18 +1263,6 @@ fn load_model(
     Ok((read.engine, read.report.seq))
 }
 
-/// The partition attributes and row assignment for `rel` over `n`
-/// shards. One shard routes every row to itself, so it skips the
-/// key-RFD scan that picks the attributes.
-fn route(rel: &Relation, sigma: &RfdSet, n: usize) -> (Vec<usize>, Vec<u32>) {
-    if n == 1 {
-        return (Vec::new(), vec![0; rel.len()]);
-    }
-    let attrs = partition_attrs(rel, sigma);
-    let assign = assign(rel.tuples(), &attrs, n);
-    (attrs, assign)
-}
-
 /// Commits one replayed WAL record, returning its row count.
 fn commit_replayed(engine: &mut Engine, seq: u64, tuples: Vec<Tuple>) -> Result<usize, RegistryError> {
     engine
@@ -1337,22 +1271,14 @@ fn commit_replayed(engine: &mut Engine, seq: u64, tuples: Vec<Tuple>) -> Result<
         .map_err(|e| RegistryError::Recovery(format!("wal seq {seq} disagrees with the model schema: {e}")))
 }
 
-/// Shard `k`'s snapshot: its rows of `rel` under `assign`, in global
-/// order, encoded without a distance cache — recovery prepares one
-/// engine over the merged relation, so a per-shard matrix would be pure
-/// bloat. Encoded straight from `rel`, never copied out of it.
-fn shard_bytes(
-    rel: &Relation,
-    assign: &[u32],
-    k: usize,
-    sigma: &RfdSet,
-    source: &str,
-    seq: u64,
-) -> Vec<u8> {
-    let rows = (0..assign.len().min(rel.len()))
-        .filter(move |&g| assign[g] as usize == k)
-        .map(move |g| rel.tuple(g));
-    artifact::encode_uncached(rel.schema(), rows, sigma, source, seq)
+/// The snapshot of `engine` at `seq`: its relation and RFD set, encoded
+/// without a distance cache — recovery prepares the engine once, so a
+/// cached matrix would be pure bloat. Encoded straight from the
+/// relation, never copied out of it.
+fn snapshot_bytes(engine: &Engine, source: &str, seq: u64) -> Vec<u8> {
+    let rel = engine.relation();
+    let rows = (0..rel.len()).map(|g| rel.tuple(g));
+    artifact::encode_uncached(rel.schema(), rows, engine.sigma(), source, seq)
 }
 
 fn remove_if_present(path: &Path) -> io::Result<()> {
@@ -1363,25 +1289,6 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
             Ok(())
         }
     }
-}
-
-/// Header-only WALs for every shard of generation `gen`, replacing any
-/// files already at those paths.
-fn fresh_wals(
-    layout: &ShardLayout,
-    gen: u64,
-    n: usize,
-    schema_fp: u64,
-    seq: u64,
-    arity: usize,
-) -> Result<Vec<Option<Wal>>, RegistryError> {
-    (0..n)
-        .map(|k| {
-            let path = layout.shard_wal(gen, k);
-            remove_if_present(&path)?;
-            Ok(Some(Wal::open(&path, schema_fp, seq, arity)?.0))
-        })
-        .collect()
 }
 
 /// Removes the single-file WAL a migration left behind when it crashed
@@ -1401,39 +1308,6 @@ fn finish_migration(layout: &ShardLayout, schema_fp: u64, seq: u64, arity: usize
             legacy.display()
         ),
     }
-}
-
-/// Writes one snapshot per shard (temp + fsync + rename + dir fsync)
-/// under generation `gen`'s names; `encode(k)` yields shard `k`'s bytes.
-/// `faults` wires the compaction crash points, per shard.
-fn write_shard_snapshots(
-    layout: &ShardLayout,
-    gen: u64,
-    n: usize,
-    faults: bool,
-    mut encode: impl FnMut(usize) -> Vec<u8>,
-) -> Result<(), RegistryError> {
-    for k in 0..n {
-        if faults {
-            fault::hit("compact.pre_write")?;
-        }
-        let bytes = encode(k);
-        let path = layout.shard_snapshot(gen, k);
-        let mut tmp_os = path.clone().into_os_string();
-        tmp_os.push(".tmp");
-        let tmp = PathBuf::from(tmp_os);
-        fs::write(&tmp, &bytes)?;
-        fs::File::open(&tmp)?.sync_all()?;
-        if faults {
-            fault::hit("compact.pre_rename")?;
-        }
-        fs::rename(&tmp, &path)?;
-        sync_parent_dir(&path);
-        if faults {
-            fault::hit("compact.shard_done")?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1479,6 +1353,29 @@ mod tests {
         dir
     }
 
+    /// A fresh directory holding the test model as `model.rnv`.
+    fn model_dir(tag: &str) -> (PathBuf, ShardLayout) {
+        let base = tmpdir(tag).join("model.rnv");
+        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
+        let layout = ShardLayout::beside(&base);
+        (base, layout)
+    }
+
+    fn try_open(base: &Path) -> Result<(Registry, RecoveryReport), RegistryError> {
+        let art = artifact::load(base).unwrap();
+        let layout = ShardLayout::beside(base);
+        Registry::open_durable(art, RenuverConfig::default(), 1, layout, "test", 1 << 20, 1 << 20)
+    }
+
+    fn open(base: &Path) -> (Registry, RecoveryReport) {
+        try_open(base).unwrap()
+    }
+
+    fn ingest(reg: &Registry, city: &str, zip: Option<&str>) -> Result<IngestOutcome, RegistryError> {
+        let cfg = reg.snapshot().config.clone();
+        reg.ingest(vec![vec![Value::from(city), zip.map_or(Value::Null, Value::from)]], &cfg)
+    }
+
     #[test]
     fn manifest_roundtrips() {
         let m = Manifest {
@@ -1511,7 +1408,7 @@ mod tests {
 
     #[test]
     fn in_memory_registry_imputes_and_ingests() {
-        let reg = Registry::build(&relation(), sigma(), RenuverConfig::default(), 2);
+        let reg = Registry::build(&relation(), sigma(), RenuverConfig::default(), 1);
         let snap = reg.snapshot();
         assert_eq!(snap.rows(), 6);
         let cfg = snap.config.clone();
@@ -1519,152 +1416,69 @@ mod tests {
             .impute(vec![vec![Value::from("Salerno"), Value::Null]], &cfg)
             .unwrap();
         assert_eq!(out.tuples[0][1], Value::from("84121"));
-        let outcome = reg
-            .ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg)
-            .unwrap();
+        let outcome = ingest(&reg, "Torino", Some("10121")).unwrap();
         assert_eq!(outcome.seq, 1);
         assert_eq!(outcome.donor_rows, 7);
         assert_eq!(reg.snapshot().rows(), 7);
     }
 
     #[test]
-    fn durable_registry_survives_reopen() {
-        let dir = tmpdir("reopen");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let art = artifact::load(&base).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, rep) = Registry::open_durable(
-            art, RenuverConfig::default(), 2, layout.clone(), "test", 1 << 20, 1 << 20,
-        )
-        .unwrap();
+    fn reopen_replays_only_unfolded_batches_and_folds_them() {
+        let (base, layout) = model_dir("reopen");
+        let (reg, rep) = open(&base);
         assert_eq!(rep.seq, 0);
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
-        reg.ingest(vec![vec![Value::from("Napoli"), Value::Null]], &cfg).unwrap();
-        let before: Vec<usize> = reg.shard_rows();
-        drop(reg);
-
-        let art = artifact::load(&base).unwrap();
-        let (reg2, rep2) = Registry::open_durable(
-            art, RenuverConfig::default(), 2, layout, "test", 1 << 20, 1 << 20,
-        )
-        .unwrap();
-        assert_eq!(rep2.seq, 2);
-        assert_eq!(rep2.replayed, 2);
-        assert!(rep2.degraded.is_empty());
-        assert_eq!(reg2.shard_rows(), before);
-        assert_eq!(reg2.snapshot().rows(), 8);
-    }
-
-    #[test]
-    fn compaction_resets_wals_and_recovery_skips_folded_batches() {
-        let dir = tmpdir("compact");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            3,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        ingest(&reg, "Torino", Some("10121")).unwrap();
         assert_eq!(reg.compact().unwrap(), 1);
-        reg.ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg).unwrap();
-        let rows = reg.shard_rows();
+        ingest(&reg, "Bari", Some("70121")).unwrap();
+        ingest(&reg, "Napoli", None).unwrap();
         drop(reg);
 
-        let (reg2, rep) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            3,
-            layout,
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        // Only the post-compaction batch replays.
-        assert_eq!(rep.replayed, 1);
-        assert_eq!(rep.seq, 2);
-        assert_eq!(reg2.shard_rows(), rows);
+        // Only the post-compaction batches replay, and recovery folds
+        // them: a snapshot at the horizon, an empty log.
+        let (reg2, rep2) = open(&base);
+        assert_eq!((rep2.seq, rep2.replayed, rep2.degraded, rep2.folded), (3, 2, false, true));
+        assert_eq!(reg2.snapshot().rows(), 9);
+        assert_eq!(artifact::load(layout.shard_snapshot(0, 0)).unwrap().committed_seq, 3);
+        drop(reg2);
+        let (_, rep3) = open(&base);
+        assert_eq!((rep3.seq, rep3.replayed, rep3.folded), (3, 0, false));
+    }
+
+    /// A WAL that will not open — a foreign header, or a byte flipped
+    /// before its last frame — degrades the registry: it serves its
+    /// snapshot, refuses ingest, and leaves the log byte-identical.
+    #[test]
+    fn an_unreadable_wal_degrades_and_is_left_alone() {
+        for (tag, flip) in [("header", 9), ("mid-log", 24 + 4 + 8 + 2)] {
+            let (base, layout) = model_dir(&format!("degrade-{tag}"));
+            let (reg, _) = open(&base);
+            for city in ["Torino", "Bari", "Napoli"] {
+                ingest(&reg, city, Some("10121")).unwrap();
+            }
+            drop(reg);
+            let wal_path = layout.shard_wal(0, 0);
+            let mut bytes = fs::read(&wal_path).unwrap();
+            bytes[flip] ^= 0x40;
+            fs::write(&wal_path, &bytes).unwrap();
+
+            let (reg2, rep) = open(&base);
+            assert!(rep.degraded && reg2.degraded(), "{tag}");
+            assert_eq!((rep.seq, rep.replayed, rep.folded), (0, 0, false), "{tag}");
+            assert_eq!(reg2.snapshot().rows(), 6, "{tag}: the snapshot is served");
+            let cfg = reg2.snapshot().config.clone();
+            let imputed =
+                reg2.impute(vec![vec![Value::from("Salerno"), Value::Null]], &cfg).unwrap();
+            assert_eq!(imputed.tuples[0][1], Value::from("84121"), "{tag}");
+            assert!(matches!(ingest(&reg2, "Lecce", Some("73100")), Err(RegistryError::Degraded)));
+            drop(reg2);
+            assert_eq!(fs::read(&wal_path).unwrap(), bytes, "{tag}: the damaged log was rewritten");
+        }
     }
 
     #[test]
-    fn corrupt_shard_wal_degrades_only_that_shard() {
-        let dir = tmpdir("degrade");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
-        let rows = reg.snapshot().rows();
-        drop(reg);
-
-        // Flip a header byte of shard 1's log: schema fp mismatch.
-        let wal_path = layout.shard_wal(0, 1);
-        let mut bytes = fs::read(&wal_path).unwrap();
-        bytes[9] ^= 0xff;
-        fs::write(&wal_path, &bytes).unwrap();
-
-        let (reg2, rep) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout,
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        assert_eq!(rep.degraded, vec![1]);
-        assert_eq!(
-            reg2.shard_states(),
-            vec![ShardState::Ok, ShardState::Degraded]
-        );
-        // State was rebuilt from shard 0's full-batch log.
-        assert_eq!(reg2.snapshot().rows(), rows);
-        // Ingest is refused while degraded.
-        let cfg = reg2.snapshot().config.clone();
-        let err = match reg2.ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg) {
-            Err(e) => e,
-            Ok(_) => panic!("degraded registry accepted an ingest"),
-        };
-        assert!(matches!(err, RegistryError::Degraded(ref s) if s == &vec![1]));
-    }
-
-    #[test]
-    fn swap_replaces_model_and_heals_degraded_shards() {
-        let dir = tmpdir("swap");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
+    fn swap_replaces_the_model_and_heals_a_degraded_wal() {
+        let (base, _) = model_dir("swap");
+        let (reg, _) = open(&base);
         // A fingerprint mismatch is rejected outright.
         let other_schema =
             Schema::new([("Name", AttrType::Text), ("Klass", AttrType::Int)]).unwrap();
@@ -1680,50 +1494,35 @@ mod tests {
         assert!(matches!(reg.swap(bad), Err(RegistryError::SchemaMismatch { .. })));
         assert_eq!(reg.swaps(), 0);
 
-        // A matching swap replaces the relation and bumps the counter.
+        fault::arm("registry.append", fault::Action::Err);
+        assert!(ingest(&reg, "Torino", Some("10121")).is_err());
+        fault::disarm("registry.append");
+        assert!(reg.degraded());
+
+        // A matching swap replaces the relation, writes a fresh log and
+        // bumps the counter.
         let mut bigger = relation();
         bigger.push(vec![Value::from("Bari"), Value::from("70121")]).unwrap();
         let art = artifact::decode(&artifact_bytes(&bigger, 0)).unwrap();
         reg.swap(art).unwrap();
         assert_eq!(reg.swaps(), 1);
+        assert!(!reg.degraded());
         assert_eq!(reg.snapshot().rows(), 7);
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        ingest(&reg, "Torino", Some("10121")).unwrap();
         assert_eq!(reg.snapshot().rows(), 8);
     }
 
     #[test]
-    fn recover_rejects_out_of_range_partition_attrs() {
-        let dir = tmpdir("bad-attrs");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        drop(reg);
+    fn recover_rejects_a_manifest_attribute_out_of_range() {
+        let (base, layout) = model_dir("bad-attrs");
+        drop(open(&base));
 
         // A manifest whose partition attrs point past the model's arity
         // must be refused cleanly, not panic inside `shard_of`.
         let mut m = Manifest::load(&layout.manifest()).unwrap();
         m.attrs = vec![7];
         m.store(&layout.manifest()).unwrap();
-        let err = match Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout,
-            "test",
-            1 << 20,
-            1 << 20,
-        ) {
+        let err = match try_open(&base) {
             Err(e) => e,
             Ok(_) => panic!("manifest with out-of-range attrs was accepted"),
         };
@@ -1734,88 +1533,40 @@ mod tests {
     }
 
     #[test]
-    fn mid_fanout_append_failure_degrades_and_blocks_ingest_without_forking() {
-        let dir = tmpdir("fanout");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+    fn append_failure_degrades_and_blocks_ingest_until_a_restart() {
+        let (base, _) = model_dir("append-fail");
+        let (reg, _) = open(&base);
+        ingest(&reg, "Torino", Some("10121")).unwrap();
 
-        // Shard 1's append fails after shard 0 already logged the frame:
-        // the batch must not be acknowledged and shard 1 degrades.
-        fault::arm("registry.append.shard1", fault::Action::Err);
-        let err = match reg.ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg) {
+        // The append fails: the batch must not be acknowledged and the
+        // log degrades.
+        fault::arm("registry.append", fault::Action::Err);
+        let err = match ingest(&reg, "Bari", Some("70121")) {
             Err(e) => e,
-            Ok(_) => panic!("fan-out failure was acknowledged"),
+            Ok(_) => panic!("a failed append was acknowledged"),
         };
-        fault::disarm("registry.append.shard1");
+        fault::disarm("registry.append");
         assert!(matches!(err, RegistryError::WalAppend(_)), "{err}");
-        assert_eq!(reg.shard_states(), vec![ShardState::Ok, ShardState::Degraded]);
-        assert_eq!(reg.snapshot().seq, 1, "failed fan-out must not advance the seq");
+        assert!(reg.degraded());
+        assert_eq!(reg.snapshot().seq, 1, "a failed append must not advance the seq");
         assert_eq!(reg.snapshot().rows(), 7);
 
-        // The next ingest is refused under the commit lock — the None
-        // slot is a hard error, never a silent skip.
-        let err = match reg.ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg) {
-            Err(e) => e,
-            Ok(_) => panic!("degraded registry accepted an ingest"),
-        };
-        assert!(matches!(err, RegistryError::Degraded(ref s) if s == &vec![1]), "{err}");
+        // The next ingest is refused under the commit lock — the missing
+        // handle is a hard error, never a silent skip.
+        assert!(matches!(ingest(&reg, "Bari", Some("70121")), Err(RegistryError::Degraded)));
         drop(reg);
 
-        // Recovery truncates shard 0's orphan frame (it sits beyond the
-        // committed horizon) instead of forking the logs.
-        let (reg2, rep) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout,
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        assert_eq!(rep.seq, 1);
-        assert_eq!(rep.replayed, 1);
-        assert!(rep.degraded.is_empty());
-        assert!(rep.normalized, "the orphan frame leaves the logs mixed");
+        let (reg2, rep) = open(&base);
+        assert_eq!((rep.seq, rep.replayed, rep.degraded), (1, 1, false));
         assert_eq!(reg2.snapshot().rows(), 7);
-        let cfg = reg2.snapshot().config.clone();
-        let outcome = reg2
-            .ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg)
-            .unwrap();
-        assert_eq!(outcome.seq, 2);
+        assert_eq!(ingest(&reg2, "Bari", Some("70121")).unwrap().seq, 2);
     }
 
     #[test]
     fn interrupted_swap_preserves_the_old_generation() {
-        let dir = tmpdir("swap-interrupt");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        let (base, layout) = model_dir("swap-interrupt");
+        let (reg, _) = open(&base);
+        ingest(&reg, "Torino", Some("10121")).unwrap();
 
         // The swap dies after writing the whole generation-1 layout but
         // before the manifest commit: the disk state equals a crash in
@@ -1833,94 +1584,27 @@ mod tests {
             layout.shard_snapshot(1, 0).exists(),
             "the aborted generation's files linger until the sweep"
         );
-        // The old generation's WALs still accept commits.
-        reg.ingest(vec![vec![Value::from("Napoli"), Value::from("80121")]], &cfg).unwrap();
+        // The old generation's WAL still accepts commits.
+        ingest(&reg, "Napoli", Some("80121")).unwrap();
         drop(reg);
 
         // Recovery reads the old manifest, replays both acknowledged
         // batches, and sweeps the orphaned generation-1 files.
-        let (reg2, rep) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        assert_eq!(rep.seq, 2);
-        assert_eq!(rep.replayed, 2);
+        let (reg2, rep) = open(&base);
+        assert_eq!((rep.seq, rep.replayed), (2, 2));
         assert_eq!(reg2.snapshot().rows(), 8);
         assert!(!layout.shard_snapshot(1, 0).exists());
         assert!(!layout.shard_wal(1, 0).exists());
     }
 
     #[test]
-    fn committed_swap_is_atomic_across_reopen_and_sweeps_the_old_generation() {
-        let dir = tmpdir("swap-commit");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let (reg, _) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout.clone(),
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
-
-        let mut bigger = relation();
-        bigger.push(vec![Value::from("Bari"), Value::from("70121")]).unwrap();
-        let art = artifact::decode(&artifact_bytes(&bigger, 0)).unwrap();
-        assert_eq!(reg.swap(art).unwrap(), 1);
-        assert_eq!(Manifest::load(&layout.manifest()).unwrap().generation, 1);
-        assert!(layout.shard_snapshot(1, 0).exists());
-        assert!(!layout.shard_snapshot(0, 0).exists(), "old generation swept after commit");
-        assert!(!layout.shard_wal(0, 0).exists());
-        reg.ingest(vec![vec![Value::from("Napoli"), Value::from("80121")]], &cfg).unwrap();
-        drop(reg);
-
-        let (reg2, rep) = Registry::open_durable(
-            artifact::load(&base).unwrap(),
-            RenuverConfig::default(),
-            2,
-            layout,
-            "test",
-            1 << 20,
-            1 << 20,
-        )
-        .unwrap();
-        assert_eq!(rep.seq, 2);
-        assert_eq!(rep.replayed, 1);
-        // 7 swapped-in rows + the post-swap batch.
-        assert_eq!(reg2.snapshot().rows(), 8);
-    }
-
-    fn open_at(base: &Path, n: usize) -> Registry {
-        let art = artifact::load(base).unwrap();
-        let layout = ShardLayout::beside(base);
-        Registry::open_durable(art, RenuverConfig::default(), n, layout, "test", 1 << 20, 1 << 20)
-            .unwrap()
-            .0
-    }
-
-    #[test]
-    fn an_existing_layout_keeps_its_shard_count() {
-        let dir = tmpdir("keep-count");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        Registry::prepare_layout(&relation(), &sigma(), 3, &layout, "test", 0).unwrap();
-        let reg = open_at(&base, 1);
-        assert_eq!((reg.n_shards(), reg.seq(), reg.snapshot().rows()), (3, 0, 6));
+    fn clear_removes_the_layout_and_keeps_the_model() {
+        let (base, layout) = model_dir("clear");
+        drop(open(&base));
+        assert!(layout.manifest().exists() && layout.shard_snapshot(0, 0).exists());
         layout.clear().unwrap();
         assert!(!layout.manifest().exists() && !layout.shard_snapshot(0, 0).exists());
+        assert!(!layout.shard_wal(0, 0).exists());
         assert!(base.exists());
     }
 
@@ -1930,15 +1614,12 @@ mod tests {
     /// is kept, and a restart after the reload still has them.
     #[test]
     fn reload_after_ingest_keeps_every_committed_batch() {
-        let dir = tmpdir("reload");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let reg = open_at(&base, 1);
+        let (base, layout) = model_dir("reload");
+        let (reg, _) = open(&base);
         let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        ingest(&reg, "Torino", Some("10121")).unwrap();
         reg.compact().unwrap();
-        reg.ingest(vec![vec![Value::from("Napoli"), Value::from("80121")]], &cfg).unwrap();
+        ingest(&reg, "Napoli", Some("80121")).unwrap();
         let live = reg.lock_engine().relation().clone();
         let wal = fs::read(layout.shard_wal(0, 0)).unwrap();
 
@@ -1952,9 +1633,9 @@ mod tests {
         assert_eq!(reg.reload(artifact::load(&base).unwrap(), &layout).unwrap(), 2);
         assert_eq!(*reg.lock_engine().relation(), live);
         assert_eq!(reg.generation(), 1);
-        reg.ingest(vec![vec![Value::from("Bari"), Value::from("70121")]], &cfg).unwrap();
+        ingest(&reg, "Bari", Some("70121")).unwrap();
         drop(reg);
-        let reg = open_at(&base, 1);
+        let (reg, _) = open(&base);
         assert_eq!((reg.seq(), reg.snapshot().rows()), (3, 9));
     }
 
@@ -1963,14 +1644,11 @@ mod tests {
     /// the job ran makes it refuse.
     #[test]
     fn retune_keeps_batches_and_refuses_after_a_swap() {
-        let dir = tmpdir("retune");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let reg = open_at(&base, 2);
+        let (base, _) = model_dir("retune");
+        let (reg, _) = open(&base);
         let tuned = RfdSet::from_text("City(<=1) -> Zip(<=0)", &schema()).unwrap();
         let swaps = reg.swaps();
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        ingest(&reg, "Torino", Some("10121")).unwrap();
         assert_eq!(reg.retune(tuned.clone(), swaps).unwrap(), 1);
         assert_eq!(reg.snapshot().rows(), 7);
         assert_eq!(served_rfds(&reg), tuned.to_text(&schema()));
@@ -1979,7 +1657,7 @@ mod tests {
         reg.swap(artifact::load(&base).unwrap()).unwrap();
         assert!(matches!(reg.retune(tuned.clone(), swaps), Err(RegistryError::Swapped)));
         drop(reg);
-        let reg = open_at(&base, 2);
+        let (reg, _) = open(&base);
         assert_eq!(served_rfds(&reg), sigma().to_text(&schema()));
     }
 
@@ -1988,42 +1666,33 @@ mod tests {
         engine.sigma().to_text(engine.schema())
     }
 
+    /// A committed swap sweeps the old generation, and a reopen serves
+    /// the swapped model — its RFDs, not the base artifact's — plus the
+    /// batches committed after it.
     #[test]
-    fn swapped_model_survives_reopen() {
-        let dir = tmpdir("swap-reopen");
-        let base = dir.join("model.rnv");
-        fs::write(&base, artifact_bytes(&relation(), 0)).unwrap();
-        let layout = ShardLayout::beside(&base);
-        let open = || {
-            Registry::open_durable(
-                artifact::load(&base).unwrap(),
-                RenuverConfig::default(),
-                2,
-                layout.clone(),
-                "test",
-                1 << 20,
-                1 << 20,
-            )
-            .unwrap()
-            .0
-        };
-        let reg = open();
+    fn committed_swap_survives_reopen_and_sweeps_the_old_generation() {
+        let (base, layout) = model_dir("swap-commit");
+        let (reg, _) = open(&base);
+        ingest(&reg, "Torino", Some("10121")).unwrap();
+
         let tuned = RfdSet::from_text("City(<=1) -> Zip(<=0)", &schema()).unwrap();
         let oracle = DistanceOracle::build(&relation(), 0);
         let art = artifact::decode(&artifact::encode(&relation(), &tuned, &oracle, None, "tuned", 0))
             .unwrap();
-        reg.swap(art).unwrap();
+        assert_eq!(reg.swap(art).unwrap(), 1);
         let want = tuned.to_text(&schema());
         assert_eq!(served_rfds(&reg), want);
-        let cfg = reg.snapshot().config.clone();
-        reg.ingest(vec![vec![Value::from("Torino"), Value::from("10121")]], &cfg).unwrap();
+        assert_eq!(Manifest::load(&layout.manifest()).unwrap().generation, 1);
+        assert!(layout.shard_snapshot(1, 0).exists());
+        assert!(!layout.shard_snapshot(0, 0).exists(), "old generation swept after commit");
+        assert!(!layout.shard_wal(0, 0).exists());
+        ingest(&reg, "Napoli", Some("80121")).unwrap();
         drop(reg);
 
-        // The base artifact still carries the prepared RFDs; the reopen
-        // must serve the swapped ones from the committed generation.
-        let reg = open();
+        let (reg, rep) = open(&base);
+        assert_eq!((rep.seq, rep.replayed), (2, 1));
         assert_eq!(served_rfds(&reg), want, "a restart reverted the swap");
-        assert_eq!(reg.snapshot().rows(), 7);
-        assert_eq!(reg.generation(), 1);
+        // 6 swapped-in rows + the post-swap batch.
+        assert_eq!((reg.snapshot().rows(), reg.generation()), (7, 1));
     }
 }

@@ -4,10 +4,11 @@
 //!
 //! - `GET /healthz` — liveness plus a `state` field
 //!   (`ok` | `compacting` | `degraded`), the highest durable sequence
-//!   number, and per-shard state and row counts. Always `200` while the
+//!   number, the WAL's state (`ok` | `degraded` | `none` when not
+//!   durable) and the committed row count. Always `200` while the
 //!   process lives.
 //! - `GET /v1/model` — the loaded model: schema, row/RFD counts,
-//!   fingerprint, provenance, shard count, durable sequence number.
+//!   fingerprint, provenance, durable sequence number.
 //! - `GET /metrics` — the server's metrics registry as the standard
 //!   `renuver-obs` text table.
 //! - `POST /v1/impute` — tuples with `null` holes in, imputed tuples
@@ -19,13 +20,13 @@
 //!   (include per-cell explain records), `explain_sample`
 //!   (`all` | `dry` | an integer `k` for every k-th cell).
 //! - `POST /v1/ingest` — same body formats as `/v1/impute`, but the
-//!   repaired batch is *committed*: appended to every shard WAL (fsynced
-//!   before the response), folded into the model relation, oracle, and
-//!   index, and available as donors to subsequent requests. `503` when
-//!   the model was served without durability, or after a WAL write
-//!   failure degraded a shard.
-//! - `POST /v1/compact` — fold the shard WALs into fresh snapshots
-//!   (atomic renames) and truncate them.
+//!   repaired batch is *committed*: appended to the WAL (fsynced before
+//!   the response), folded into the model relation, oracle, and index,
+//!   and available as donors to subsequent requests. `503` when the
+//!   model was served without durability, or after a WAL failure
+//!   degraded the log.
+//! - `POST /v1/compact` — fold the WAL into a fresh snapshot (atomic
+//!   renames) and reset it.
 //! - `PUT /v1/model` — hot model swap: the body is a complete `.rnv`
 //!   artifact with the same schema fingerprint as the loaded model.
 //!   The new model is installed atomically (in-flight requests finish
@@ -62,8 +63,8 @@ pub enum ServeState {
     Ok,
     /// A background compaction is writing snapshots.
     Compacting,
-    /// A shard WAL failed: reads are served, ingest is refused until a
-    /// model swap or a restart rebuilds the logs.
+    /// The WAL failed: reads are served, ingest is refused until a
+    /// model swap or a restart rebuilds the log.
     Degraded,
 }
 
@@ -89,13 +90,6 @@ pub struct ModelInfo {
     pub artifact_bytes: usize,
 }
 
-/// Leaked-once per-shard metric names (the registry requires
-/// `&'static str` instrument names).
-struct ShardLabels {
-    rows: &'static str,
-    ingest_rows: &'static str,
-}
-
 /// Shared server state: the engine registry, model provenance, the
 /// metrics registry, and the request-budget policy.
 pub struct Ctx {
@@ -112,8 +106,6 @@ pub struct Ctx {
     /// Where `SIGHUP` reloads the model from, when serving a file, and
     /// the checksum that file ended with when it was last loaded.
     model_file: Mutex<Option<(PathBuf, Option<u32>)>>,
-    /// Per-shard instrument names, shard order.
-    shard_labels: Vec<ShardLabels>,
     /// The flight recorder: request ids, access log, slow ring.
     flight: FlightRecorder,
     /// The async tune-job registry (`POST /v1/tune`).
@@ -172,15 +164,14 @@ const LATENCY_WINDOWS: [[&str; 3]; 11] = [
 /// Lifecycle event counters, one per `schema::SERVER_EVENTS` entry.
 /// These count even when no `--log-out` sink is attached, so the e2e
 /// reconciliation can compare `/metrics` against the event log.
-const EVENT_COUNTERS: [(&str, &str); 11] = [
+const EVENT_COUNTERS: [(&str, &str); 10] = [
     ("recovery", "serve.events.recovery"),
     ("swap", "serve.events.swap"),
     ("compaction", "serve.events.compaction"),
-    ("shard_degraded", "serve.events.shard_degraded"),
-    ("shard_healed", "serve.events.shard_healed"),
     ("shed", "serve.events.shed"),
     ("read_timeout", "serve.events.read_timeout"),
     ("wal_degraded", "serve.events.wal_degraded"),
+    ("wal_healed", "serve.events.wal_healed"),
     ("tune_started", "serve.events.tune_started"),
     ("tune_finished", "serve.events.tune_finished"),
     ("tune_cancelled", "serve.events.tune_cancelled"),
@@ -215,20 +206,21 @@ fn register_observability(metrics: &Metrics) {
 }
 
 impl Ctx {
-    /// Serves `engine` as a non-durable one-shard registry. The engine is
-    /// kept as prepared: no oracle or index rebuild.
+    /// Serves `engine` as a non-durable registry. The engine is kept as
+    /// prepared: no oracle or index rebuild.
     pub fn new(
         engine: Engine,
         info: ModelInfo,
         default_timeout_ms: Option<u64>,
         max_timeout_ms: u64,
     ) -> Ctx {
-        Ctx::new_sharded(Registry::from_engine(engine, 1), info, default_timeout_ms, max_timeout_ms)
+        Ctx::new_sharded(Registry::from_engine(engine), info, default_timeout_ms, max_timeout_ms)
     }
 
-    /// Serves `registry`, with the standard counters and the per-shard
-    /// row gauges and ingest counters registered up front (so `/metrics`
-    /// shows zeros instead of omitting untouched instruments).
+    /// Serves `registry`, with the standard counters registered up front
+    /// (so `/metrics` shows zeros instead of omitting untouched
+    /// instruments). The name is kept for callers written against the
+    /// sharded registry (the repository benchmark uses it).
     pub fn new_sharded(
         registry: Registry,
         info: ModelInfo,
@@ -240,16 +232,6 @@ impl Ctx {
             metrics.counter(name);
         }
         register_observability(&metrics);
-        let shard_labels: Vec<ShardLabels> = (0..registry.n_shards())
-            .map(|k| ShardLabels {
-                rows: Box::leak(format!("serve.shard{k}.rows").into_boxed_str()),
-                ingest_rows: Box::leak(format!("serve.shard{k}.ingest_rows").into_boxed_str()),
-            })
-            .collect();
-        for (labels, rows) in shard_labels.iter().zip(registry.shard_rows()) {
-            metrics.gauge(labels.rows).set(rows as u64);
-            metrics.counter(labels.ingest_rows);
-        }
         Ctx {
             registry,
             info: RwLock::new(info),
@@ -257,7 +239,6 @@ impl Ctx {
             default_timeout_ms,
             max_timeout_ms,
             model_file: Mutex::new(None),
-            shard_labels,
             flight: FlightRecorder::new(FlightOptions::default()),
             jobs: TuneJobs::new(),
             self_ref: Mutex::new(Weak::new()),
@@ -302,10 +283,10 @@ impl Ctx {
         self.flight.server_event(event, fields);
     }
 
-    /// Current write-path state, derived from the registry: degraded if
-    /// any shard is, compacting while the background worker runs.
+    /// Current write-path state, derived from the registry: degraded
+    /// while the WAL is, compacting while the background worker runs.
     pub fn state(&self) -> ServeState {
-        if !self.registry.degraded_shards().is_empty() {
+        if self.registry.degraded() {
             ServeState::Degraded
         } else if self.registry.compacting() {
             ServeState::Compacting
@@ -547,19 +528,12 @@ fn healthz_endpoint(ctx: &Ctx) -> Response {
     );
     let reg = ctx.registry();
     out.push_str(&format!(",\"compacting\":{}", reg.compacting()));
-    out.push_str(",\"shards\":[");
-    let rows = reg.shard_rows();
-    for (k, state) in reg.shard_states().iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"shard\":{k},\"state\":\"{}\",\"rows\":{}}}",
-            state.label(),
-            rows[k]
-        ));
-    }
-    out.push(']');
+    let wal = match (reg.is_durable(), reg.degraded()) {
+        (false, _) => "none",
+        (true, false) => "ok",
+        (true, true) => "degraded",
+    };
+    out.push_str(&format!(",\"wal\":\"{wal}\",\"rows\":{}", reg.rows()));
     if let Some((id, status, iterations)) = ctx.jobs.snapshot() {
         out.push_str(&format!(
             ",\"tune\":{{\"id\":{id},\"status\":\"{}\",\"iterations\":{iterations}}}",
@@ -589,7 +563,6 @@ fn model_endpoint(ctx: &Ctx) -> Response {
     out.push_str(&format!(",\"rows\":{rows}"));
     out.push_str(&format!(",\"rfds\":{rfds}"));
     out.push_str(&format!(",\"indexed\":{indexed}"));
-    out.push_str(&format!(",\"shards\":{}", ctx.registry().n_shards()));
     out.push_str(&format!(",\"state\":\"{}\"", ctx.state().label()));
     out.push_str(&format!(",\"seq\":{}", ctx.seq()));
     out.push_str(",\"attrs\":[");
@@ -890,13 +863,13 @@ fn unavailable(msg: &str) -> Response {
 /// The registry runs the durability contract under its commit lock:
 ///
 /// 1. impute the batch on the engine (transient — rolls back on error),
-/// 2. append the *repaired* tuples to every shard WAL and fsync,
+/// 2. append the *repaired* tuples to the WAL and fsync,
 /// 3. fold them into the relation/oracle/index via `commit_tuples`.
 ///
 /// The client sees `200` only after step 2 succeeded, so every
 /// acknowledged batch is recoverable; a crash before the fsync loses
-/// only batches nobody was told about. A WAL failure degrades its shard
-/// (writes refused until a swap or restart) rather than risking the logs
+/// only batches nobody was told about. A WAL failure degrades the log
+/// (writes refused until a swap or restart) rather than risking the log
 /// and the engine drifting apart. Compaction, when due, is handed to a
 /// background worker — the response never waits on a snapshot rewrite.
 fn ingest_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
@@ -915,21 +888,16 @@ fn ingest_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
     let config = request_config(reg.config(), &opts);
     let outcome = match reg.ingest(tuples, &config) {
         Ok(o) => o,
-        Err(RegistryError::Degraded(shards)) => {
-            return unavailable(&format!(
-                "shards {shards:?} degraded by an earlier wal failure; swap a model or restart"
-            ))
+        Err(RegistryError::Degraded) => {
+            return unavailable("the wal is degraded by an earlier failure; swap a model or restart")
         }
-        Err(RegistryError::Data(e)) if reg.degraded_shards().is_empty() => return bad_request(e),
+        Err(RegistryError::Data(e)) if !reg.degraded() => return bad_request(e),
         Err(e) => {
             ctx.metrics.counter("serve.wal_degraded").inc();
             ctx.server_event("wal_degraded", vec![(
                 "detail",
                 FieldValue::Text(e.to_string()),
             )]);
-            for k in reg.degraded_shards() {
-                ctx.server_event("shard_degraded", vec![("shard", FieldValue::U64(k as u64))]);
-            }
             let mut body = String::from("{\"error\":");
             write_str(&mut body, &e.to_string());
             body.push('}');
@@ -941,12 +909,6 @@ fn ingest_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
     ctx.metrics.counter("serve.ingest_rows").add(outcome.committed_rows as u64);
     ctx.metrics.counter("serve.cells_missing").add(outcome.batch.stats.missing_total as u64);
     ctx.metrics.counter("serve.cells_imputed").add(outcome.batch.stats.imputed as u64);
-    for (labels, rows) in ctx.shard_labels.iter().zip(reg.shard_rows()) {
-        ctx.metrics.gauge(labels.rows).set(rows as u64);
-    }
-    for &k in &outcome.shards {
-        ctx.metrics.counter(ctx.shard_labels[k].ingest_rows).inc();
-    }
 
     if outcome.wants_compact {
         let metrics = ctx.metrics.clone();
@@ -982,7 +944,7 @@ fn ingest_endpoint(ctx: &Ctx, req: &Request, tel: &mut Telemetry) -> Response {
     Response::json(200, body)
 }
 
-/// `POST /v1/compact`: fold the shard WALs into fresh snapshots now.
+/// `POST /v1/compact`: fold the WAL into a fresh snapshot now.
 fn compact_endpoint(ctx: &Ctx) -> Response {
     let reg = ctx.registry();
     if !reg.is_durable() {
@@ -995,7 +957,7 @@ fn compact_endpoint(ctx: &Ctx) -> Response {
         Ok(seq) => {
             ctx.metrics.counter("serve.compactions").inc();
             ctx.server_event("compaction", vec![("seq", FieldValue::U64(seq))]);
-            Response::json(200, format!("{{\"seq\":{seq},\"shards\":{}}}", reg.n_shards()))
+            Response::json(200, format!("{{\"seq\":{seq}}}"))
         }
         Err(e) => {
             ctx.metrics.counter("serve.compact_failed").inc();
@@ -1292,7 +1254,7 @@ fn decode_for_swap(ctx: &Ctx, bytes: &[u8]) -> Result<crate::artifact::Artifact,
 }
 
 /// Runs one model install (`swap`) on the registry and publishes it:
-/// model info, shard gauges, the swap counter and event. Shared by
+/// model info, the swap counter and event. Shared by
 /// `PUT /v1/model`, the `SIGHUP` reload and the tune-job install.
 fn install_model(
     ctx: &Ctx,
@@ -1301,11 +1263,11 @@ fn install_model(
     artifact_bytes: usize,
     swap: impl FnOnce(&Registry) -> Result<u64, RegistryError>,
 ) -> Result<u64, Response> {
-    // A successful swap rebuilds every shard's log, which heals shards an
-    // earlier WAL failure degraded; capture the before set so the heals
-    // can be logged.
+    // A successful swap writes a fresh log, which heals a log an earlier
+    // WAL failure degraded; capture the state before so the heal can be
+    // logged.
     let reg = ctx.registry();
-    let was_degraded = reg.degraded_shards();
+    let was_degraded = reg.degraded();
     let seq = match swap(reg) {
         Ok(seq) => seq,
         Err(e) => {
@@ -1320,9 +1282,6 @@ fn install_model(
         info.source = source;
         info.artifact_bytes = artifact_bytes;
     }
-    for (labels, rows) in ctx.shard_labels.iter().zip(reg.shard_rows()) {
-        ctx.metrics.gauge(labels.rows).set(rows as u64);
-    }
     ctx.metrics.counter("serve.swaps").inc();
     ctx.server_event(
         "swap",
@@ -1332,8 +1291,8 @@ fn install_model(
             ("detail", FieldValue::Text(via.to_string())),
         ],
     );
-    for k in was_degraded {
-        ctx.server_event("shard_healed", vec![("shard", FieldValue::U64(k as u64))]);
+    if was_degraded && !reg.degraded() {
+        ctx.server_event("wal_healed", vec![("seq", FieldValue::U64(seq))]);
     }
     eprintln!("renuver: model swapped via {via} (seq {seq})");
     Ok(seq)
@@ -1591,9 +1550,9 @@ mod tests {
     }
 
     /// A test context over a durable registry rooted at a fresh temp dir,
-    /// the way `renuver serve --wal` opens one: `shards` shards, the test
-    /// model written as the base artifact.
-    fn durable_ctx(name: &str, shards: usize) -> (Ctx, std::path::PathBuf) {
+    /// the way `renuver serve --wal` opens one: the test model written as
+    /// the base artifact.
+    fn durable_ctx(name: &str) -> (Ctx, std::path::PathBuf) {
         let dir = durable_dir(name);
         let snapshot = dir.join("model.rnv");
         let bytes = crate::artifact::encode_engine(&test_ctx().lock_engine(), "test", 0);
@@ -1608,7 +1567,7 @@ mod tests {
         let (registry, _) = Registry::open_durable(
             art,
             RenuverConfig::default(),
-            shards,
+            1,
             opts.layout,
             "test",
             opts.compact_bytes,
@@ -1632,7 +1591,7 @@ mod tests {
 
     #[test]
     fn ingest_repairs_commits_and_serves_the_new_donor() {
-        let (ctx, _dir) = durable_ctx("commit", 1);
+        let (ctx, _dir) = durable_ctx("commit");
         // The batch itself has a hole; ingest must repair then commit it.
         let resp = route(
             &ctx,
@@ -1651,7 +1610,10 @@ mod tests {
         assert_eq!(tuples[1].as_array().unwrap()[1].as_str(), Some("90265"));
         assert_eq!(ctx.seq(), 1);
         assert_eq!(ctx.metrics.counter("serve.ingest_rows").get(), 2);
-        assert_eq!(ctx.metrics.counter("serve.shard0.ingest_rows").get(), 2);
+        let health = route(&ctx, &get("/healthz"));
+        let doc = json::parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
+        assert_eq!(doc.get("wal").unwrap().as_str(), Some("ok"));
+        assert_eq!(doc.get("rows").unwrap().as_u64(), Some(5));
 
         // The committed row is a donor for plain imputation now.
         let resp = route(
@@ -1664,8 +1626,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_endpoint_rewrites_the_shard_snapshots() {
-        let (ctx, dir) = durable_ctx("compact-endpoint", 1);
+    fn compact_endpoint_rewrites_the_snapshot() {
+        let (ctx, dir) = durable_ctx("compact-endpoint");
         let resp = route(
             &ctx,
             &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
@@ -1675,7 +1637,6 @@ mod tests {
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(doc.get("seq").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("shards").unwrap().as_u64(), Some(1));
         assert_eq!(ctx.metrics.counter("serve.compactions").get(), 1);
         let snapshot = crate::artifact::load(dir.join("model.rnv.shard0")).unwrap();
         assert_eq!(snapshot.committed_seq, 1);
@@ -1684,18 +1645,22 @@ mod tests {
     }
 
     #[test]
-    fn injected_wal_failure_degrades_the_server() {
-        let (ctx, _dir) = durable_ctx("degrade", 2);
-        crate::fault::arm("registry.append.shard1", crate::fault::Action::Err);
+    fn injected_wal_failure_degrades_the_server_until_a_swap() {
+        let (ctx, dir) = durable_ctx("degrade");
+        crate::fault::arm("registry.append", crate::fault::Action::Err);
         let resp = route(
             &ctx,
             &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
         );
-        crate::fault::disarm("registry.append.shard1");
+        crate::fault::disarm("registry.append");
         assert_eq!(resp.status, 500, "{}", String::from_utf8_lossy(&resp.body));
         assert_eq!(ctx.state(), ServeState::Degraded);
         assert_eq!(ctx.metrics.counter("serve.wal_degraded").get(), 1);
-        assert_eq!(ctx.metrics.counter("serve.events.shard_degraded").get(), 1);
+        assert_eq!(ctx.metrics.counter("serve.events.wal_degraded").get(), 1);
+        let health = route(&ctx, &get("/healthz"));
+        let doc = json::parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
+        assert_eq!(doc.get("state").unwrap().as_str(), Some("degraded"));
+        assert_eq!(doc.get("wal").unwrap().as_str(), Some("degraded"));
         // The engine did not commit the failed batch.
         assert_eq!(ctx.lock_engine().donor_rows(), 3);
         // Subsequent ingests are refused, reads still work.
@@ -1710,6 +1675,19 @@ mod tests {
             &post("/v1/impute", "application/json", r#"{"tuples": [["Malibu", null]]}"#),
         );
         assert_eq!(resp.status, 200);
+
+        // A swap writes a fresh log: the server heals and logs it.
+        let mut swap = post("/v1/model", "application/octet-stream", "");
+        swap.method = "PUT".into();
+        swap.body = std::fs::read(dir.join("model.rnv")).unwrap();
+        assert_eq!(route(&ctx, &swap).status, 200);
+        assert_eq!(ctx.state(), ServeState::Ok);
+        assert_eq!(ctx.metrics.counter("serve.events.wal_healed").get(), 1);
+        let resp = route(
+            &ctx,
+            &post("/v1/ingest", "application/json", r#"{"tuples": [["Venice", "90291"]]}"#),
+        );
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
     }
 
     #[test]
@@ -1861,28 +1839,6 @@ mod tests {
 
     // ------------------------------------------------- flight recorder
 
-    fn sharded_ctx() -> Ctx {
-        let rel = csv::read_str(
-            "City:text,Zip:text\n\
-             Malibu,90265\n\
-             Malibu,90265\n\
-             Hollywood,90028\n\
-             Venice,90291\n",
-        )
-        .unwrap();
-        let rfds = RfdSet::from_vec(vec![Rfd::new(
-            vec![Constraint::new(0, 0.0)],
-            Constraint::new(1, 0.0),
-        )]);
-        let registry = crate::registry::Registry::build(&rel, rfds, RenuverConfig::default(), 2);
-        Ctx::new_sharded(
-            registry,
-            ModelInfo { source: "test".into(), schema_fingerprint: 0, artifact_bytes: 0 },
-            None,
-            60_000,
-        )
-    }
-
     #[test]
     fn trace_query_attributes_unlimited_budget_requests() {
         let ctx = test_ctx();
@@ -1974,37 +1930,35 @@ mod tests {
 
     #[test]
     fn recorder_toggle_never_changes_response_bytes() {
-        for sharded in [false, true] {
-            let on = if sharded { sharded_ctx() } else { test_ctx() };
-            let mut off = if sharded { sharded_ctx() } else { test_ctx() };
-            off.set_flight(FlightOptions { enabled: false, ..FlightOptions::default() });
-            let requests = [
-                post(
-                    "/v1/impute?explain=1",
-                    "application/json",
-                    r#"{"tuples": [["Malibu", null], ["Atlantis", null]]}"#,
-                ),
-                post("/v1/impute", "text/csv", "City:text,Zip:text\nMalibu,_\n"),
-                post("/v1/impute", "application/json", "not json"),
-                get("/v1/model"),
-                get("/healthz"),
-            ];
-            for req in &requests {
-                let a = route(&on, req);
-                let b = route(&off, req);
-                assert_eq!(a.status, b.status);
-                assert_eq!(
-                    a.body, b.body,
-                    "recorder toggle changed {} {} (sharded={sharded})",
-                    req.method, req.path
-                );
-                assert!(a.extra_headers.iter().any(|(k, _)| *k == "X-Request-Id"));
-                assert!(!b.extra_headers.iter().any(|(k, _)| *k == "X-Request-Id"));
-                let strip = |h: &[(&'static str, String)]| {
-                    h.iter().filter(|(k, _)| *k != "X-Request-Id").cloned().collect::<Vec<_>>()
-                };
-                assert_eq!(strip(&a.extra_headers), strip(&b.extra_headers));
-            }
+        let on = test_ctx();
+        let mut off = test_ctx();
+        off.set_flight(FlightOptions { enabled: false, ..FlightOptions::default() });
+        let requests = [
+            post(
+                "/v1/impute?explain=1",
+                "application/json",
+                r#"{"tuples": [["Malibu", null], ["Atlantis", null]]}"#,
+            ),
+            post("/v1/impute", "text/csv", "City:text,Zip:text\nMalibu,_\n"),
+            post("/v1/impute", "application/json", "not json"),
+            get("/v1/model"),
+            get("/healthz"),
+        ];
+        for req in &requests {
+            let a = route(&on, req);
+            let b = route(&off, req);
+            assert_eq!(a.status, b.status);
+            assert_eq!(
+                a.body, b.body,
+                "recorder toggle changed {} {}",
+                req.method, req.path
+            );
+            assert!(a.extra_headers.iter().any(|(k, _)| *k == "X-Request-Id"));
+            assert!(!b.extra_headers.iter().any(|(k, _)| *k == "X-Request-Id"));
+            let strip = |h: &[(&'static str, String)]| {
+                h.iter().filter(|(k, _)| *k != "X-Request-Id").cloned().collect::<Vec<_>>()
+            };
+            assert_eq!(strip(&a.extra_headers), strip(&b.extra_headers));
         }
     }
 
@@ -2264,7 +2218,7 @@ mod tests {
     }
 
     #[test]
-    fn tune_rejects_bad_params_sharded_and_unbound_contexts() {
+    fn tune_rejects_bad_params_and_unbound_contexts() {
         let ctx = bound_ctx();
         for body in [
             r#"{"seed": -1}"#,
@@ -2284,12 +2238,5 @@ mod tests {
         // Without a bound Arc there is nothing to own the worker thread.
         let unbound = test_ctx();
         assert_eq!(route(&unbound, &post("/v1/tune", "application/json", "")).status, 503);
-        // Every shard count serves through one engine, so a sharded
-        // context tunes like any other.
-        let sharded = Arc::new(sharded_ctx());
-        sharded.bind_self();
-        let resp = route(&sharded, &post("/v1/tune", "application/json", r#"{"seed": 5}"#));
-        assert_eq!(resp.status, 202, "{}", String::from_utf8_lossy(&resp.body));
-        assert_eq!(poll_done(&sharded, 1).get("status").unwrap().as_str(), Some("done"));
     }
 }

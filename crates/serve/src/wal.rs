@@ -32,9 +32,12 @@
 //! frames in order and, at the first frame that is incomplete, fails
 //! its CRC, or breaks the sequence, truncates the file back to the last
 //! good frame boundary and carries on. Truncation is bounded to the
-//! tail: a CRC-*valid* frame whose payload does not decode is not a
-//! torn write but evidence of a foreign or buggy writer, and is
-//! reported as [`WalError::Corrupt`] instead of being dropped.
+//! tail: [`WalError::Corrupt`] leaves the file untouched for a frame
+//! that fails its CRC although its length leads to a complete, CRC-valid
+//! frame with the next seq (mid-log damage with acknowledged batches
+//! behind it — a torn append is always the last frame, and a zero-filled
+//! tail stays a torn tail), and for a CRC-*valid* frame whose payload does
+//! not decode (a foreign or buggy writer, not a torn write).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -69,8 +72,9 @@ pub enum WalError {
     /// being recovered — the snapshot and log are from different
     /// lineages and replaying would lose acknowledged batches.
     SnapshotBehind { wal_base: u64, snapshot_seq: u64 },
-    /// A CRC-valid frame whose payload does not decode (see module
-    /// docs — this is not a torn tail and is never auto-truncated).
+    /// Damage before the last frame, or a CRC-valid frame whose payload
+    /// does not decode (see module docs — neither is a torn tail, and
+    /// neither is ever auto-truncated).
     Corrupt(String),
 }
 
@@ -118,7 +122,6 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     schema_fp: u64,
-    arity: usize,
     last_seq: u64,
     base_seq: u64,
     bytes: u64,
@@ -221,6 +224,22 @@ struct Scan {
     good_end: usize,
 }
 
+/// The frame at the start of `rest`: its body (length, seq, payload),
+/// its length with the CRC, and whether the CRC holds. `None` when
+/// `rest` does not hold a whole frame.
+fn frame_at(rest: &[u8]) -> Option<(&[u8], usize, bool)> {
+    let payload_len = u32::from_le_bytes(rest.get(..4)?.try_into().unwrap()) as usize;
+    let frame_len = payload_len.checked_add(4 + 8 + 4)?;
+    let (body, crc_bytes) = rest.get(..frame_len)?.split_at(frame_len - 4);
+    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+    Some((body, frame_len, crc32(body) == stored_crc))
+}
+
+/// The seq field of a frame body.
+fn frame_seq(body: &[u8]) -> u64 {
+    u64::from_le_bytes(body[4..12].try_into().unwrap())
+}
+
 /// Validates the header of `bytes` (at least a header long) and scans
 /// its frames up to the first torn one.
 fn scan(bytes: &[u8], schema_fp: u64, snapshot_seq: u64, arity: usize) -> Result<Scan, WalError> {
@@ -251,23 +270,23 @@ fn scan(bytes: &[u8], schema_fp: u64, snapshot_seq: u64, arity: usize) -> Result
     };
     loop {
         let rest = &bytes[scan.good_end..];
-        if rest.is_empty() {
-            break;
+        let Some((body, frame_len, crc_ok)) = frame_at(rest) else {
+            break; // partial frame, or one that runs past the file — torn
+        };
+        if !crc_ok {
+            // A torn append is the last frame. A good frame with the seq
+            // after this one means the damage is mid-log (see module docs).
+            if frame_at(&rest[frame_len..]).is_some_and(|(next, _, next_ok)| {
+                next_ok && frame_seq(next) == scan.last_seq + 2
+            }) {
+                return Err(WalError::Corrupt(format!(
+                    "frame seq {} fails its crc but a good frame follows it",
+                    scan.last_seq + 1
+                )));
+            }
+            break; // bit rot or torn write inside the last frame
         }
-        if rest.len() < 4 {
-            break; // partial length prefix — torn
-        }
-        let payload_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let Some(frame_len) = payload_len.checked_add(4 + 8 + 4) else { break };
-        if rest.len() < frame_len {
-            break; // frame promised more bytes than the file holds — torn
-        }
-        let (body, crc_bytes) = rest[..frame_len].split_at(frame_len - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored_crc {
-            break; // bit rot or torn write inside the frame
-        }
-        let seq = u64::from_le_bytes(body[4..12].try_into().unwrap());
+        let seq = frame_seq(body);
         if seq != scan.last_seq + 1 {
             break; // out-of-sequence frame cannot be an append of ours
         }
@@ -303,7 +322,7 @@ impl Wal {
         // A file shorter than the header means creation itself crashed:
         // no frame — hence no acknowledged batch — can exist in it.
         if short_header(&bytes)? {
-            return Self::create(path, schema_fp, snapshot_seq, arity);
+            return Self::create(path, schema_fp, snapshot_seq);
         }
         let scan = scan(&bytes, schema_fp, snapshot_seq, arity)?;
         if scan.good_end < bytes.len() {
@@ -320,7 +339,6 @@ impl Wal {
                 file,
                 path,
                 schema_fp,
-                arity,
                 last_seq: scan.last_seq,
                 base_seq: scan.base_seq,
                 bytes: scan.good_end as u64,
@@ -350,12 +368,7 @@ impl Wal {
         Ok((scan.last_seq, scan.records))
     }
 
-    fn create(
-        path: PathBuf,
-        schema_fp: u64,
-        base_seq: u64,
-        arity: usize,
-    ) -> Result<(Wal, Vec<WalRecord>), WalError> {
+    fn create(path: PathBuf, schema_fp: u64, base_seq: u64) -> Result<(Wal, Vec<WalRecord>), WalError> {
         let header = encode_header(schema_fp, base_seq);
         let mut file = OpenOptions::new()
             .create(true)
@@ -372,7 +385,6 @@ impl Wal {
                 file,
                 path,
                 schema_fp,
-                arity,
                 last_seq: base_seq,
                 base_seq,
                 bytes: WAL_HEADER_BYTES,
@@ -445,18 +457,6 @@ impl Wal {
     /// Frames currently in the log.
     pub fn records(&self) -> u64 {
         self.records
-    }
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-    /// Schema fingerprint in the header.
-    pub fn schema_fp(&self) -> u64 {
-        self.schema_fp
-    }
-    /// Decode arity (for diagnostics).
-    pub fn arity(&self) -> usize {
-        self.arity
     }
 }
 
@@ -586,6 +586,25 @@ mod tests {
             let (_, recs) = Wal::open(&path, 1, 0, 2).unwrap();
             assert_eq!(recs.len(), 1, "flip at {pos} kept the damaged frame");
         }
+    }
+
+    #[test]
+    fn a_flip_before_the_last_frame_is_corruption_not_a_torn_tail() {
+        let path = tmp("mid-flip.wal");
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open(&path, 1, 0, 2).unwrap();
+        for tag in 1..=3 {
+            wal.append(&batch(tag)).unwrap();
+        }
+        drop(wal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // A payload byte of the first frame: past the header, its length
+        // prefix and its seq.
+        bytes[WAL_HEADER_BYTES as usize + 4 + 8 + 2] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(Wal::open(&path, 1, 0, 2), Err(WalError::Corrupt(_))));
+        assert!(matches!(Wal::read(&path, 1, 0, 2), Err(WalError::Corrupt(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the damaged log was rewritten");
     }
 
     #[test]

@@ -64,7 +64,7 @@ const USAGE: &str = "usage:
                    [--iterations N] [--target-f1 F] [--step W]
                    [--rules rules.txt | --auto-rules F] [--parallelism N]
                    [--out tuned-rfds.txt] [budget flags]
-  renuver prepare  <data.csv> (-o|--out) model.rnv [--shards N]
+  renuver prepare  <data.csv> (-o|--out) model.rnv
                    [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
   renuver inspect  <model.rnv>
@@ -74,7 +74,7 @@ const USAGE: &str = "usage:
   renuver serve    <model.rnv | data.csv> [--addr HOST:PORT] [--workers N]
                    [--queue N] [--max-body-mb M] [--default-timeout-ms T]
                    [--max-timeout-ms T] [--read-timeout-secs S]
-                   [--shards N] [--wal] [--compact-bytes-mb M]
+                   [--wal] [--compact-bytes-mb M]
                    [--compact-records N] [--rfds rfds.txt | --limit N]
                    [--auto-limits F] [--max-lhs N]
                    [--log-out FILE] [--slow-threshold-ms T]
@@ -104,6 +104,11 @@ flight recorder flags (serve; ingest takes --log-out only):
 /// when they mistype one.
 const COMMANDS: &str = "stats, audit, discover, inject, impute, evaluate, compare, tune, \
      prepare, inspect, ingest, serve";
+
+/// Flags `serve` still parses but no longer documents. `--shards N`
+/// chose the shard count of the durable layout; every layout now holds
+/// one snapshot and one WAL, so the flag is ignored with a note.
+const UNDOCUMENTED_SERVE_FLAGS: [&str; 1] = ["--shards"];
 
 /// Budget-related flags, shared by `discover`, `impute`, `compare`, and
 /// `tune`.
@@ -337,7 +342,7 @@ fn flag_spec(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
             (v, vec![])
         }
         "prepare" => {
-            let mut v = vec!["-o", "--out", "--rfds", "--shards"];
+            let mut v = vec!["-o", "--out", "--rfds"];
             v.extend(discovery);
             (v, vec![])
         }
@@ -358,12 +363,12 @@ fn flag_spec(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
                 "--compact-bytes-mb",
                 "--compact-records",
                 "--rfds",
-                "--shards",
                 "--log-out",
                 "--slow-threshold-ms",
                 "--trace-max-events",
             ];
             v.extend(discovery);
+            v.extend(UNDOCUMENTED_SERVE_FLAGS);
             (v, vec!["--wal", "--no-flight"])
         }
         _ => return None,
@@ -1024,16 +1029,6 @@ fn rfds_for_model(args: &Args, rel: &Relation) -> Result<RfdSet, String> {
     }
 }
 
-/// `--shards N` for `prepare` and `serve --wal`: the number of shards in
-/// the durable layout. Absent, a new layout gets one shard; an existing
-/// layout always keeps its count. A server without `--wal` ignores it.
-fn shards_flag(args: &Args) -> Result<Option<usize>, String> {
-    match args.parse_value::<usize>("--shards")? {
-        Some(0) => Err("--shards must be at least 1".into()),
-        n => Ok(n),
-    }
-}
-
 /// The serving configuration for a decoded artifact: the artifact
 /// dictates whether an index exists; `Auto` would lie about a model
 /// snapshotted without one.
@@ -1061,7 +1056,6 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         .value("-o")
         .or_else(|| args.value("--out"))
         .ok_or("prepare requires -o model.rnv")?;
-    let shards = shards_flag(args)?;
     let rfds = rfds_for_model(args, &rel)?;
     let (engine, build_time, _) = renuver::budget::measure(|| {
         renuver::core::Engine::prepare(rel, rfds, RenuverConfig::default())
@@ -1082,21 +1076,6 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         renuver::budget::format_bytes(bytes.len()),
         renuver::budget::format_duration(build_time),
     );
-    // `--shards N` writes the durable layout (per-shard snapshots +
-    // routing manifest) now; without it the first durable open writes a
-    // one-shard layout.
-    if let Some(n) = shards {
-        let rows = renuver::serve::Registry::prepare_layout(
-            engine.relation(),
-            engine.sigma(),
-            n,
-            &layout,
-            &path,
-            0,
-        )
-        .map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {n}-shard layout beside {out}: rows per shard {rows:?}");
-    }
     Ok(())
 }
 
@@ -1125,30 +1104,27 @@ fn inspect_cmd(args: &Args) -> Result<(), String> {
     println!("  rfds:        {rfds}");
     println!("  index:       {}", if info.indexed { "snapshotted" } else { "none" });
     println!("  seq:         {seq}");
-    // The manifest names the live generation and the seq its snapshots
-    // fold; any WAL bytes past the header are batches after that seq.
+    // The manifest names the live generation and the seq its snapshot
+    // folds; any WAL bytes past the header are batches after that seq.
     if layout.manifest().exists() {
         let m = Manifest::load(&layout.manifest()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "  layout:      generation {}, seq {}, {} shard(s), {} rows",
-            m.generation,
-            m.seq,
-            m.n_shards,
-            m.assign.len()
-        );
-        for k in 0..m.n_shards {
-            let wal = layout.shard_wal(m.generation, k);
-            let held = match std::fs::metadata(&wal) {
-                Ok(meta) if meta.len() > renuver::serve::wal::WAL_HEADER_BYTES => format!(
-                    "{} (batches past seq {})",
-                    renuver::budget::format_bytes(meta.len() as usize),
-                    m.seq
-                ),
-                Ok(meta) => format!("{} (empty)", renuver::budget::format_bytes(meta.len() as usize)),
-                Err(_) => "missing".to_string(),
-            };
-            println!("    shard {k}:   wal {held}");
-        }
+        // An earlier build's N-shard layout logs every batch in each
+        // shard's WAL, so shard 0's says whether batches are pending.
+        let shards = match m.n_shards {
+            1 => String::new(),
+            n => format!(", {n} shards (migrated on the next durable open)"),
+        };
+        println!("  layout:      generation {}, seq {}, {} rows{shards}", m.generation, m.seq, m.assign.len());
+        let held = match std::fs::metadata(layout.shard_wal(m.generation, 0)) {
+            Ok(meta) if meta.len() > renuver::serve::wal::WAL_HEADER_BYTES => format!(
+                "{} (batches past seq {})",
+                renuver::budget::format_bytes(meta.len() as usize),
+                m.seq
+            ),
+            Ok(meta) => format!("{} (empty)", renuver::budget::format_bytes(meta.len() as usize)),
+            Err(_) => "missing".to_string(),
+        };
+        println!("  layout wal:  {held}");
     }
     // A single-file WAL from an earlier build; the next durable open
     // migrates it into the layout.
@@ -1169,7 +1145,7 @@ fn inspect_cmd(args: &Args) -> Result<(), String> {
 
 /// Compaction-threshold overrides shared by `ingest` and `serve --wal`.
 /// The layout lives beside the model; the artifact's provenance string
-/// is carried forward into shard snapshots.
+/// is carried forward into its snapshots.
 fn durability_options(
     args: &Args,
     model_path: &str,
@@ -1186,21 +1162,20 @@ fn durability_options(
 }
 
 /// Opens the durable registry beside an artifact: recovery from its
-/// layout (which keeps its own shard count), or the first open that
-/// writes one with `shards` shards (default 1).
+/// layout (migrating an earlier build's sharded one), or the first open
+/// that writes it.
 fn open_durable(
     args: &Args,
     path: &str,
     loaded: renuver::serve::Artifact,
-    shards: Option<usize>,
-) -> Result<(renuver::serve::Registry, renuver::serve::ShardRecovery), String> {
+) -> Result<(renuver::serve::Registry, renuver::serve::RecoveryReport), String> {
     let source = loaded.source.clone();
     let config = artifact_config(&loaded);
     let opts = durability_options(args, path, &source)?;
     renuver::serve::Registry::open_durable(
         loaded,
         config,
-        shards.unwrap_or(1),
+        1,
         opts.layout,
         &source,
         opts.compact_bytes,
@@ -1267,7 +1242,7 @@ fn cli_event(
 /// Repairs one batch against a prepared model and commits it durably.
 ///
 /// The ordering is the whole point: the repaired tuples are fsynced
-/// into every shard WAL *before* they are folded into the in-memory
+/// into the WAL *before* they are folded into the in-memory
 /// relation/oracle/index and before anything is printed. A crash at
 /// any step leaves a state the next `ingest` or `serve --wal` run
 /// recovers from — either the batch is fully present or fully absent,
@@ -1293,7 +1268,7 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
     }
     let loaded = artifact::load(model_path).map_err(|e| format!("{model_path}: {e}"))?;
     let config = artifact_config(&loaded);
-    let (registry, report) = open_durable(args, model_path, loaded, None)?;
+    let (registry, report) = open_durable(args, model_path, loaded)?;
     let event_log = cli_event_log(args)?;
     cli_event(
         &event_log,
@@ -1301,17 +1276,13 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
         report.seq,
         Some(format!("replayed {} record(s), {} rows", report.replayed, report.rows)),
     );
-    if report.replayed > 0 || !report.degraded.is_empty() {
+    if report.replayed > 0 || report.degraded {
         eprintln!(
             "recovered {} wal record(s), {} rows; model is at seq {}{}",
             report.replayed,
             report.rows,
             report.seq,
-            if report.degraded.is_empty() {
-                String::new()
-            } else {
-                format!("; degraded shards {:?}", report.degraded)
-            },
+            if report.degraded { "; the wal is degraded" } else { "" },
         );
     }
     let schema = registry.schema().clone();
@@ -1351,12 +1322,11 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
         .ingest(tuples, &config)
         .map_err(|e| format!("{batch_path}: {e}"))?;
     eprintln!(
-        "seq {}: imputed {}/{} missing cells, committed {} row(s) across {} shard(s) ({} donors total{})",
+        "seq {}: imputed {}/{} missing cells, committed {} row(s) ({} donors total{})",
         outcome.seq,
         outcome.batch.stats.imputed,
         outcome.batch.stats.missing_total,
         outcome.committed_rows,
-        registry.n_shards(),
         outcome.donor_rows,
         if outcome.dict_grown > 0 {
             format!(", dictionary grew by {}", outcome.dict_grown)
@@ -1367,10 +1337,7 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
     if args.has("--compact") || outcome.wants_compact {
         let folded = registry.compact().map_err(|e| e.to_string())?;
         cli_event(&event_log, "compaction", folded, None);
-        eprintln!(
-            "compacted: {} shard snapshot(s) rewritten at seq {folded}, wals truncated",
-            registry.n_shards()
-        );
+        eprintln!("compacted: snapshot rewritten at seq {folded}, wal reset");
     }
     let repaired =
         Relation::new(schema, outcome.batch.tuples.clone()).map_err(|e| e.to_string())?;
@@ -1396,10 +1363,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     use renuver::obs::FieldValue;
     use renuver::serve::{artifact, install_signal_handlers, Ctx, Registry, ServeConfig, Server};
     let path = one_positional(args)?;
-    let shards = shards_flag(args)?;
-    if shards.is_some() && !args.has("--wal") {
-        // Shards are only the durable layout; an in-memory server has none.
-        eprintln!("renuver: --shards has no effect without --wal");
+    if args.has("--shards") {
+        eprintln!("renuver: --shards is ignored: a durable model keeps one snapshot and one wal");
     }
     let default_timeout_ms: Option<u64> = args.parse_value("--default-timeout-ms")?;
     let max_timeout_ms: u64 = args.parse_value("--max-timeout-ms")?.unwrap_or(60_000);
@@ -1418,9 +1383,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         ..defaults
     };
 
-    // Recovery is synchronous at every shard count: the registry is
-    // whole before the server binds, so the ready line follows the
-    // banner immediately.
+    // Recovery is synchronous: the registry is whole before the server
+    // binds, so the ready line follows the banner immediately.
     let is_artifact = path.to_ascii_lowercase().ends_with(".rnv");
     let (registry, info, report) = if is_artifact {
         let bytes = std::fs::read(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -1431,7 +1395,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             artifact_bytes: bytes.len(),
         };
         if args.has("--wal") {
-            let (registry, report) = open_durable(args, &path, loaded, shards)?;
+            let (registry, report) = open_durable(args, &path, loaded)?;
             (registry, info, Some(report))
         } else {
             // Read-only: a durable layout beside the artifact is loaded
@@ -1456,28 +1420,17 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             artifact_bytes: 0,
         };
         let engine = renuver::core::Engine::prepare(rel, rfds, RenuverConfig::default());
-        (Registry::from_engine(engine, 1), info, None)
+        (Registry::from_engine(engine), info, None)
     };
     if let Some(report) = &report {
-        if let Some(n) = shards.filter(|&n| n != registry.n_shards()) {
+        if report.replayed > 0 || report.degraded {
             eprintln!(
-                "wal: batches are committed to the {}-shard layout beside {path}; --shards {n} ignored",
-                registry.n_shards()
-            );
-        }
-        if report.replayed > 0 || !report.degraded.is_empty() {
-            eprintln!(
-                "wal: replayed {} record(s), {} rows across {} shard(s); seq {}{}{}",
+                "wal: replayed {} record(s), {} rows; seq {}{}{}",
                 report.replayed,
                 report.rows,
-                registry.n_shards(),
                 report.seq,
-                if report.normalized { ", snapshots normalized" } else { "" },
-                if report.degraded.is_empty() {
-                    String::new()
-                } else {
-                    format!("; degraded shards {:?}", report.degraded)
-                },
+                if report.folded { ", folded into a fresh snapshot" } else { "" },
+                if report.degraded { "; the wal is degraded" } else { "" },
             );
         }
     }
@@ -1499,8 +1452,11 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                 )),
             ),
         ]);
-        for &k in &report.degraded {
-            ctx.server_event("shard_degraded", vec![("shard", FieldValue::U64(k as u64))]);
+        if report.degraded {
+            ctx.server_event("wal_degraded", vec![(
+                "detail",
+                FieldValue::Text("the wal could not be opened at recovery".into()),
+            )]);
         }
     }
     if is_artifact {
@@ -1584,7 +1540,8 @@ mod tests {
             let tokens: Vec<&str> = usage
                 .split(|c: char| c.is_whitespace() || "[]()|".contains(c))
                 .collect();
-            for flag in values.iter().chain(&bools) {
+            let undocumented = |flag: &&str| cmd == "serve" && UNDOCUMENTED_SERVE_FLAGS.contains(flag);
+            for flag in values.iter().chain(&bools).filter(|f| !undocumented(f)) {
                 assert!(tokens.contains(flag), "USAGE for {cmd} does not list {flag}:\n{usage}");
             }
         }
@@ -1604,19 +1561,13 @@ mod tests {
         let err = run(&strings(&["impute", "x.csv", "--no-batch-verify"])).unwrap_err();
         assert!(err.contains("--no-batch-verify"), "{err}");
         assert!(!USAGE.contains("--no-batch-verify"));
-    }
-
-    #[test]
-    fn shards_flag_rejects_zero() {
-        let spec = flag_spec("serve").unwrap();
-        let raw = strings(&["m.rnv"]);
-        assert_eq!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()), Ok(None));
-        let raw = strings(&["m.rnv", "--shards", "3"]);
-        assert_eq!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()), Ok(Some(3)));
-        let raw = strings(&["m.rnv", "--shards", "0"]);
-        assert!(shards_flag(&Args::parse(&raw, &spec.0, &spec.1).unwrap()).is_err());
-        let err = run(&strings(&["serve", "m.rnv", "--shards", "0"])).unwrap_err();
-        assert!(err.contains("--shards must be at least 1"), "{err}");
+        // One durable layout at every count: `prepare` no longer writes a
+        // sharded one, and `serve` parses `--shards` only to ignore it.
+        let err = run(&strings(&["prepare", "x.csv", "-o", "m.rnv", "--shards", "2"])).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
+        assert!(!USAGE.contains("--shards"));
+        let err = run(&strings(&["serve", "no-such.rnv", "--shards", "2"])).unwrap_err();
+        assert!(err.contains("no-such.rnv"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Differential harness for the serving registry: a [`Registry`] at any
-//! shard count must answer **bit-identically** to a plain
-//! [`Engine::impute_batch`], for every index mode.
+//! Differential harness for the serving registry: a [`Registry`] must
+//! answer **bit-identically** to a plain [`Engine::impute_batch`], for
+//! every index mode.
 //!
-//! The registry serves through one prepared engine and shards are only
-//! its durable on-disk layout, so the equality holds by construction;
-//! this suite pins it so the layout can never leak into answers. It
-//! sweeps shard counts {1, 2, 4, 7} × {scan, indexed} on the paper's
-//! Restaurant stand-in, the 5 000-row synthetic shop fixture, and
-//! randomly generated relations.
+//! The registry serves through one prepared engine, so the equality
+//! holds by construction; this suite pins it so the registry's locking
+//! and durable layout can never leak into answers. It sweeps {scan,
+//! indexed} on the paper's Restaurant stand-in, the 5 000-row synthetic
+//! shop fixture, and randomly generated relations.
 //!
 //! Ingest is covered too: committing the repaired batch through the
 //! registry must leave it answering the *next* batch exactly like the
@@ -29,10 +28,6 @@ use renuver::rfd::discovery::{discover, DiscoveryConfig};
 use renuver::rfd::{Constraint, Rfd, RfdSet};
 use renuver::serve::{artifact, DurabilityOptions, Registry};
 use renuver_bench::synthetic_shops;
-
-/// The shard counts the suite sweeps: the degenerate single shard, even
-/// splits, and a prime count that leaves shards unevenly loaded.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 fn config(mode: IndexMode) -> RenuverConfig {
     RenuverConfig {
@@ -63,9 +58,9 @@ fn served(reg: &Registry, batch: &[Tuple]) -> BatchResult {
     snap.impute(batch.to_vec(), &snap.config).expect("valid batch")
 }
 
-/// Runs a plain engine and a registry at every shard count on the same
-/// batch and asserts byte-identity; returns the engine's result.
-fn assert_all_shard_counts_match(
+/// Runs a plain engine and a registry on the same batch and asserts
+/// byte-identity; returns the engine's result.
+fn assert_registry_matches(
     base: &Relation,
     batch: &[Tuple],
     sigma: &RfdSet,
@@ -74,18 +69,14 @@ fn assert_all_shard_counts_match(
     let cfg = config(mode);
     let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
     let single = engine.impute_batch(batch.to_vec()).expect("single-engine batch");
-    let want = canon_batch(&single);
-    for shards in SHARD_COUNTS {
-        let reg = Registry::build(base, sigma.clone(), cfg.clone(), shards);
-        assert_eq!(reg.shard_rows().iter().sum::<usize>(), base.len());
-        let got = served(&reg, batch);
-        assert_eq!(
-            canon_batch(&got),
-            want,
-            "registry diverged from the engine \
-             (shards={shards}, mode={mode:?})"
-        );
-    }
+    let reg = Registry::build(base, sigma.clone(), cfg.clone(), 1);
+    assert_eq!(reg.rows(), base.len());
+    let got = served(&reg, batch);
+    assert_eq!(
+        canon_batch(&got),
+        canon_batch(&single),
+        "registry diverged from the engine (mode={mode:?})"
+    );
     single
 }
 
@@ -100,41 +91,35 @@ fn restaurant_fixture() -> (Relation, Vec<Tuple>, RfdSet) {
 }
 
 #[test]
-fn restaurant_sharded_matches_single_engine() {
+fn restaurant_registry_matches_single_engine() {
     let (base, batch, sigma) = restaurant_fixture();
     assert!(batch.iter().any(|t| t.iter().any(|v| v.is_null())), "batch must contain holes");
     for mode in [IndexMode::Scan, IndexMode::Indexed] {
-        let single = assert_all_shard_counts_match(&base, &batch, &sigma, mode);
+        let single = assert_registry_matches(&base, &batch, &sigma, mode);
         assert!(single.stats.missing_total > 0, "fixture imputed nothing");
         assert!(single.stats.imputed > 0, "fixture imputed nothing");
     }
 }
 
 #[test]
-fn restaurant_ingest_sharded_matches_single_engine() {
+fn restaurant_ingest_registry_matches_single_engine() {
     let (base, batch, sigma) = restaurant_fixture();
     // Two consecutive batches: the first is committed, the second must
     // see the grown donor set — including the first batch's repairs —
-    // identically on both topologies.
+    // identically on both paths.
     let (batch1, batch2) = batch.split_at(batch.len() / 2);
-    for shards in SHARD_COUNTS {
-        let cfg = config(IndexMode::Indexed);
-        let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
-        let (r1, commit) = engine.ingest_batch_with(batch1.to_vec(), &cfg).expect("ingest");
-        assert_eq!(commit.rows, batch1.len());
-        let r2 = engine.impute_batch(batch2.to_vec()).expect("post-ingest batch");
+    let cfg = config(IndexMode::Indexed);
+    let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
+    let (r1, commit) = engine.ingest_batch_with(batch1.to_vec(), &cfg).expect("ingest");
+    assert_eq!(commit.rows, batch1.len());
+    let r2 = engine.impute_batch(batch2.to_vec()).expect("post-ingest batch");
 
-        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
-        let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest");
-        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "ingest impute diverged (shards={shards})");
-        assert_eq!(reg.shard_rows().iter().sum::<usize>(), base.len() + batch1.len());
-        let s2 = served(&reg, batch2);
-        assert_eq!(
-            canon_batch(&s2),
-            canon_batch(&r2),
-            "post-commit batch diverged (shards={shards})"
-        );
-    }
+    let reg = Registry::build(&base, sigma.clone(), cfg.clone(), 1);
+    let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest");
+    assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "ingest impute diverged");
+    assert_eq!(reg.rows(), base.len() + batch1.len());
+    let s2 = served(&reg, batch2);
+    assert_eq!(canon_batch(&s2), canon_batch(&r2), "post-commit batch diverged");
 }
 
 #[test]
@@ -151,54 +136,51 @@ fn restaurant_recovered_registry_matches_grown_engine() {
     let (r2, _) = engine.ingest_batch_with(batch2.to_vec(), &cfg).expect("ingest 2");
     let want = canon_batch(&engine.impute_batch(batch3.to_vec()).expect("probe"));
 
-    for shards in [1, 2, 7] {
-        let dir = std::env::temp_dir()
-            .join(format!("renuver-shard-differential-{}", std::process::id()))
-            .join(format!("reopen-{shards}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let model = dir.join("model.rnv");
-        let prepared = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
-        std::fs::write(&model, artifact::encode_engine(&prepared, "differential", 0)).unwrap();
-        let open = || {
-            let opts = DurabilityOptions::beside(&model, "differential");
-            Registry::open_durable(
-                artifact::load(&model).unwrap(),
-                cfg.clone(),
-                shards,
-                opts.layout,
-                "differential",
-                opts.compact_bytes,
-                opts.compact_records,
-            )
-            .expect("open durable registry")
-        };
+    let dir = std::env::temp_dir()
+        .join(format!("renuver-registry-differential-{}", std::process::id()))
+        .join("reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("model.rnv");
+    let prepared = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
+    std::fs::write(&model, artifact::encode_engine(&prepared, "differential", 0)).unwrap();
+    let open = || {
+        let opts = DurabilityOptions::beside(&model, "differential");
+        Registry::open_durable(
+            artifact::load(&model).unwrap(),
+            cfg.clone(),
+            1,
+            opts.layout,
+            "differential",
+            opts.compact_bytes,
+            opts.compact_records,
+        )
+        .expect("open durable registry")
+    };
 
-        // Batch 1 is folded into the shard snapshots, batch 2 stays in
-        // the logs: the reopen merges the snapshots and replays the tail.
-        let (reg, _) = open();
-        let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest 1");
-        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "shards={shards}");
-        reg.compact().expect("compact");
-        let s2 = reg.ingest(batch2.to_vec(), &cfg).expect("registry ingest 2");
-        assert_eq!(canon_batch(&s2.batch), canon_batch(&r2), "shards={shards}");
-        drop(reg);
+    // Batch 1 is folded into the snapshot, batch 2 stays in the log: the
+    // reopen reads the snapshot and replays the tail.
+    let (reg, _) = open();
+    let s1 = reg.ingest(batch1.to_vec(), &cfg).expect("registry ingest 1");
+    assert_eq!(canon_batch(&s1.batch), canon_batch(&r1));
+    reg.compact().expect("compact");
+    let s2 = reg.ingest(batch2.to_vec(), &cfg).expect("registry ingest 2");
+    assert_eq!(canon_batch(&s2.batch), canon_batch(&r2));
+    drop(reg);
 
-        let (reg, report) = open();
-        assert_eq!((report.seq, report.replayed), (2, 1), "shards={shards}");
-        assert_eq!(reg.n_shards(), shards);
-        assert_eq!(
-            reg.lock_engine().relation().tuples().collect::<Vec<_>>(),
-            engine.relation().tuples().collect::<Vec<_>>(),
-            "recovered rows out of global order (shards={shards})"
-        );
-        assert_eq!(
-            canon_batch(&served(&reg, batch3)),
-            want,
-            "recovered registry diverged from the grown engine (shards={shards})"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let (reg, report) = open();
+    assert_eq!((report.seq, report.replayed), (2, 1));
+    assert_eq!(
+        reg.lock_engine().relation().tuples().collect::<Vec<_>>(),
+        engine.relation().tuples().collect::<Vec<_>>(),
+        "recovered rows out of global order"
+    );
+    assert_eq!(
+        canon_batch(&served(&reg, batch3)),
+        want,
+        "recovered registry diverged from the grown engine"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------- 5 k synthetic
@@ -219,15 +201,15 @@ fn synthetic_fixture() -> (Relation, Vec<Tuple>, RfdSet) {
 }
 
 #[test]
-fn synthetic_5k_sharded_matches_single_engine() {
+fn synthetic_5k_registry_matches_single_engine() {
     let (base, batch, sigma) = synthetic_fixture();
     for mode in [IndexMode::Scan, IndexMode::Indexed] {
-        assert_all_shard_counts_match(&base, &batch, &sigma, mode);
+        assert_registry_matches(&base, &batch, &sigma, mode);
     }
 }
 
 #[test]
-fn synthetic_5k_ingest_sharded_matches_single_engine() {
+fn synthetic_5k_ingest_registry_matches_single_engine() {
     let (base, batch, sigma) = synthetic_fixture();
     let cfg = config(IndexMode::Indexed);
     let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
@@ -240,13 +222,11 @@ fn synthetic_5k_ingest_sharded_matches_single_engine() {
     ]];
     let r2 = engine.impute_batch(probe.clone()).expect("probe");
 
-    for shards in [2, 7] {
-        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
-        let s1 = reg.ingest(batch.clone(), &cfg).expect("registry ingest");
-        assert_eq!(canon_batch(&s1.batch), canon_batch(&r1), "shards={shards}");
-        let s2 = served(&reg, &probe);
-        assert_eq!(canon_batch(&s2), canon_batch(&r2), "post-commit probe (shards={shards})");
-    }
+    let reg = Registry::build(&base, sigma.clone(), cfg.clone(), 1);
+    let s1 = reg.ingest(batch.clone(), &cfg).expect("registry ingest");
+    assert_eq!(canon_batch(&s1.batch), canon_batch(&r1));
+    let s2 = served(&reg, &probe);
+    assert_eq!(canon_batch(&s2), canon_batch(&r2), "post-commit probe");
 }
 
 // ----------------------------------------------------- random (proptest)
@@ -316,18 +296,17 @@ fn cases(default_cases: u32) -> ProptestConfig {
 proptest! {
     #![proptest_config(cases(64))]
 
-    /// Random relation, random RFDs, random shard count and index mode:
-    /// registry impute == engine impute, and after committing the
-    /// repaired batch, a re-run of the same batch still matches the
-    /// grown engine.
+    /// Random relation, random RFDs and index mode: registry impute ==
+    /// engine impute, and after committing the repaired batch, a re-run
+    /// of the same batch still matches the grown engine.
     #[test]
-    fn random_sharded_matches_single(
+    fn random_registry_matches_single(
         input in arb_relation().prop_flat_map(|rel| {
             let arity = rel.arity();
-            (Just(rel), arb_rfds(arity), 1usize..8, any::<bool>())
+            (Just(rel), arb_rfds(arity), any::<bool>())
         }),
     ) {
-        let (rel, sigma, shards, indexed) = input;
+        let (rel, sigma, indexed) = input;
         let k = (rel.len() / 3).max(1);
         let (base, batch) = split(&rel, k);
         let mode = if indexed { IndexMode::Indexed } else { IndexMode::Scan };
@@ -335,7 +314,7 @@ proptest! {
 
         let mut engine = Engine::prepare(base.clone(), sigma.clone(), cfg.clone());
         let single = engine.impute_batch(batch.clone()).expect("single-engine batch");
-        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), shards);
+        let reg = Registry::build(&base, sigma.clone(), cfg.clone(), 1);
         let got = served(&reg, &batch);
         prop_assert_eq!(canon_batch(&got), canon_batch(&single));
 

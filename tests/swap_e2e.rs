@@ -1,6 +1,6 @@
 //! Zero-downtime model swap under live traffic.
 //!
-//! A sharded server takes a continuous stream of `/v1/impute` requests
+//! A server takes a continuous stream of `/v1/impute` requests
 //! while `PUT /v1/model` atomically replaces the serving model
 //! mid-stream. What must hold:
 //!
@@ -42,10 +42,10 @@ fn model_rfds() -> RfdSet {
     ])
 }
 
-fn start_sharded(shards: usize) -> (SocketAddr, Arc<Ctx>, Arc<std::sync::atomic::AtomicBool>, std::thread::JoinHandle<u64>) {
+fn start() -> (SocketAddr, Arc<Ctx>, Arc<std::sync::atomic::AtomicBool>, std::thread::JoinHandle<u64>) {
     let rel = model_relation(0);
     let fingerprint = artifact::schema_fingerprint(rel.schema());
-    let registry = Registry::build(&rel, model_rfds(), RenuverConfig::default(), shards);
+    let registry = Registry::build(&rel, model_rfds(), RenuverConfig::default(), 1);
     let ctx = Arc::new(Ctx::new_sharded(
         registry,
         ModelInfo { source: "swap-e2e".into(), schema_fingerprint: fingerprint, artifact_bytes: 0 },
@@ -119,7 +119,7 @@ fn encoded_model(shift: i64) -> Vec<u8> {
 
 #[test]
 fn swap_under_load_drops_and_mixes_nothing() {
-    let (addr, _ctx, stop, handle) = start_sharded(4);
+    let (addr, _ctx, stop, handle) = start();
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 30;
 
@@ -179,7 +179,7 @@ fn swap_under_load_drops_and_mixes_nothing() {
 
 #[test]
 fn fingerprint_mismatch_is_rejected_409_and_model_unchanged() {
-    let (addr, ctx, stop, handle) = start_sharded(2);
+    let (addr, ctx, stop, handle) = start();
 
     // Same column count, different attribute names → different schema
     // fingerprint.
@@ -275,7 +275,7 @@ fn sighup_reloads_the_model_file_without_downtime() {
     };
     write_model(0);
 
-    let (mut child, addr, _stdout) = spawn_serve(&dir, &["--shards", "2"]);
+    let (mut child, addr, _stdout) = spawn_serve(&dir, &[]);
 
     let (status, body) = request(addr, &post_impute(r#"{"tuples": [["City07", null]]}"#));
     assert_eq!(status, 200);

@@ -95,14 +95,14 @@ fn start(engine: Engine, opts: FlightOptions) -> Running {
     serve(ctx)
 }
 
-/// A durable registry over `model` (laid out beside it with `shards`
-/// shards on first open, recovered from that layout afterwards).
-fn open_durable(model: &std::path::Path, shards: usize) -> Registry {
+/// A durable registry over `model` (laid out beside it on first open,
+/// recovered from that layout afterwards).
+fn open_durable(model: &std::path::Path) -> Registry {
     let opts = DurabilityOptions::beside(model, "tune-e2e");
     Registry::open_durable(
         artifact::load(model).unwrap(),
         RenuverConfig::default(),
-        shards,
+        1,
         opts.layout,
         "tune-e2e",
         opts.compact_bytes,
@@ -395,8 +395,8 @@ fn drain_mid_tune_leaves_the_job_log_consistent() {
 /// Differential acceptance test: a model installed by the tune job's
 /// `install` step serves bit-identical `/v1/impute` answers to an
 /// engine prepared directly from the same tuned thresholds — on an
-/// in-memory one-shard server and on a two-shard durable one, which
-/// must still serve the tuned RFDs after a restart.
+/// in-memory server and on a durable one, which must still serve the
+/// tuned RFDs after a restart.
 #[test]
 fn job_installed_model_serves_bit_identical_answers() {
     let dir = std::env::temp_dir().join(format!("renuver-tune-install-{}", std::process::id()));
@@ -407,7 +407,7 @@ fn job_installed_model_serves_bit_identical_answers() {
 
     for durable in [false, true] {
         let running = if durable {
-            let registry = open_durable(&model, 2);
+            let registry = open_durable(&model);
             let info = info(registry.schema());
             serve(Ctx::new_sharded(registry, info, None, 60_000))
         } else {
@@ -451,8 +451,7 @@ fn job_installed_model_serves_bit_identical_answers() {
             // The install went through the swap's durable generation: a
             // restart from the layout serves the tuned thresholds.
             drop(ctx);
-            let reopened = open_durable(&model, 2);
-            assert_eq!(reopened.n_shards(), 2);
+            let reopened = open_durable(&model);
             let engine = reopened.lock_engine();
             assert_eq!(engine.sigma().to_text(engine.schema()), thresholds);
         }
@@ -470,7 +469,7 @@ fn ingest_during_an_installing_tune_is_kept() {
     std::fs::create_dir_all(&dir).unwrap();
     let model = dir.join("model.rnv");
     std::fs::write(&model, artifact::encode_engine(&slow_engine(), "tune-e2e", 0)).unwrap();
-    let registry = open_durable(&model, 2);
+    let registry = open_durable(&model);
     let info = info(registry.schema());
     let (addr, ctx, stop, handle) = serve(Ctx::new_sharded(registry, info, None, 60_000));
 
@@ -500,7 +499,7 @@ fn ingest_during_an_installing_tune_is_kept() {
     handle.join().unwrap();
     drop(ctx);
 
-    let reopened = open_durable(&model, 2);
+    let reopened = open_durable(&model);
     assert_eq!((reopened.seq(), reopened.snapshot().rows()), (1, 301));
     let engine = reopened.lock_engine();
     assert_eq!(engine.sigma().to_text(engine.schema()), thresholds);

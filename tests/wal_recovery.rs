@@ -2,7 +2,7 @@
 //! the real `renuver` binary. Each case arms a crash point via the
 //! `RENUVER_FAULT` environment variable, lets `renuver ingest` abort
 //! mid-flight, then recovers and asserts the surviving model is
-//! **bit-identical** (compacted shard snapshot and manifest bytes) to a
+//! **bit-identical** (compacted snapshot and manifest bytes) to a
 //! control model that never crashed and ingested exactly the batches the
 //! durability contract says must survive:
 //!
@@ -15,11 +15,14 @@
 //!
 //! Also covered: injected (non-fatal) I/O errors commit nothing,
 //! SIGTERM during an in-flight `/v1/ingest` drains gracefully — the
-//! batch is fully durable, never half-applied — and a single-file WAL
-//! left by an earlier build migrates into the one-shard layout.
+//! batch is fully durable, never half-applied — a single-file WAL left
+//! by an earlier build migrates into the layout, a swap that crashes
+//! before its commit keeps the old model, and a WAL with a flipped byte
+//! before its last frame serves degraded without being rewritten.
 //!
-//! The single-file cases run on the default one-shard layout `prepare`
-//! writes; the sharded cases below run the same matrix at two shards.
+//! The last section migrates two-shard layouts written by an earlier
+//! build, crashed at every migration step, into one snapshot and one
+//! WAL.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -324,127 +327,85 @@ fn single_file_wal_migrates_into_a_one_shard_layout() {
     }
 }
 
-// ------------------------------------------------------ sharded layouts
-//
-// `prepare --shards 2` writes two shard snapshots and a routing
-// manifest beside the artifact; `ingest` recovers that layout and
-// commits through the registry. Two shards differ from one in exactly
-// one place: a batch is committed only once it is appended to *every*
-// shard WAL, so a crash anywhere inside the append fan-out leaves the
-// batch absent (an orphan frame on an earlier log sits beyond the
-// committed horizon and is truncated when recovery normalizes).
-// Compaction crashes — including the window where one shard's snapshot
-// is renamed while its sibling and the manifest are still old — must
-// change nothing logically, per shard, byte for byte.
+// ------------------------------------------------------- one layout
 
-const SHARDS: usize = 2;
-
-fn setup_sharded(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("renuver-shard-recovery-{}", std::process::id()))
-        .join(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("data.csv"), DATA).unwrap();
-    std::fs::write(dir.join("batch1.csv"), BATCH1).unwrap();
-    std::fs::write(dir.join("batch2.csv"), BATCH2).unwrap();
-    let out = bin()
-        .current_dir(&dir)
-        .args(["prepare", "data.csv", "-o", "model.rnv", "--limit", "3", "--shards", "2"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "prepare failed: {}", String::from_utf8_lossy(&out.stderr));
-    dir
-}
-
-/// Canonical sharded end state: recover + ingest `batch2.csv` with
-/// `--compact`, then read every shard snapshot plus the manifest. Two
-/// histories that agree on the durable batches agree on every byte of
-/// every shard.
-fn final_sharded_state(dir: &Path) -> Vec<Vec<u8>> {
-    let out = ingest(dir, "batch2.csv", None, true);
-    assert_ok(&out, "sharded recovery ingest of batch2");
-    let mut files = Vec::new();
-    for k in 0..SHARDS {
-        files.push(std::fs::read(dir.join(format!("model.rnv.shard{k}"))).unwrap());
-    }
-    files.push(std::fs::read(dir.join("model.rnv.manifest")).unwrap());
-    files
-}
-
-fn sharded_control(tag: &str, batches: &[&str]) -> Vec<Vec<u8>> {
-    let dir = setup_sharded(tag);
-    for b in batches {
-        assert_ok(&ingest(&dir, b, None, false), b);
-    }
-    final_sharded_state(&dir)
-}
-
+/// The compaction window between the snapshot rename and the manifest
+/// rename: the snapshot is ahead of the manifest and must hold exactly
+/// the replayed rows its seq covers.
 #[test]
-fn sharded_append_crash_matrix_commits_nothing() {
-    // Every append crash point leaves the batch uncommitted: the fault
-    // fires on the first shard WAL the fan-out touches, so no state
-    // where all logs carry the frame is ever reached.
-    for fault in [
-        "wal.append.pre_write=crash",
-        "wal.append.mid_write=short:10",
-        "wal.append.pre_fsync=crash",
-        "wal.append.post_fsync=crash",
-    ] {
-        let point = fault.split('=').next().unwrap();
-        let dir = setup_sharded(&format!("append-{}", point.replace('.', "-")));
-        let out = ingest(&dir, "batch1.csv", Some(fault), false);
-        assert!(!out.status.success(), "{fault}: sharded ingest should have died");
-
-        let recovered = final_sharded_state(&dir);
-        let control =
-            sharded_control(&format!("append-ctl-{}", point.replace('.', "-")), &[]);
-        assert_eq!(
-            recovered, control,
-            "{fault}: per-shard recovery differs from a control that never saw batch1"
-        );
-    }
+fn compaction_crash_between_the_renames_changes_nothing_logically() {
+    let dir = setup("cpt-compact-snapshot_done");
+    let out = ingest(&dir, "batch1.csv", Some("compact.snapshot_done=crash"), true);
+    assert!(!out.status.success(), "ingest --compact should have died");
+    let recovered = final_snapshot(&dir);
+    let control = control_snapshot("cpt-ctl-compact-snapshot_done", &["batch1.csv"]);
+    assert_eq!(recovered, control, "the compaction crash changed the logical state");
 }
 
-#[test]
-fn sharded_compaction_crash_matrix_changes_nothing_logically() {
-    // The commit is acknowledged before compaction, so batch1 survives a
-    // crash at every point — including `compact.shard_done`, the
-    // sharded-only window where shard 0's snapshot is already at the new
-    // seq while shard 1 and the manifest still hold the old one.
-    // Recovery must notice the mixed seqs and normalize.
-    for point in [
-        "compact.pre_write",
-        "compact.pre_rename",
-        "compact.shard_done",
-        "compact.post_rename",
-        "compact.pre_truncate",
-    ] {
-        let dir = setup_sharded(&format!("cpt-{}", point.replace('.', "-")));
-        let out = ingest(&dir, "batch1.csv", Some(&format!("{point}=crash")), true);
-        assert!(!out.status.success(), "{point}: sharded ingest --compact should have died");
+/// A served child process, its address, its ready line, and its stdout —
+/// held open so the shutdown line still has a reader.
+#[cfg(unix)]
+type Served = (std::process::Child, String, String, BufReader<std::process::ChildStdout>);
 
-        let recovered = final_sharded_state(&dir);
-        let control = sharded_control(
-            &format!("cpt-ctl-{}", point.replace('.', "-")),
-            &["batch1.csv"],
-        );
-        assert_eq!(
-            recovered, control,
-            "{point}: sharded compaction crash changed the logical state"
-        );
-    }
+/// Spawns `renuver serve model.rnv` in `dir` with `extra` flags on an
+/// ephemeral port and reads its startup handshake.
+#[cfg(unix)]
+fn spawn_serve(dir: &Path, extra: &[&str], fault: Option<&str>) -> Served {
+    let mut cmd = bin();
+    cmd.current_dir(dir)
+        .args(["serve", "model.rnv", "--addr", "127.0.0.1:0"])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    match fault {
+        Some(spec) => cmd.env("RENUVER_FAULT", spec),
+        None => cmd.env_remove("RENUVER_FAULT"),
+    };
+    let mut child = cmd.spawn().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    lines.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("listening on ")
+        .and_then(|r| r.split_whitespace().next())
+        .unwrap_or_else(|| panic!("bad banner {banner:?}"))
+        .to_string();
+    let mut ready = String::new();
+    lines.read_line(&mut ready).unwrap();
+    (child, addr, ready, lines)
+}
+
+/// One request on a fresh connection; the whole response.
+#[cfg(unix)]
+fn send(addr: &str, raw: &[u8]) -> String {
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.write_all(raw).unwrap();
+    let mut resp = String::new();
+    let _ = BufReader::new(s).read_to_string(&mut resp);
+    resp
+}
+
+#[cfg(unix)]
+fn post_json(path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
 }
 
 /// Swap crash window: the server dies after writing the whole
-/// next-generation layout (snapshots + fresh WALs under `.g1.*` names)
+/// next-generation layout (snapshot + fresh WAL under `.g1.*` names)
 /// but before the atomic manifest flip that commits it. The old
 /// generation must win: recovery serves the old model plus every
 /// acknowledged batch, byte for byte, and sweeps the orphaned files.
+/// The server runs with `--shards 2`, which it ignores: it notes that
+/// and writes the one-snapshot layout.
 #[test]
 #[cfg(unix)]
 fn swap_crash_before_manifest_flip_preserves_the_old_model() {
-    let dir = setup_sharded("swap-crash");
+    let dir = setup("swap-crash");
     assert_ok(&ingest(&dir, "batch1.csv", None, false), "batch1");
 
     // A replacement model: same schema (same fingerprint), one more row.
@@ -456,24 +417,8 @@ fn swap_crash_before_manifest_flip_preserves_the_old_model() {
         .unwrap();
     assert_ok(&out, "prepare model2");
 
-    let mut child = bin()
-        .current_dir(&dir)
-        .args(["serve", "model.rnv", "--shards", "2", "--wal", "--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .env("RENUVER_FAULT", "swap.pre_commit=crash")
-        .spawn()
-        .unwrap();
-    let mut lines = BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    lines.read_line(&mut banner).unwrap();
-    let addr = banner
-        .strip_prefix("listening on ")
-        .and_then(|r| r.split_whitespace().next())
-        .unwrap_or_else(|| panic!("bad banner {banner:?}"))
-        .to_string();
-    let mut ready = String::new();
-    lines.read_line(&mut ready).unwrap();
+    let (mut child, addr, ready, _stdout) =
+        spawn_serve(&dir, &["--shards", "2", "--wal"], Some("swap.pre_commit=crash"));
     assert!(ready.starts_with("ready state=ok "), "{ready:?}");
 
     // PUT the new model; the armed fault aborts the process mid-swap.
@@ -485,109 +430,256 @@ fn swap_crash_before_manifest_flip_preserves_the_old_model() {
     )
     .into_bytes();
     raw.extend_from_slice(&body);
-    let mut s = std::net::TcpStream::connect(&addr).unwrap();
-    s.write_all(&raw).unwrap();
-    let mut resp = String::new();
-    let _ = BufReader::new(s).read_to_string(&mut resp);
+    let resp = send(&addr, &raw);
     assert!(!resp.starts_with("HTTP/1.1 200"), "swap should have crashed, got: {resp:?}");
     assert!(!child.wait().unwrap().success(), "serve should have aborted mid-swap");
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert!(stderr.contains("--shards is ignored"), "{stderr}");
 
-    // The aborted generation's files are on disk but uncommitted.
+    // The aborted generation's files are on disk but uncommitted, and
+    // the live layout has one snapshot and one WAL.
     assert!(dir.join("model.rnv.g1.shard0").exists(), "crash landed before the g1 write");
+    assert!(!dir.join("model.rnv.shard1").exists() && !dir.join("model.rnv.g1.shard1").exists());
 
     // Recovery lands on exactly the state of a control that ingested
     // batch1 and was never asked to swap, and sweeps the orphans.
-    let recovered = final_sharded_state(&dir);
-    let control = sharded_control("swap-crash-ctl", &["batch1.csv"]);
+    let recovered = final_snapshot(&dir);
+    let control = control_snapshot("swap-crash-ctl", &["batch1.csv"]);
     assert_eq!(recovered, control, "interrupted swap changed the logical state");
-    for k in 0..SHARDS {
-        assert!(!dir.join(format!("model.rnv.g1.shard{k}")).exists());
-        assert!(!dir.join(format!("model.rnv.g1.shard{k}.wal")).exists());
-    }
+    assert!(!dir.join("model.rnv.g1.shard0").exists());
+    assert!(!dir.join("model.rnv.g1.shard0.wal").exists());
 }
 
-/// One shard's WAL is corrupted while a sibling keeps the full history:
-/// the registry comes up `degraded` for the crashed shard only, keeps
-/// serving imputes (the sibling's log rebuilds the dead shard's tail in
-/// memory), and refuses ingest until the shard heals.
+/// A byte flipped inside the first of two frames is mid-log damage, not
+/// a torn tail: the server comes up `degraded`, serves the snapshot,
+/// refuses ingest, and leaves the log byte-identical for an operator —
+/// truncating it would drop both acknowledged batches.
 #[test]
 #[cfg(unix)]
-fn corrupt_shard_wal_serves_degraded_for_that_shard_only() {
-    let dir = setup_sharded("degraded");
-    assert_ok(&ingest(&dir, "batch1.csv", None, false), "batch1");
+fn a_flipped_wal_byte_serves_degraded_and_keeps_the_log() {
+    let dir = setup("degraded");
+    // Two batches in one server's life, so the log holds two frames (a
+    // CLI `ingest` folds the log it recovers before appending).
+    let (mut child, addr, ready, _stdout) = spawn_serve(&dir, &["--wal"], None);
+    assert!(ready.starts_with("ready state=ok seq=0"), "{ready:?}");
+    for body in [r#"{"tuples": [["Torino", "10121"]]}"#, r#"{"tuples": [["Bari", "70121"]]}"#] {
+        let resp = send(&addr, &post_json("/v1/ingest", body));
+        assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
+    }
+    let kill = Command::new("kill").arg("-TERM").arg(child.id().to_string()).status().unwrap();
+    assert!(kill.success());
+    assert!(child.wait().unwrap().success(), "serve did not exit cleanly");
 
-    // Flip a byte inside shard 0's WAL header: the log refuses to open.
+    // A payload byte of the first frame: past the 24-byte header, the
+    // frame's length prefix and its seq.
     let wal_path = dir.join("model.rnv.shard0.wal");
     let mut bytes = std::fs::read(&wal_path).unwrap();
-    bytes[9] ^= 0xff;
+    bytes[24 + 4 + 8 + 2] ^= 0x40;
     std::fs::write(&wal_path, &bytes).unwrap();
 
-    let mut child = bin()
-        .current_dir(&dir)
-        .args(["serve", "model.rnv", "--shards", "2", "--wal", "--addr", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let mut lines = BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    lines.read_line(&mut banner).unwrap();
-    let addr = banner
-        .strip_prefix("listening on ")
-        .and_then(|r| r.split_whitespace().next())
-        .unwrap_or_else(|| panic!("bad banner {banner:?}"))
-        .to_string();
-    let mut ready = String::new();
-    lines.read_line(&mut ready).unwrap();
-    assert!(ready.starts_with("ready state=degraded "), "{ready:?}");
+    let (mut child, addr, ready, _stdout) = spawn_serve(&dir, &["--wal"], None);
+    assert!(ready.starts_with("ready state=degraded seq=0"), "{ready:?}");
 
-    let send = |raw: &str| {
-        let mut s = std::net::TcpStream::connect(&addr).unwrap();
-        s.write_all(raw.as_bytes()).unwrap();
-        let mut resp = String::new();
-        BufReader::new(s).read_to_string(&mut resp).unwrap();
-        resp
-    };
-
-    // Only shard 0 is degraded, and batch1's two rows were rebuilt from
-    // the sibling's log: 6 base rows + 2 replayed across the shards.
-    let health = send("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let health = send(&addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
     assert!(health.contains("\"state\":\"degraded\""), "{health}");
-    assert!(
-        health.contains("{\"shard\":0,\"state\":\"degraded\""),
-        "shard 0 should be degraded: {health}"
-    );
-    assert!(
-        health.contains("{\"shard\":1,\"state\":\"ok\""),
-        "shard 1 should be healthy: {health}"
-    );
-    let rows: u64 = health
-        .split("\"rows\":")
-        .skip(1)
-        .map(|r| r.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<u64>().unwrap())
-        .sum();
-    assert_eq!(rows, 8, "replayed batch rows missing from the registry: {health}");
+    assert!(health.contains("\"wal\":\"degraded\",\"rows\":6"), "{health}");
 
-    // Reads still answer from the recovered state.
-    let body = r#"{"tuples": [["Salerno", null]]}"#;
-    let resp = send(&format!(
-        "POST /v1/impute HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    ));
+    // Reads answer from the snapshot.
+    let resp = send(&addr, &post_json("/v1/impute", r#"{"tuples": [["Salerno", null]]}"#));
     assert!(resp.starts_with("HTTP/1.1 200 "), "{resp}");
     assert!(resp.contains("84084"), "{resp}");
 
-    // Writes are refused: acknowledging a batch a degraded log never saw
-    // would fork the shards.
-    let resp = send(&format!(
-        "POST /v1/ingest HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    ));
+    // Writes are refused: the log cannot take an append behind damage.
+    let resp = send(&addr, &post_json("/v1/ingest", r#"{"tuples": [["Salerno", null]]}"#));
     assert!(resp.starts_with("HTTP/1.1 503 "), "{resp}");
 
     let kill = Command::new("kill").arg("-TERM").arg(child.id().to_string()).status().unwrap();
     assert!(kill.success());
     assert!(child.wait().unwrap().success(), "serve did not exit cleanly");
+    assert_eq!(std::fs::read(&wal_path).unwrap(), bytes, "the damaged log was rewritten");
+}
+
+// ------------------------------------------- layouts of earlier builds
+
+/// The base data and batch of the two-shard fixtures: two more rows
+/// than [`DATA`], so both shards own base rows, and a batch whose rows
+/// land on different shards.
+const SHARDED_DATA: &str = "\
+City:text,Zip:text
+Salerno,84084
+Salerno,84084
+Milano,20121
+Milano,20121
+Roma,00184
+Roma,00184
+Bari,70121
+Bari,70121
+";
+const SHARDED_BATCH1: &str = "City:text,Zip:text\nRoma,_\nPalermo,90121\n";
+
+/// The files of a two-shard layout.
+const TWO_SHARD_FILES: [&str; 6] = [
+    "model.rnv",
+    "model.rnv.manifest",
+    "model.rnv.shard0",
+    "model.rnv.shard0.wal",
+    "model.rnv.shard1",
+    "model.rnv.shard1.wal",
+];
+
+/// A fresh directory holding a copy of the two-shard fixture `which`
+/// (plus `batch2.csv`), under `tests/fixtures/two_shard_layout/`. An
+/// earlier build, whose `prepare --shards N` wrote N-shard layouts,
+/// wrote both fixtures in a directory holding [`SHARDED_DATA`] as
+/// `data.csv` and [`SHARDED_BATCH1`] as `batch1.csv`:
+///
+/// ```text
+/// # ingested/: batch1 committed to both shard logs
+/// renuver prepare data.csv -o model.rnv --limit 3 --shards 2
+/// renuver ingest model.rnv batch1.csv
+/// # mid_compaction/: on a fresh prepare, the compaction after batch1
+/// # crashed once shard 0's snapshot was renamed (shard 0 at seq 1,
+/// # shard 1 and the manifest still at seq 0)
+/// renuver prepare data.csv -o model.rnv --limit 3 --shards 2
+/// RENUVER_FAULT=compact.shard_done=crash renuver ingest model.rnv batch1.csv --compact
+/// ```
+fn two_shard_copy(tag: &str, which: &str) -> PathBuf {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/two_shard_layout")
+        .join(which);
+    let dir = std::env::temp_dir()
+        .join(format!("renuver-wal-recovery-{}", std::process::id()))
+        .join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for f in TWO_SHARD_FILES {
+        std::fs::copy(fixture.join(f), dir.join(f)).unwrap();
+    }
+    std::fs::write(dir.join("batch2.csv"), BATCH2).unwrap();
+    dir
+}
+
+/// The live snapshot's bytes and the manifest of the layout in `dir`,
+/// which must have one shard. The generation is zeroed: a migrated
+/// layout is one generation ahead of a never-sharded one.
+fn live_state(dir: &Path) -> (Vec<u8>, renuver::serve::Manifest) {
+    use renuver::serve::{Manifest, ShardLayout};
+    let m = Manifest::load(&dir.join("model.rnv.manifest")).unwrap();
+    assert_eq!((m.n_shards, m.attrs.len()), (1, 0), "{}: not a one-shard manifest", dir.display());
+    let snapshot = ShardLayout::beside(dir.join("model.rnv")).shard_snapshot(m.generation, 0);
+    (std::fs::read(snapshot).unwrap(), Manifest { generation: 0, ..m })
+}
+
+/// The migrated end state: `ingest batch2.csv --compact` (which first
+/// migrates or recovers whatever the layout holds); then no file of the
+/// two-shard generation may be left.
+fn migrated_state(dir: &Path) -> (Vec<u8>, renuver::serve::Manifest) {
+    assert_ok(&ingest(dir, "batch2.csv", None, true), "migrating ingest of batch2");
+    for f in &TWO_SHARD_FILES[2..] {
+        assert!(!dir.join(f).exists(), "{f} survived the migration");
+    }
+    live_state(dir)
+}
+
+/// The fixture's base model, never sharded: its first durable open
+/// writes the one-snapshot layout, then batch1 and (with `--compact`)
+/// batch2 are ingested.
+fn never_sharded_control(tag: &str) -> (Vec<u8>, renuver::serve::Manifest) {
+    let dir = two_shard_copy(tag, "ingested");
+    for f in &TWO_SHARD_FILES[1..] {
+        std::fs::remove_file(dir.join(f)).unwrap();
+    }
+    std::fs::write(dir.join("batch1.csv"), SHARDED_BATCH1).unwrap();
+    assert_ok(&ingest(&dir, "batch1.csv", None, false), "control batch1");
+    assert_ok(&ingest(&dir, "batch2.csv", None, true), "control batch2");
+    live_state(&dir)
+}
+
+/// Every file of the two-shard layout in `dir`, in [`TWO_SHARD_FILES`]
+/// order.
+fn two_shard_bytes(dir: &Path) -> Vec<Vec<u8>> {
+    TWO_SHARD_FILES.iter().map(|f| std::fs::read(dir.join(f)).unwrap()).collect()
+}
+
+#[test]
+fn migration_matrix_recovers_every_acknowledged_batch() {
+    let control = never_sharded_control("migrate-ctl");
+    assert_eq!(control.1.seq, 2);
+
+    // A clean migration: generation 1 holds one snapshot and one WAL
+    // (batch2 waits in the WAL), and the next open recovers it.
+    let dir = two_shard_copy("migrate-clean", "ingested");
+    let base = renuver::serve::artifact::load(dir.join("model.rnv")).unwrap();
+    let data = renuver::data::csv::read_str(SHARDED_DATA).unwrap();
+    assert!(base.relation == data, "the fixture was not prepared from SHARDED_DATA");
+    let out = ingest(&dir, "batch2.csv", None, false);
+    assert_ok(&out, "migrating ingest");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("migrated the 2-shard layout"), "{stderr}");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.starts_with("model.rnv"))
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        ["model.rnv", "model.rnv.g1.shard0", "model.rnv.g1.shard0.wal", "model.rnv.manifest"]
+    );
+    let m = renuver::serve::Manifest::load(&dir.join("model.rnv.manifest")).unwrap();
+    assert_eq!((m.n_shards, m.seq, m.generation, m.assign.len()), (1, 1, 1, 10));
+    let clean = two_shard_copy("migrate-clean-final", "ingested");
+    assert_eq!(migrated_state(&clean), control, "clean migration");
+
+    // A crash before the manifest rename leaves the two-shard layout
+    // untouched — its logs are only read — and the reopen migrates again.
+    let dir = two_shard_copy("migrate-pre-commit", "ingested");
+    let before = two_shard_bytes(&dir);
+    let out = ingest(&dir, "batch2.csv", Some("migrate.pre_commit=crash"), false);
+    assert!(!out.status.success(), "migrate.pre_commit: ingest should have died");
+    assert!(two_shard_bytes(&dir) == before, "an uncommitted migration changed the layout");
+    assert!(dir.join("model.rnv.g1.shard0").exists(), "the crash landed before the g1 write");
+    assert_eq!(migrated_state(&dir), control, "crash at migrate.pre_commit");
+
+    // A crash after it reopens onto the one-shard layout; the two-shard
+    // generation is swept then.
+    let dir = two_shard_copy("migrate-pre-sweep", "ingested");
+    let out = ingest(&dir, "batch2.csv", Some("migrate.pre_sweep=crash"), false);
+    assert!(!out.status.success(), "migrate.pre_sweep: ingest should have died");
+    assert_eq!(live_state(&dir).1.seq, 1, "the one-shard manifest is committed");
+    assert!(dir.join("model.rnv.shard1").exists(), "the crash landed after the sweep");
+    assert_eq!(migrated_state(&dir), control, "crash at migrate.pre_sweep");
+
+    // Shard 0's log will not open (a flipped header byte): shard 1's
+    // log holds the full batch and rebuilds shard 0's row of it, and the
+    // migrated layout starts healthy (the ingest of batch2 succeeds).
+    let dir = two_shard_copy("migrate-bad-sibling", "ingested");
+    let wal = dir.join("model.rnv.shard0.wal");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes[9] ^= 0xff;
+    std::fs::write(&wal, &bytes).unwrap();
+    assert_eq!(migrated_state(&dir), control, "unreadable shard-0 log");
+
+    // The compaction after batch1 crashed between the shard snapshots:
+    // shard 0's snapshot is ahead of the manifest and holds batch1's
+    // Palermo row, which replay must not apply twice.
+    let dir = two_shard_copy("migrate-mid-compaction", "mid_compaction");
+    assert_eq!(migrated_state(&dir), control, "mid-compaction layout");
+}
+
+/// The read-only load (`inspect`, `serve` without `--wal`, `tune`)
+/// reads a two-shard layout as it is and writes nothing.
+#[test]
+fn a_two_shard_layout_loads_read_only_as_it_is() {
+    let dir = two_shard_copy("read-only", "mid_compaction");
+    let before = two_shard_bytes(&dir);
+    let out = bin().current_dir(&dir).args(["inspect", "model.rnv"]).output().unwrap();
+    assert_ok(&out, "inspect");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("  tuples:      10\n"), "{stdout}");
+    assert!(stdout.contains("  seq:         1\n"), "{stdout}");
+    assert!(stdout.contains("2 shards (migrated on the next durable open)"), "{stdout}");
+    assert!(stdout.contains("(batches past seq 0)"), "{stdout}");
+    assert!(two_shard_bytes(&dir) == before, "a read-only load wrote to the layout");
 }
