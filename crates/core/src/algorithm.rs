@@ -18,8 +18,8 @@ use crate::result::{
 use crate::verify::VerifyPlan;
 
 /// Builds the distance structures a run imputes against. Shared by the
-/// one-shot path and [`crate::engine::Engine::prepare`], so both make the
-/// same decisions.
+/// one-shot path, [`crate::engine::Engine::prepare`] and the model
+/// artifact's decoder, so all three make the same decisions.
 ///
 /// - The oracle dictionary-encodes the text columns once (cap
 ///   [`DEFAULT_DICT_CAP`]); every distance query in key detection,
@@ -37,7 +37,7 @@ use crate::verify::VerifyPlan;
 /// parallel step of an imputation run. Everything after it is sequential,
 /// because each imputation can turn its tuple into a donor for the next
 /// cell.
-pub(crate) fn build_distance(
+pub fn build_distance(
     rel: &Relation,
     config: &RenuverConfig,
 ) -> (DistanceOracle, Option<SimilarityIndex>) {

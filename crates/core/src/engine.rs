@@ -119,13 +119,12 @@ impl Engine {
         Engine::from_parts(rel, sigma, oracle, index, config)
     }
 
-    /// Assembles an engine from already-built parts — the artifact-load
-    /// path, where the oracle and index come deserialized from disk
-    /// instead of being rebuilt.
+    /// Assembles an engine from parts that
+    /// [`crate::algorithm::build_distance`] built over `rel` — how a
+    /// decoded model artifact becomes an engine.
     ///
-    /// The caller is responsible for `oracle` and `index` being
-    /// consistent with `rel` (the artifact loader validates this
-    /// structurally; a mismatched oracle would answer wrong distances).
+    /// The caller is responsible for `oracle` and `index` having been
+    /// built from `rel`: a mismatched oracle would answer wrong distances.
     pub fn from_parts(
         rel: Relation,
         sigma: RfdSet,

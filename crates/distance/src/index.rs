@@ -361,8 +361,9 @@ impl SimilarityIndex {
         }
     }
 
-    /// Snapshots the per-attribute posting state for serialization — see
-    /// [`AttrSnapshot`]. Inverse of [`SimilarityIndex::from_snapshot`].
+    /// The per-attribute posting state as plain data — see
+    /// [`AttrSnapshot`]. Two indexes with equal snapshots answer every
+    /// probe identically.
     pub fn to_snapshot(&self) -> Vec<AttrSnapshot> {
         self.attrs
             .iter()
@@ -376,45 +377,11 @@ impl SimilarityIndex {
             })
             .collect()
     }
-
-    /// Rebuilds an index over `rel` from a snapshot. The derived layers
-    /// (gram profiles, inverted postings, per-code row lists) are
-    /// reconstructed from the snapshot's dictionary and row codes — they
-    /// are pure functions of those inputs, so the rebuilt index answers
-    /// exactly like the snapshotted one at a fraction of a full build's
-    /// cost (no interning pass, no oracle). Every structural invariant is
-    /// validated; corrupt snapshots yield an error, never a panic.
-    pub fn from_snapshot(
-        rel: &Relation,
-        attrs: Vec<AttrSnapshot>,
-    ) -> Result<SimilarityIndex, String> {
-        if attrs.len() != rel.arity() {
-            return Err(format!(
-                "index covers {} attributes, relation has {}",
-                attrs.len(),
-                rel.arity()
-            ));
-        }
-        let attrs = attrs
-            .into_iter()
-            .enumerate()
-            .map(|(attr, snap)| match snap {
-                AttrSnapshot::Unindexed => Ok(AttrIndex::Unindexed),
-                AttrSnapshot::Numeric { entries } => {
-                    NumericIndex::from_snapshot(rel, attr, entries).map(AttrIndex::Numeric)
-                }
-                AttrSnapshot::Text { values, row_codes } => {
-                    TextIndex::from_snapshot(rel, attr, values, row_codes)
-                        .map(|ix| AttrIndex::Text(Box::new(ix)))
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(SimilarityIndex { attrs, stats: None })
-    }
 }
 
-/// Portable snapshot of one attribute's index, exposed so higher layers
-/// can serialize the index (the model-artifact format in `renuver-serve`).
+/// Plain-data view of one attribute's index, exposed so tests can compare
+/// indexes built different ways (an incrementally committed one against a
+/// rebuild).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrSnapshot {
     /// No index for this attribute.
@@ -425,7 +392,7 @@ pub enum AttrSnapshot {
         entries: Vec<(f64, usize)>,
     },
     /// Text index: the dictionary plus the per-row code assignment; the
-    /// q-gram layers are derived on load.
+    /// q-gram layers are pure functions of the dictionary.
     Text {
         /// Code → value.
         values: Vec<String>,
@@ -511,44 +478,6 @@ impl NumericIndex {
             }
         }
         self.row_vals.truncate(len);
-    }
-
-    /// Validates a snapshotted entry list against the relation and
-    /// re-derives the per-row values. Every present (numeric, non-NaN)
-    /// cell must appear exactly once at its exact value, and the list
-    /// must be sorted — anything else is corrupt.
-    fn from_snapshot(
-        rel: &Relation,
-        attr: AttrId,
-        entries: Vec<(f64, usize)>,
-    ) -> Result<NumericIndex, String> {
-        let row_vals: Vec<Option<f64>> = (0..rel.len())
-            .map(|row| rel.value(row, attr).as_f64().filter(|v| !v.is_nan()))
-            .collect();
-        let present = row_vals.iter().filter(|v| v.is_some()).count();
-        if entries.len() != present {
-            return Err(format!(
-                "attr {attr}: {} entries for {present} present cells",
-                entries.len()
-            ));
-        }
-        let sorted = entries
-            .windows(2)
-            .all(|w| w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1)).is_lt());
-        if !sorted {
-            return Err(format!("attr {attr}: entries not sorted"));
-        }
-        for &(v, row) in &entries {
-            let matches = row_vals
-                .get(row)
-                .copied()
-                .flatten()
-                .is_some_and(|rv| rv.to_bits() == v.to_bits());
-            if !matches {
-                return Err(format!("attr {attr}: entry ({v}, {row}) does not match cell"));
-            }
-        }
-        Ok(NumericIndex { entries, row_vals })
     }
 
     fn update_cell(&mut self, rel: &Relation, row: usize, attr: AttrId) {
@@ -929,77 +858,6 @@ impl TextIndex {
             }
         }
         self.row_codes.truncate(len);
-    }
-
-    /// Rebuilds the index from its dictionary and row-code assignment,
-    /// re-deriving the q-gram layers (pure functions of the dictionary)
-    /// and the per-code row lists (pure function of the codes).
-    fn from_snapshot(
-        rel: &Relation,
-        attr: AttrId,
-        values: Vec<String>,
-        row_codes: Vec<u32>,
-    ) -> Result<TextIndex, String> {
-        let k = values.len();
-        if k as u64 >= FOREIGN_CODE as u64 {
-            return Err(format!("attr {attr}: dictionary too large ({k})"));
-        }
-        if row_codes.len() != rel.len() {
-            return Err(format!(
-                "attr {attr}: {} row codes for {} rows",
-                row_codes.len(),
-                rel.len()
-            ));
-        }
-        let mut value_index = HashMap::with_capacity(k);
-        for (code, value) in values.iter().enumerate() {
-            if value_index.insert(value.clone(), code as u32).is_some() {
-                return Err(format!("attr {attr}: duplicate dictionary value"));
-            }
-        }
-        let mut postings = vec![Vec::new(); k];
-        let mut foreign_rows = Vec::new();
-        for (row, &code) in row_codes.iter().enumerate() {
-            match code {
-                NO_CODE => {}
-                FOREIGN_CODE => foreign_rows.push(row),
-                c => match postings.get_mut(c as usize) {
-                    Some(list) => list.push(row),
-                    None => {
-                        return Err(format!("attr {attr}: row code {c} out of range"))
-                    }
-                },
-            }
-        }
-        let mut lens = Vec::with_capacity(k);
-        let mut grams = Vec::with_capacity(k);
-        let mut ungrammed = Vec::new();
-        let mut inverted: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-        for (code, value) in values.iter().enumerate() {
-            let len = value.chars().count();
-            lens.push(len as u32);
-            let profile = gram_profile(len, value);
-            match &profile {
-                None => ungrammed.push(code as u32),
-                Some(p) => {
-                    for (&g, &count) in p {
-                        inverted.entry(g).or_default().push((code as u32, count));
-                    }
-                }
-            }
-            grams.push(profile);
-        }
-        Ok(TextIndex {
-            value_index,
-            values,
-            lens,
-            grams,
-            ungrammed,
-            inverted,
-            postings,
-            foreign_rows,
-            row_codes,
-        })
     }
 
     fn update_cell(&mut self, rel: &Relation, row: usize, attr: AttrId) {
@@ -1460,61 +1318,5 @@ mod tests {
         for attr in 0..rel.arity() {
             assert_matches_scan_current(&current, &index, &rel, attr, &[0.0, 1.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn snapshot_round_trip_answers_identically() {
-        let rel = mixed_rel(48);
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let mut index = SimilarityIndex::build(&rel, &oracle);
-        // Exercise the foreign-row path before snapshotting.
-        let mut rel = rel;
-        rel.set_value(5, 0, "alien".into());
-        index.update_cell(&rel, 5, 0);
-        let restored = SimilarityIndex::from_snapshot(&rel, index.to_snapshot()).unwrap();
-        for attr in 0..rel.arity() {
-            for row in 0..rel.len() {
-                for thr in [0.0, 1.0, 2.5, f64::INFINITY] {
-                    assert_eq!(
-                        index.rows_within(&rel, attr, row, thr),
-                        restored.rows_within(&rel, attr, row, thr),
-                        "attr {attr} row {row} thr {thr}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_index_snapshots_are_typed_errors() {
-        let rel = mixed_rel(16);
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let index = SimilarityIndex::build(&rel, &oracle);
-        // Wrong arity.
-        let mut snap = index.to_snapshot();
-        snap.pop();
-        assert!(SimilarityIndex::from_snapshot(&rel, snap).is_err());
-        // Out-of-range text row code.
-        let mut snap = index.to_snapshot();
-        if let AttrSnapshot::Text { row_codes, .. } = &mut snap[0] {
-            row_codes[0] = 40_000;
-        }
-        assert!(SimilarityIndex::from_snapshot(&rel, snap)
-            .err().unwrap()
-            .contains("out of range"));
-        // Numeric entries inconsistent with the relation.
-        let mut snap = index.to_snapshot();
-        if let AttrSnapshot::Numeric { entries } = &mut snap[1] {
-            entries[0].0 += 1.0;
-        }
-        assert!(SimilarityIndex::from_snapshot(&rel, snap).is_err());
-        // Numeric entry list out of order.
-        let mut snap = index.to_snapshot();
-        if let AttrSnapshot::Numeric { entries } = &mut snap[1] {
-            entries.swap(0, 1);
-        }
-        assert!(SimilarityIndex::from_snapshot(&rel, snap)
-            .err().unwrap()
-            .contains("not sorted"));
     }
 }

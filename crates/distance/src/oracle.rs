@@ -538,8 +538,8 @@ impl DistanceOracle {
         }
     }
 
-    /// Snapshots every column's encoding for serialization — see
-    /// [`ColumnSnapshot`]. Inverse of [`DistanceOracle::from_snapshot`].
+    /// Every column's encoding as plain data — see [`ColumnSnapshot`].
+    /// Two oracles with equal snapshots answer every query identically.
     pub fn to_snapshot(&self) -> Vec<ColumnSnapshot> {
         self.tables
             .iter()
@@ -560,55 +560,6 @@ impl DistanceOracle {
                 }
             })
             .collect()
-    }
-
-    /// Rebuilds an oracle from a snapshot, validating every structural
-    /// invariant (matrix shape, code ranges, dictionary uniqueness) so a
-    /// corrupt snapshot yields an error, never a panicking oracle. Stats
-    /// start detached; re-attach with [`DistanceOracle::set_stats`].
-    pub fn from_snapshot(columns: Vec<ColumnSnapshot>) -> Result<DistanceOracle, String> {
-        let mut codes = Vec::with_capacity(columns.len());
-        let mut tables = Vec::with_capacity(columns.len());
-        for (attr, col) in columns.into_iter().enumerate() {
-            match col {
-                ColumnSnapshot::Numeric => {
-                    codes.push(Vec::new());
-                    tables.push(ColumnTable::Numeric);
-                }
-                ColumnSnapshot::Direct => {
-                    codes.push(Vec::new());
-                    tables.push(ColumnTable::Direct);
-                }
-                ColumnSnapshot::Matrix { dict, data, codes: col_codes } => {
-                    let k = dict.len();
-                    if k as u64 >= DIRECT_CODE as u64 {
-                        return Err(format!("column {attr}: dictionary too large ({k})"));
-                    }
-                    if data.len() != k * k {
-                        return Err(format!(
-                            "column {attr}: matrix holds {} entries for {k} values",
-                            data.len()
-                        ));
-                    }
-                    let mut index = HashMap::with_capacity(k);
-                    for (code, value) in dict.into_iter().enumerate() {
-                        if index.insert(value, code as u32).is_some() {
-                            return Err(format!(
-                                "column {attr}: duplicate dictionary value"
-                            ));
-                        }
-                    }
-                    for &c in &col_codes {
-                        if (c as usize) >= k && c != NULL_CODE && c != DIRECT_CODE {
-                            return Err(format!("column {attr}: row code {c} out of range"));
-                        }
-                    }
-                    codes.push(col_codes);
-                    tables.push(ColumnTable::Matrix { index, dict_len: k, data });
-                }
-            }
-        }
-        Ok(DistanceOracle { codes, tables, stats: None })
     }
 }
 
@@ -646,8 +597,9 @@ impl MatrixView<'_> {
     }
 }
 
-/// Portable snapshot of one oracle column, exposed so higher layers can
-/// serialize the oracle (the model-artifact format in `renuver-serve`).
+/// Plain-data view of one oracle column, exposed so tests can compare
+/// oracles built different ways (an incrementally committed one against a
+/// rebuild).
 /// Matrix data is row-major `dict.len() × dict.len()`, `codes` holds one
 /// entry per relation row (`u32::MAX` = missing, `u32::MAX - 1` = value
 /// outside the dictionary).
@@ -991,56 +943,5 @@ mod tests {
         let rebuilt = DistanceOracle::build(&rel, 1024);
         assert_eq!(oracle.to_snapshot(), rebuilt.to_snapshot());
         assert!(matches!(oracle.to_snapshot()[0], ColumnSnapshot::Direct));
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_answers() {
-        let rel = sample();
-        let mut original = DistanceOracle::build(&rel, 1024);
-        // A direct (over-cap) column must round-trip too.
-        let restored = DistanceOracle::from_snapshot(original.to_snapshot()).unwrap();
-        for attr in 0..rel.arity() {
-            for i in 0..rel.len() {
-                for j in 0..rel.len() {
-                    assert_eq!(
-                        original.distance(&rel, attr, i, j),
-                        restored.distance(&rel, attr, i, j),
-                    );
-                }
-            }
-        }
-        // Snapshots capture post-update codes (foreign values included).
-        let mut rel2 = rel.clone();
-        rel2.set_value(3, 0, "Outsider".into());
-        original.update_cell(&rel2, 3, 0);
-        let restored2 = DistanceOracle::from_snapshot(original.to_snapshot()).unwrap();
-        assert_eq!(
-            original.distance(&rel2, 0, 3, 0),
-            restored2.distance(&rel2, 0, 3, 0)
-        );
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_typed_errors() {
-        let rel = sample();
-        let oracle = DistanceOracle::build(&rel, 1024);
-        // Matrix shape mismatch.
-        let mut snap = oracle.to_snapshot();
-        if let ColumnSnapshot::Matrix { data, .. } = &mut snap[0] {
-            data.pop();
-        }
-        assert!(DistanceOracle::from_snapshot(snap).err().unwrap().contains("matrix"));
-        // Out-of-range row code.
-        let mut snap = oracle.to_snapshot();
-        if let ColumnSnapshot::Matrix { codes, .. } = &mut snap[0] {
-            codes[0] = 9999;
-        }
-        assert!(DistanceOracle::from_snapshot(snap).err().unwrap().contains("out of range"));
-        // Duplicate dictionary value.
-        let mut snap = oracle.to_snapshot();
-        if let ColumnSnapshot::Matrix { dict, .. } = &mut snap[0] {
-            dict[1] = dict[0].clone();
-        }
-        assert!(DistanceOracle::from_snapshot(snap).err().unwrap().contains("duplicate"));
     }
 }

@@ -1,13 +1,14 @@
 //! Versioned, checksummed model artifacts (`.rnv`).
 //!
-//! An artifact is a single-file binary snapshot of everything a serving
-//! [`Engine`] needs: the reference relation, the discovered RFD set, the
-//! dictionary-encoded [`DistanceOracle`] column tables, and the
-//! [`SimilarityIndex`] (when one was built). Loading an artifact skips
-//! every quadratic build step — the distance matrices and posting lists
-//! come back verbatim — so `load + serve` is strictly cheaper than
-//! `rebuild + serve` (quantified by `bench_serve`), while answering
-//! bit-for-bit identically (asserted by `tests/serve_differential.rs`).
+//! An artifact stores a model: the reference relation and the discovered
+//! RFD set. It stores none of the distance structures, which are a
+//! function of the relation alone: [`decode`] builds the
+//! [`DistanceOracle`] and the [`SimilarityIndex`] from the parsed relation
+//! with [`build_distance`], the function [`Engine::prepare`] builds with,
+//! under [`RenuverConfig::default`]. A loaded engine therefore answers
+//! bit-for-bit like a prepared one (asserted by
+//! `tests/serve_differential.rs`), and `load + serve` is cheaper than
+//! `rebuild + serve` by the RFD discovery it skips (`bench_serve`).
 //!
 //! # Format (version 2)
 //!
@@ -25,19 +26,22 @@
 //!                  f64 bits, 3 text, 4 bool u8)
 //!   rfds           u32 count; per RFD: u32 lhs len; per constraint
 //!                  (lhs then rhs): u32 attr, u64 threshold bits
-//!   oracle         per attr: u8 tag — 0 numeric, 1 direct, 2 matrix
+//!   oracle         per attr: u8 tag — 0 numeric, 1 direct text, 2 matrix
 //!                  (dict strings, f32-bit matrix, per-row codes)
-//!   index          u8 presence; per attr: u8 tag — 0 unindexed,
+//!   index          u8 presence; when 1, per attr: u8 tag — 0 unindexed,
 //!                  1 numeric (sorted (f64 bits, u64 row) entries),
 //!                  2 text (dict strings, per-row codes)
 //! checksum         u32 LE   CRC-32 (IEEE) over everything above
 //! ```
 //!
+//! [`encode`] tags every text column 1 and writes presence 0. Earlier
+//! builds wrote their distance matrices (tag 2) and index into the file;
+//! such a file still loads: the reader walks those sections with the same
+//! bounds checks and drops what it read.
+//!
 //! Every load re-verifies magic, version, checksum, and the schema
-//! fingerprint, then structurally validates each section (the oracle and
-//! index `from_snapshot` constructors re-check dictionary/code/shape
-//! invariants against the decoded relation). Corrupt input of any kind —
-//! truncation, bit flips, hostile lengths — yields a typed
+//! fingerprint, then structurally validates each section. Corrupt input
+//! of any kind — truncation, bit flips, hostile lengths — yields a typed
 //! [`ArtifactError`], never a panic and never an oversized allocation:
 //! all length prefixes are bounds-checked against the bytes actually
 //! remaining before anything is allocated.
@@ -45,9 +49,10 @@
 use std::fmt;
 use std::path::Path;
 
+use renuver_core::algorithm::build_distance;
 use renuver_core::{Engine, RenuverConfig};
 use renuver_data::{AttrType, Relation, Schema, Tuple};
-use renuver_distance::{AttrSnapshot, ColumnSnapshot, DistanceOracle, SimilarityIndex};
+use renuver_distance::{DistanceOracle, SimilarityIndex};
 use renuver_rfd::{Rfd, RfdSet};
 
 use crate::codec::{Cursor, Writer};
@@ -107,7 +112,8 @@ impl From<std::io::Error> for ArtifactError {
     }
 }
 
-/// A fully decoded artifact: everything needed to assemble an [`Engine`].
+/// A decoded artifact: the stored model plus the distance structures
+/// [`decode`] built from it — everything needed to assemble an [`Engine`].
 pub struct Artifact {
     /// FNV-1a fingerprint of the schema (also in the file header).
     pub schema_fingerprint: u64,
@@ -121,17 +127,29 @@ pub struct Artifact {
     pub relation: Relation,
     /// The discovered RFD set.
     pub rfds: RfdSet,
-    /// The dictionary-encoded distance oracle, loaded verbatim.
+    /// The dictionary-encoded distance oracle, built from `relation`.
     pub oracle: DistanceOracle,
-    /// The similarity index, when one was part of the snapshot.
+    /// The similarity index, built when `IndexMode::Auto` calls for one
+    /// (a relation of at least `AUTO_MIN_ROWS` rows).
     pub index: Option<SimilarityIndex>,
 }
 
 impl Artifact {
-    /// Assembles a serving engine from the loaded parts under `config`.
+    /// Assembles a serving engine from the decoded parts under `config`.
     pub fn into_engine(self, config: RenuverConfig) -> Engine {
         Engine::from_parts(self.relation, self.rfds, self.oracle, self.index, config)
     }
+}
+
+/// What an artifact stores: an [`Artifact`] without the distance
+/// structures. The registry's snapshot reads and [`inspect`] parse
+/// artifacts this way, building nothing.
+pub(crate) struct Model {
+    pub(crate) schema_fingerprint: u64,
+    pub(crate) source: String,
+    pub(crate) committed_seq: u64,
+    pub(crate) relation: Relation,
+    pub(crate) rfds: RfdSet,
 }
 
 /// Header-level summary of an artifact, for `renuver inspect`.
@@ -153,8 +171,6 @@ pub struct ArtifactInfo {
     pub attrs: Vec<(String, &'static str)>,
     /// RFDs in the snapshot.
     pub rfds: usize,
-    /// Whether a similarity index was snapshotted.
-    pub indexed: bool,
     /// Total file size in bytes.
     pub bytes: usize,
 }
@@ -225,85 +241,10 @@ fn type_label(ty: AttrType) -> &'static str {
 // ---------------------------------------------------------------- encode
 
 /// Serializes a model to artifact bytes (header + payload + checksum).
-pub fn encode(
-    rel: &Relation,
-    rfds: &RfdSet,
-    oracle: &DistanceOracle,
-    index: Option<&SimilarityIndex>,
-    source: &str,
-    committed_seq: u64,
-) -> Vec<u8> {
-    let mut w = encode_head(rel.schema(), rel.len(), rel.tuples(), rfds, source, committed_seq);
-
-    // Oracle column tables.
-    for col in oracle.to_snapshot() {
-        match col {
-            ColumnSnapshot::Numeric => w.u8(0),
-            ColumnSnapshot::Direct => w.u8(1),
-            ColumnSnapshot::Matrix { dict, data, codes } => {
-                w.u8(2);
-                w.u32(dict.len() as u32);
-                for s in &dict {
-                    w.str(s);
-                }
-                w.u32(data.len() as u32);
-                for f in &data {
-                    w.u32(f.to_bits());
-                }
-                w.u32(codes.len() as u32);
-                for c in &codes {
-                    w.u32(*c);
-                }
-            }
-        }
-    }
-
-    // Similarity index.
-    match index {
-        None => w.u8(0),
-        Some(ix) => {
-            w.u8(1);
-            for attr in ix.to_snapshot() {
-                match attr {
-                    AttrSnapshot::Unindexed => w.u8(0),
-                    AttrSnapshot::Numeric { entries } => {
-                        w.u8(1);
-                        w.u32(entries.len() as u32);
-                        for (v, row) in &entries {
-                            w.u64(v.to_bits());
-                            w.u64(*row as u64);
-                        }
-                    }
-                    AttrSnapshot::Text { values, row_codes } => {
-                        w.u8(2);
-                        w.u32(values.len() as u32);
-                        for s in &values {
-                            w.str(s);
-                        }
-                        w.u32(row_codes.len() as u32);
-                        for c in &row_codes {
-                            w.u32(*c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    finish(w)
-}
-
-/// Header, schema, provenance, relation rows and RFD set — the part of
-/// the payload every artifact shares; the caller appends the distance
-/// tables and index, then [`finish`].
-fn encode_head<'a>(
-    schema: &Schema,
-    n_rows: usize,
-    rows: impl Iterator<Item = &'a Tuple>,
-    rfds: &RfdSet,
-    source: &str,
-    committed_seq: u64,
-) -> Writer {
+/// Every text column is tagged direct and no index is written: [`decode`]
+/// builds the distance structures from the relation.
+pub fn encode(rel: &Relation, rfds: &RfdSet, source: &str, committed_seq: u64) -> Vec<u8> {
+    let schema = rel.schema();
     let mut w = Writer::new();
     w.buf.extend_from_slice(&MAGIC);
     w.u32(FORMAT_VERSION);
@@ -319,8 +260,8 @@ fn encode_head<'a>(
     w.u64(committed_seq);
 
     // Relation.
-    w.u32(n_rows as u32);
-    for tuple in rows {
+    w.u32(rel.len() as u32);
+    for tuple in rel.tuples() {
         for v in tuple {
             w.value(v);
         }
@@ -335,68 +276,36 @@ fn encode_head<'a>(
         }
         w.constraint(rfd.rhs());
     }
-    w
-}
 
-/// Appends the checksum and returns the artifact bytes.
-fn finish(mut w: Writer) -> Vec<u8> {
+    // No distance cache: text columns direct, no index.
+    for a in 0..schema.arity() {
+        w.u8(u8::from(schema.ty(a) == AttrType::Text));
+    }
+    w.u8(0);
+
     let crc = crc32(&w.buf);
     w.u32(crc);
     w.buf
 }
 
-/// The artifact of `rows` (tuples over `schema`) with no distance cache
-/// and no index: every text column is written direct, without
-/// materializing the rows as a relation. A durable layout's snapshots
-/// are written this way, cut straight from the serving engine's
-/// relation; recovery reads back only their rows, RFDs and seq.
-pub fn encode_uncached<'a, I>(
-    schema: &Schema,
-    rows: I,
-    rfds: &RfdSet,
-    source: &str,
-    committed_seq: u64,
-) -> Vec<u8>
-where
-    I: Iterator<Item = &'a Tuple> + Clone,
-{
-    let mut w = encode_head(schema, rows.clone().count(), rows, rfds, source, committed_seq);
-    for a in 0..schema.arity() {
-        w.u8(u8::from(schema.ty(a) == AttrType::Text));
-    }
-    w.u8(0);
-    finish(w)
-}
-
-/// [`encode`] straight from a prepared engine.
+/// [`encode`] straight from a prepared engine: its relation and RFD set.
 pub fn encode_engine(engine: &Engine, source: &str, committed_seq: u64) -> Vec<u8> {
-    encode(
-        engine.relation(),
-        engine.sigma(),
-        engine.oracle(),
-        engine.index(),
-        source,
-        committed_seq,
-    )
-}
-
-/// Writes an artifact file.
-pub fn save(
-    path: impl AsRef<Path>,
-    rel: &Relation,
-    rfds: &RfdSet,
-    oracle: &DistanceOracle,
-    index: Option<&SimilarityIndex>,
-    source: &str,
-) -> Result<(), ArtifactError> {
-    std::fs::write(path, encode(rel, rfds, oracle, index, source, 0))?;
-    Ok(())
+    encode(engine.relation(), engine.sigma(), source, committed_seq)
 }
 
 // ---------------------------------------------------------------- decode
 
-/// Parses artifact bytes into a decoded [`Artifact`].
+/// Parses artifact bytes, then builds the distance oracle and similarity
+/// index from the parsed relation with [`build_distance`] under
+/// [`RenuverConfig::default`] — what [`Engine::prepare`] builds.
 pub fn decode(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
+    let Model { schema_fingerprint, source, committed_seq, relation, rfds } = parse(bytes)?;
+    let (oracle, index) = build_distance(&relation, &RenuverConfig::default());
+    Ok(Artifact { schema_fingerprint, source, committed_seq, relation, rfds, oracle, index })
+}
+
+/// Parses artifact bytes into the stored model, building nothing.
+pub(crate) fn parse(bytes: &[u8]) -> Result<Model, ArtifactError> {
     // Header + trailing checksum frame the payload.
     if bytes.len() < MAGIC.len() {
         // A non-empty strict prefix of the magic is a cut-off artifact;
@@ -481,91 +390,47 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
     }
     let rfds = RfdSet::from_vec(rfds);
 
-    // Oracle column tables.
-    let mut columns = Vec::with_capacity(arity);
+    // Oracle column tags; an earlier build's matrices are dropped.
     for attr in 0..arity {
-        columns.push(match c.u8()? {
-            0 => ColumnSnapshot::Numeric,
-            1 => ColumnSnapshot::Direct,
+        match c.u8()? {
+            0 | 1 => {}
             2 => {
-                let dict_len = c.len(4)?;
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    dict.push(c.str()?);
-                }
-                let data_len = c.len(4)?;
-                let mut data = Vec::with_capacity(data_len);
-                for _ in 0..data_len {
-                    data.push(f32::from_bits(c.u32()?));
-                }
-                let codes_len = c.len(4)?;
-                if codes_len != relation.len() {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "oracle column {attr} carries {codes_len} row codes for {} rows",
-                        relation.len()
-                    )));
-                }
-                let mut codes = Vec::with_capacity(codes_len);
-                for _ in 0..codes_len {
-                    codes.push(c.u32()?);
-                }
-                ColumnSnapshot::Matrix { dict, data, codes }
+                skip_strs(&mut c)?; // dictionary
+                skip_items(&mut c, 4)?; // f32 matrix
+                skip_items(&mut c, 4)?; // per-row codes
             }
             tag => {
                 return Err(ArtifactError::Corrupt(format!(
                     "unknown oracle column tag {tag} for attribute {attr}"
                 )))
             }
-        });
+        }
     }
-    let oracle = DistanceOracle::from_snapshot(columns).map_err(ArtifactError::Corrupt)?;
 
-    // Similarity index.
-    let index = match c.u8()? {
-        0 => None,
+    // Similarity index; an earlier build's postings are dropped.
+    match c.u8()? {
+        0 => {}
         1 => {
-            let mut parts = Vec::with_capacity(arity);
             for attr in 0..arity {
-                parts.push(match c.u8()? {
-                    0 => AttrSnapshot::Unindexed,
-                    1 => {
-                        let n = c.len(16)?;
-                        let mut entries = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            let v = f64::from_bits(c.u64()?);
-                            let row = c.u64()? as usize;
-                            entries.push((v, row));
-                        }
-                        AttrSnapshot::Numeric { entries }
-                    }
+                match c.u8()? {
+                    0 => {}
+                    1 => skip_items(&mut c, 16)?, // (f64 bits, u64 row) entries
                     2 => {
-                        let n = c.len(4)?;
-                        let mut values = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            values.push(c.str()?);
-                        }
-                        let m = c.len(4)?;
-                        let mut row_codes = Vec::with_capacity(m);
-                        for _ in 0..m {
-                            row_codes.push(c.u32()?);
-                        }
-                        AttrSnapshot::Text { values, row_codes }
+                        skip_strs(&mut c)?; // dictionary
+                        skip_items(&mut c, 4)?; // per-row codes
                     }
                     tag => {
                         return Err(ArtifactError::Corrupt(format!(
                             "unknown index tag {tag} for attribute {attr}"
                         )))
                     }
-                });
+                }
             }
-            Some(
-                SimilarityIndex::from_snapshot(&relation, parts).map_err(ArtifactError::Corrupt)?,
-            )
         }
         tag => {
             return Err(ArtifactError::Corrupt(format!("unknown index presence byte {tag}")))
         }
-    };
+    }
 
     if c.remaining() != 0 {
         return Err(ArtifactError::Corrupt(format!(
@@ -574,15 +439,21 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
         )));
     }
 
-    Ok(Artifact {
-        schema_fingerprint: header_fp,
-        source,
-        committed_seq,
-        relation,
-        rfds,
-        oracle,
-        index,
-    })
+    Ok(Model { schema_fingerprint: header_fp, source, committed_seq, relation, rfds })
+}
+
+/// Skips a u32-counted list of `item_bytes`-byte items.
+fn skip_items(c: &mut Cursor<'_>, item_bytes: usize) -> Result<(), ArtifactError> {
+    let n = c.len(item_bytes)?;
+    c.take(n * item_bytes).map(drop)
+}
+
+/// Skips a u32-counted list of strings.
+fn skip_strs(c: &mut Cursor<'_>) -> Result<(), ArtifactError> {
+    for _ in 0..c.len(4)? {
+        skip_items(c, 1)?;
+    }
+    Ok(())
 }
 
 /// Reads and decodes an artifact file.
@@ -590,27 +461,27 @@ pub fn load(path: impl AsRef<Path>) -> Result<Artifact, ArtifactError> {
     decode(&std::fs::read(path)?)
 }
 
-/// Decodes just enough of an artifact to describe it.
+/// Parses just enough of an artifact to describe it, building no
+/// distance structure.
 ///
 /// Runs the full integrity pipeline (magic, version, checksum, schema,
 /// structural validation) — an artifact that inspects cleanly also loads.
 pub fn inspect(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
-    let artifact = decode(bytes)?;
+    let model = parse(bytes)?;
     Ok(ArtifactInfo {
         version: FORMAT_VERSION,
-        schema_fingerprint: artifact.schema_fingerprint,
-        source: artifact.source,
-        committed_seq: artifact.committed_seq,
-        rows: artifact.relation.len(),
-        arity: artifact.relation.arity(),
-        attrs: artifact
+        schema_fingerprint: model.schema_fingerprint,
+        source: model.source,
+        committed_seq: model.committed_seq,
+        rows: model.relation.len(),
+        arity: model.relation.arity(),
+        attrs: model
             .relation
             .schema()
             .attrs()
             .map(|a| (a.name.clone(), type_label(a.ty)))
             .collect(),
-        rfds: artifact.rfds.len(),
-        indexed: artifact.index.is_some(),
+        rfds: model.rfds.len(),
         bytes: bytes.len(),
     })
 }
@@ -618,8 +489,13 @@ pub fn inspect(bytes: &[u8]) -> Result<ArtifactInfo, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use renuver_core::config::AUTO_MIN_ROWS;
     use renuver_data::{csv, Value};
     use renuver_rfd::Constraint;
+
+    /// The fuzz suite's seed model as an earlier build wrote it, distance
+    /// matrices and index included.
+    const LEGACY: &[u8] = include_bytes!("../../../tests/fixtures/legacy_cached_v2.rnv");
 
     fn model() -> (Relation, RfdSet) {
         let rel = csv::read_str(
@@ -637,72 +513,70 @@ mod tests {
         (rel, rfds)
     }
 
-    fn encoded(index: bool) -> Vec<u8> {
+    fn encoded() -> Vec<u8> {
         let (rel, rfds) = model();
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let ix = index.then(|| SimilarityIndex::build(&rel, &oracle));
-        encode(&rel, &rfds, &oracle, ix.as_ref(), "tests/model.csv", 7)
+        encode(&rel, &rfds, "tests/model.csv", 7)
     }
 
     #[test]
-    fn uncached_rows_round_trip() {
+    fn round_trip_preserves_the_model() {
         let (mut rel, rfds) = model();
         // Row 4 leaves Name without any value.
         rel.push(vec![Value::Null, Value::from("Malibu"), Value::Null, Value::Null]).unwrap();
-        for rows in [vec![0, 1, 2, 3], vec![1, 3], vec![4], vec![]] {
-            let bytes = encode_uncached(
-                rel.schema(),
-                rows.iter().map(|&r| rel.tuple(r)),
-                &rfds,
-                "snapshot",
-                3,
-            );
-            let art = decode(&bytes).unwrap_or_else(|e| panic!("rows {rows:?}: {e}"));
-            assert_eq!(art.committed_seq, 3);
-            assert_eq!(art.relation.schema(), rel.schema());
-            let want: Vec<&Tuple> = rows.iter().map(|&r| rel.tuple(r)).collect();
-            assert_eq!(art.relation.tuples().collect::<Vec<_>>(), want, "rows {rows:?}");
+        let mut empty = rel.clone();
+        empty.truncate(0);
+        for rel in [rel, empty] {
+            let bytes = encode(&rel, &rfds, "tests/model.csv", 42);
+            let art = decode(&bytes).unwrap_or_else(|e| panic!("{} rows: {e}", rel.len()));
+            assert_eq!(art.source, "tests/model.csv");
+            assert_eq!(art.committed_seq, 42);
+            assert_eq!(art.relation, rel);
             assert_eq!(art.rfds, rfds);
-            assert!(art.index.is_none());
+            // Deterministic: same model encodes to the same bytes.
+            assert_eq!(bytes, encode(&rel, &rfds, "tests/model.csv", 42));
         }
     }
 
     #[test]
-    fn round_trip_preserves_everything() {
-        let (rel, rfds) = model();
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let ix = SimilarityIndex::build(&rel, &oracle);
-        let bytes = encode(&rel, &rfds, &oracle, Some(&ix), "tests/model.csv", 42);
-
-        let artifact = decode(&bytes).unwrap();
-        assert_eq!(artifact.source, "tests/model.csv");
-        assert_eq!(artifact.committed_seq, 42);
-        assert_eq!(artifact.relation.schema(), rel.schema());
+    fn decode_builds_what_prepare_builds() {
+        // At the `Auto` threshold, so the build includes an index.
+        let text = (0..AUTO_MIN_ROWS).fold("Name:text,City:text,Score:int\n".to_string(), |s, i| {
+            s + &format!("Shop{},City{},{}\n", i % 97, i % 13, i % 5)
+        });
+        let rel = csv::read_str(&text).unwrap();
+        let rfds = RfdSet::from_vec(vec![Rfd::new(
+            vec![Constraint::new(0, 1.0)],
+            Constraint::new(1, 0.0),
+        )]);
+        let prepared = Engine::prepare(rel.clone(), rfds.clone(), RenuverConfig::default());
+        let art = decode(&encode(&rel, &rfds, "", 0)).unwrap();
+        assert_eq!(art.oracle.to_snapshot(), prepared.oracle().to_snapshot());
+        assert!(art.index.is_some());
         assert_eq!(
-            artifact.relation.tuples().collect::<Vec<_>>(),
-            rel.tuples().collect::<Vec<_>>()
+            art.index.map(|ix| ix.to_snapshot()),
+            prepared.index().map(SimilarityIndex::to_snapshot)
         );
-        assert_eq!(artifact.rfds.len(), rfds.len());
-        for (a, b) in artifact.rfds.iter().zip(rfds.iter()) {
-            assert_eq!(a.lhs(), b.lhs());
-            assert_eq!(a.rhs(), b.rhs());
-        }
-        assert_eq!(artifact.oracle.to_snapshot(), oracle.to_snapshot());
-        assert_eq!(artifact.index.unwrap().to_snapshot(), ix.to_snapshot());
+    }
 
-        // Deterministic: same model encodes to the same bytes.
-        assert_eq!(bytes, encode(&rel, &rfds, &oracle, Some(&ix), "tests/model.csv", 42));
+    #[test]
+    fn a_cached_artifact_still_loads() {
+        let art = decode(LEGACY).unwrap();
+        assert_eq!((art.relation.len(), art.rfds.len()), (4, 1));
+        assert_eq!(art.source, "fuzz-seed");
+        // The model re-encodes without its cache.
+        let bytes = encode(&art.relation, &art.rfds, &art.source, art.committed_seq);
+        assert!(bytes.len() < LEGACY.len());
+        assert_eq!(parse(&bytes).unwrap().relation, art.relation);
     }
 
     #[test]
     fn inspect_summarizes_the_header() {
-        let info = inspect(&encoded(true)).unwrap();
+        let info = inspect(&encoded()).unwrap();
         assert_eq!(info.version, 2);
         assert_eq!(info.committed_seq, 7);
         assert_eq!(info.rows, 4);
         assert_eq!(info.arity, 4);
         assert_eq!(info.rfds, 2);
-        assert!(info.indexed);
         assert_eq!(info.source, "tests/model.csv");
         assert_eq!(info.attrs[0], ("Name".to_string(), "text"));
         assert_eq!(info.attrs[3], ("Score".to_string(), "float"));
@@ -712,7 +586,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = encoded(false);
+        let mut bytes = encoded();
         bytes[0] = b'X';
         assert!(matches!(decode(&bytes), Err(ArtifactError::BadMagic)));
         assert!(matches!(decode(b"hello"), Err(ArtifactError::BadMagic)));
@@ -721,25 +595,26 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = encoded(false);
+        let mut bytes = encoded();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(ArtifactError::UnsupportedVersion(99))));
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let bytes = encoded(true);
-        for n in 0..bytes.len() {
-            let err = decode(&bytes[..n]).err().unwrap();
-            assert!(
-                matches!(
-                    err,
-                    ArtifactError::Truncated
-                        | ArtifactError::BadMagic
-                        | ArtifactError::ChecksumMismatch { .. }
-                ),
-                "truncation at {n} gave {err}"
-            );
+        for bytes in [encoded(), LEGACY.to_vec()] {
+            for n in 0..bytes.len() {
+                let err = decode(&bytes[..n]).err().unwrap();
+                assert!(
+                    matches!(
+                        err,
+                        ArtifactError::Truncated
+                            | ArtifactError::BadMagic
+                            | ArtifactError::ChecksumMismatch { .. }
+                    ),
+                    "truncation at {n} gave {err}"
+                );
+            }
         }
     }
 
@@ -747,11 +622,12 @@ mod tests {
     fn every_flipped_byte_is_caught() {
         // The CRC catches any single-bit corruption of the payload; flips
         // in the magic/version/checksum fields hit their own checks first.
-        let bytes = encoded(true);
-        for pos in (0..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x20;
-            assert!(decode(&bad).is_err(), "flip at byte {pos} was not caught");
+        for bytes in [encoded(), LEGACY.to_vec()] {
+            for pos in (0..bytes.len()).step_by(7) {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 0x20;
+                assert!(decode(&bad).is_err(), "flip at byte {pos} was not caught");
+            }
         }
     }
 
@@ -759,7 +635,7 @@ mod tests {
     fn fingerprint_mismatch_is_schema_mismatch() {
         // Flip a header fingerprint bit *and* re-seal the checksum: the
         // file is internally consistent but lies about its schema.
-        let mut bytes = encoded(false);
+        let mut bytes = encoded();
         bytes[8] ^= 1;
         let crc = crc32(&bytes[..bytes.len() - 4]);
         let n = bytes.len();
@@ -772,8 +648,7 @@ mod tests {
         // A row count of u32::MAX with a re-sealed checksum must be
         // rejected by the bounds check, not attempted as an allocation.
         let (rel, rfds) = model();
-        let oracle = DistanceOracle::build(&rel, 3000);
-        let mut bytes = encode(&rel, &rfds, &oracle, None, "", 0);
+        let mut bytes = encode(&rel, &rfds, "", 0);
         // The row-count u32 sits right after schema + empty source; find
         // it by scanning for the known value 4 following the source.
         let needle = 4u32.to_le_bytes();

@@ -6,9 +6,10 @@
 //! natural. This crate supplies both halves:
 //!
 //! - [`artifact`] — a versioned, checksummed single-file snapshot
-//!   (`.rnv`) of a prepared model: relation + RFD set + oracle + index.
-//!   Loading skips every quadratic build step and answers bit-for-bit
-//!   identically to a fresh build.
+//!   (`.rnv`) of a model: relation + RFD set. Loading skips RFD
+//!   discovery and builds the distance oracle and index the way
+//!   `Engine::prepare` does, so it answers bit-for-bit identically to a
+//!   fresh build.
 //! - [`registry`] — the one serving topology: a registry owns one
 //!   prepared engine, and every `/v1/impute`, ingest repair and commit
 //!   runs on it, so served answers equal the engine's by construction.

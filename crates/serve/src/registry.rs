@@ -17,7 +17,7 @@
 //!
 //! | file                   | holds                                           |
 //! |------------------------|-------------------------------------------------|
-//! | `model.rnv.shard0`     | the snapshot (a v2 artifact, no distance cache) |
+//! | `model.rnv.shard0`     | the snapshot (a v2 artifact)                    |
 //! | `model.rnv.shard0.wal` | the write-ahead log                             |
 //! | `model.rnv.manifest`   | the live generation and the seq it folds        |
 //!
@@ -61,10 +61,10 @@
 //! take (and `serve --shards N`) are ignored.
 //!
 //! The first durable open of an artifact with no manifest reuses the
-//! artifact's decoded oracle and index, replays a `model.rnv.wal` left by
-//! the earlier single-file store (records above the artifact's seq), and
-//! then writes the layout; the old log is removed only after the manifest
-//! rename is durable.
+//! oracle and index the artifact's decode built, replays a
+//! `model.rnv.wal` left by the earlier single-file store (records above
+//! the artifact's seq), and then writes the layout; the old log is
+//! removed only after the manifest rename is durable.
 //!
 //! Compaction folds into the snapshot, never into the base model, so
 //! once a layout exists the model a `model.rnv` path holds is the
@@ -514,7 +514,7 @@ impl Store {
         pre_commit: Option<&str>,
     ) -> Result<(), RegistryError> {
         let rel = engine.relation();
-        let snapshot = snapshot_bytes(engine, &self.source, seq);
+        let snapshot = artifact::encode_engine(engine, &self.source, seq);
         write_atomic(&self.layout.shard_snapshot(gen, 0), &snapshot, None)?;
         // An earlier attempt at this generation may have failed before
         // its commit point; a fresh log is wanted either way, and a stale
@@ -937,7 +937,7 @@ impl Registry {
         fault::hit("compact.pre_write")?;
         let (snapshot, rows) = {
             let engine = self.inner.lock_engine();
-            (snapshot_bytes(&engine, &store.source, seq), engine.relation().len())
+            (artifact::encode_engine(&engine, &store.source, seq), engine.relation().len())
         };
         let path = store.layout.shard_snapshot(store.generation, 0);
         write_atomic(&path, &snapshot, Some("compact.pre_rename"))?;
@@ -1116,7 +1116,7 @@ fn read_layout(
     let mut snap_seq = Vec::with_capacity(n);
     let mut sigma = None;
     for k in 0..n {
-        let art = artifact::load(layout.shard_snapshot(gen, k))?;
+        let art = artifact::parse(&fs::read(layout.shard_snapshot(gen, k))?)?;
         if art.schema_fingerprint != schema_fp {
             return Err(RegistryError::SchemaMismatch {
                 expected: schema_fp,
@@ -1209,8 +1209,8 @@ fn read_layout(
     let rel = Relation::new(base.relation.schema().clone(), rows)
         .map_err(|e| RegistryError::Recovery(format!("snapshots disagree with the schema: {e}")))?;
     // A layout that still holds exactly the artifact's model keeps the
-    // artifact's decoded oracle and index; anything else (a compacted or
-    // swapped layout) is prepared once.
+    // oracle and index the artifact's decode built; anything else (a
+    // compacted or swapped layout) is prepared once.
     let mut engine = if gen == 0 && rel == base.relation && sigma == base.rfds {
         base.into_engine(config)
     } else {
@@ -1271,16 +1271,6 @@ fn commit_replayed(engine: &mut Engine, seq: u64, tuples: Vec<Tuple>) -> Result<
         .map_err(|e| RegistryError::Recovery(format!("wal seq {seq} disagrees with the model schema: {e}")))
 }
 
-/// The snapshot of `engine` at `seq`: its relation and RFD set, encoded
-/// without a distance cache — recovery prepares the engine once, so a
-/// cached matrix would be pure bloat. Encoded straight from the
-/// relation, never copied out of it.
-fn snapshot_bytes(engine: &Engine, source: &str, seq: u64) -> Vec<u8> {
-    let rel = engine.relation();
-    let rows = (0..rel.len()).map(|g| rel.tuple(g));
-    artifact::encode_uncached(rel.schema(), rows, engine.sigma(), source, seq)
-}
-
 fn remove_if_present(path: &Path) -> io::Result<()> {
     match fs::remove_file(path) {
         Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
@@ -1314,7 +1304,6 @@ fn finish_migration(layout: &ShardLayout, schema_fp: u64, seq: u64, arity: usize
 mod tests {
     use super::*;
     use renuver_data::{AttrType, Schema, Value};
-    use renuver_distance::DistanceOracle;
     use renuver_rfd::RfdSet;
 
     fn schema() -> Schema {
@@ -1342,8 +1331,7 @@ mod tests {
     }
 
     fn artifact_bytes(rel: &Relation, seq: u64) -> Vec<u8> {
-        let oracle = DistanceOracle::build(rel, 0);
-        artifact::encode(rel, &sigma(), &oracle, None, "test", seq)
+        artifact::encode(rel, &sigma(), "test", seq)
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1488,8 +1476,7 @@ mod tests {
         )
         .unwrap();
         let other_rfds = RfdSet::from_text("Name(<=0) -> Klass(<=0)", &other_schema).unwrap();
-        let oracle = DistanceOracle::build(&other, 0);
-        let bad = artifact::decode(&artifact::encode(&other, &other_rfds, &oracle, None, "x", 0))
+        let bad = artifact::decode(&artifact::encode(&other, &other_rfds, "x", 0))
             .unwrap();
         assert!(matches!(reg.swap(bad), Err(RegistryError::SchemaMismatch { .. })));
         assert_eq!(reg.swaps(), 0);
@@ -1676,8 +1663,7 @@ mod tests {
         ingest(&reg, "Torino", Some("10121")).unwrap();
 
         let tuned = RfdSet::from_text("City(<=1) -> Zip(<=0)", &schema()).unwrap();
-        let oracle = DistanceOracle::build(&relation(), 0);
-        let art = artifact::decode(&artifact::encode(&relation(), &tuned, &oracle, None, "tuned", 0))
+        let art = artifact::decode(&artifact::encode(&relation(), &tuned, "tuned", 0))
             .unwrap();
         assert_eq!(reg.swap(art).unwrap(), 1);
         let want = tuned.to_text(&schema());

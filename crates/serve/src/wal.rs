@@ -32,12 +32,15 @@
 //! frames in order and, at the first frame that is incomplete, fails
 //! its CRC, or breaks the sequence, truncates the file back to the last
 //! good frame boundary and carries on. Truncation is bounded to the
-//! tail: [`WalError::Corrupt`] leaves the file untouched for a frame
-//! that fails its CRC although its length leads to a complete, CRC-valid
-//! frame with the next seq (mid-log damage with acknowledged batches
-//! behind it — a torn append is always the last frame, and a zero-filled
-//! tail stays a torn tail), and for a CRC-*valid* frame whose payload does
-//! not decode (a foreign or buggy writer, not a torn write).
+//! tail: a torn append is always the last frame, so before truncating
+//! the scan searches the bytes past the boundary, at every offset, for a
+//! complete, CRC-valid frame with a seq above the last good one. Such a
+//! frame is an acknowledged batch behind mid-log damage — a flipped
+//! payload byte, or a flipped length prefix that no longer leads to it —
+//! and the log is [`WalError::Corrupt`], left untouched (a zero-filled
+//! tail holds no such frame and stays a torn tail). So is a CRC-*valid*
+//! frame whose payload does not decode (a foreign or buggy writer, not a
+//! torn write).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -240,8 +243,23 @@ fn frame_seq(body: &[u8]) -> u64 {
     u64::from_le_bytes(body[4..12].try_into().unwrap())
 }
 
+/// The seq of the first complete, CRC-valid frame at any offset of
+/// `rest` whose seq is above `last_seq`: an acknowledged batch behind
+/// damage. Seqs rise by one per frame of at least 16 bytes, so the seq
+/// field bounds the candidates before any CRC is computed.
+fn later_frame(rest: &[u8], last_seq: u64) -> Option<u64> {
+    let max_seq = last_seq.saturating_add(rest.len() as u64 / 16);
+    (0..rest.len()).find_map(|at| {
+        let seq = u64::from_le_bytes(rest.get(at + 4..at + 12)?.try_into().unwrap());
+        if seq <= last_seq || seq > max_seq {
+            return None;
+        }
+        frame_at(&rest[at..]).and_then(|(_, _, crc_ok)| crc_ok.then_some(seq))
+    })
+}
+
 /// Validates the header of `bytes` (at least a header long) and scans
-/// its frames up to the first torn one.
+/// its frames up to the first torn one (see module docs).
 fn scan(bytes: &[u8], schema_fp: u64, snapshot_seq: u64, arity: usize) -> Result<Scan, WalError> {
     if bytes[..4] != WAL_MAGIC {
         return Err(WalError::BadMagic);
@@ -270,26 +288,21 @@ fn scan(bytes: &[u8], schema_fp: u64, snapshot_seq: u64, arity: usize) -> Result
     };
     loop {
         let rest = &bytes[scan.good_end..];
-        let Some((body, frame_len, crc_ok)) = frame_at(rest) else {
-            break; // partial frame, or one that runs past the file — torn
-        };
-        if !crc_ok {
-            // A torn append is the last frame. A good frame with the seq
-            // after this one means the damage is mid-log (see module docs).
-            if frame_at(&rest[frame_len..]).is_some_and(|(next, _, next_ok)| {
-                next_ok && frame_seq(next) == scan.last_seq + 2
-            }) {
+        // A partial frame, one that runs past the file or fails its CRC,
+        // or one out of sequence is a torn tail — unless a good frame
+        // with a later seq lies behind it.
+        let next = frame_at(rest)
+            .filter(|&(body, _, crc_ok)| crc_ok && frame_seq(body) == scan.last_seq + 1);
+        let Some((body, frame_len, _)) = next else {
+            if let Some(seq) = later_frame(rest, scan.last_seq) {
                 return Err(WalError::Corrupt(format!(
-                    "frame seq {} fails its crc but a good frame follows it",
-                    scan.last_seq + 1
+                    "the frame after seq {} is damaged but frame seq {seq} follows it",
+                    scan.last_seq
                 )));
             }
-            break; // bit rot or torn write inside the last frame
-        }
+            break;
+        };
         let seq = frame_seq(body);
-        if seq != scan.last_seq + 1 {
-            break; // out-of-sequence frame cannot be an append of ours
-        }
         // CRC held: the frame was fully written. A payload that does not
         // decode now is not a torn tail (see module docs).
         let tuples = decode_payload(&body[12..], arity).map_err(|e| {
@@ -605,6 +618,31 @@ mod tests {
         assert!(matches!(Wal::open(&path, 1, 0, 2), Err(WalError::Corrupt(_))));
         assert!(matches!(Wal::read(&path, 1, 0, 2), Err(WalError::Corrupt(_))));
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "the damaged log was rewritten");
+    }
+
+    #[test]
+    fn a_flipped_length_prefix_before_the_last_frame_is_corruption() {
+        let path = tmp("length-flip.wal");
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open(&path, 1, 0, 2).unwrap();
+        for tag in 1..=3 {
+            wal.append(&batch(tag)).unwrap();
+        }
+        drop(wal);
+        let full = std::fs::read(&path).unwrap();
+        // Every bit of the first frame's length prefix: the damaged
+        // length no longer leads to the second frame.
+        for bit in 0..32 {
+            let mut bytes = full.clone();
+            bytes[WAL_HEADER_BYTES as usize + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(Wal::open(&path, 1, 0, 2), Err(WalError::Corrupt(_))),
+                "bit {bit} of the length prefix"
+            );
+            assert!(matches!(Wal::read(&path, 1, 0, 2), Err(WalError::Corrupt(_))));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "bit {bit}: the log was rewritten");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use renuver::baselines::{Derand, DerandConfig, GreyKnn, GreyKnnConfig, Holoclean, HolocleanConfig};
-use renuver::core::{ClusterOrder, IndexMode, Renuver, RenuverConfig, VerifyScope};
+use renuver::core::{ClusterOrder, Renuver, RenuverConfig, VerifyScope};
 use renuver::data::{csv, Cell, Relation};
 use renuver::dc::{discover_dcs, DcDiscoveryConfig};
 use renuver::eval::{evaluate, inject};
@@ -1029,23 +1029,13 @@ fn rfds_for_model(args: &Args, rel: &Relation) -> Result<RfdSet, String> {
     }
 }
 
-/// The serving configuration for a decoded artifact: the artifact
-/// dictates whether an index exists; `Auto` would lie about a model
-/// snapshotted without one.
-fn artifact_config(loaded: &renuver::serve::Artifact) -> RenuverConfig {
-    RenuverConfig {
-        index_mode: if loaded.index.is_some() { IndexMode::Indexed } else { IndexMode::Scan },
-        ..RenuverConfig::default()
-    }
-}
-
 /// The model a `.rnv` path holds — the artifact, or the committed state
 /// of a durable layout beside it — as a read-only, in-memory registry.
 fn load_model(path: &str) -> Result<renuver::serve::Registry, String> {
     use renuver::serve::{artifact, Registry, ShardLayout};
     let loaded = artifact::load(path).map_err(|e| format!("{path}: {e}"))?;
-    let config = artifact_config(&loaded);
-    Registry::load(loaded, config, &ShardLayout::beside(path)).map_err(|e| format!("{path}: {e}"))
+    Registry::load(loaded, RenuverConfig::default(), &ShardLayout::beside(path))
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn prepare_cmd(args: &Args) -> Result<(), String> {
@@ -1057,24 +1047,19 @@ fn prepare_cmd(args: &Args) -> Result<(), String> {
         .or_else(|| args.value("--out"))
         .ok_or("prepare requires -o model.rnv")?;
     let rfds = rfds_for_model(args, &rel)?;
-    let (engine, build_time, _) = renuver::budget::measure(|| {
-        renuver::core::Engine::prepare(rel, rfds, RenuverConfig::default())
-    });
     // A durable layout beside `out` belongs to the model being replaced.
     // It goes first, so a crash can never pair it with the new model.
     let layout = renuver::serve::ShardLayout::beside(out);
     layout.clear().map_err(|e| format!("{out}: {e}"))?;
     // A freshly prepared model starts at durable sequence 0; `ingest`
     // advances it one WAL record at a time from there.
-    let bytes = artifact::encode_engine(&engine, &path, 0);
+    let bytes = artifact::encode(&rel, &rfds, &path, 0);
     std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "wrote {out}: {} tuples, {} RFDs, {}{} (built in {})",
-        engine.donor_rows(),
-        engine.sigma().len(),
-        if engine.index().is_some() { "indexed, " } else { "" },
+        "wrote {out}: {} tuples, {} RFDs, {}",
+        rel.len(),
+        rfds.len(),
         renuver::budget::format_bytes(bytes.len()),
-        renuver::budget::format_duration(build_time),
     );
     Ok(())
 }
@@ -1102,7 +1087,6 @@ fn inspect_cmd(args: &Args) -> Result<(), String> {
     println!("  size:        {}", renuver::budget::format_bytes(info.bytes));
     println!("  tuples:      {rows}");
     println!("  rfds:        {rfds}");
-    println!("  index:       {}", if info.indexed { "snapshotted" } else { "none" });
     println!("  seq:         {seq}");
     // The manifest names the live generation and the seq its snapshot
     // folds; any WAL bytes past the header are batches after that seq.
@@ -1170,11 +1154,10 @@ fn open_durable(
     loaded: renuver::serve::Artifact,
 ) -> Result<(renuver::serve::Registry, renuver::serve::RecoveryReport), String> {
     let source = loaded.source.clone();
-    let config = artifact_config(&loaded);
     let opts = durability_options(args, path, &source)?;
     renuver::serve::Registry::open_durable(
         loaded,
-        config,
+        RenuverConfig::default(),
         1,
         opts.layout,
         &source,
@@ -1267,7 +1250,7 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
         ));
     }
     let loaded = artifact::load(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    let config = artifact_config(&loaded);
+    let config = RenuverConfig::default();
     let (registry, report) = open_durable(args, model_path, loaded)?;
     let event_log = cli_event_log(args)?;
     cli_event(
@@ -1400,10 +1383,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         } else {
             // Read-only: a durable layout beside the artifact is loaded
             // at its committed state, and nothing is written.
-            let config = artifact_config(&loaded);
             let layout = renuver::serve::ShardLayout::beside(&path);
-            let registry =
-                Registry::load(loaded, config, &layout).map_err(|e| format!("{path}: {e}"))?;
+            let registry = Registry::load(loaded, RenuverConfig::default(), &layout)
+                .map_err(|e| format!("{path}: {e}"))?;
             (registry, info, None)
         }
     } else {

@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 
 use renuver::budget::Budget;
-use renuver::core::{Engine, Renuver, RenuverConfig};
+use renuver::core::config::AUTO_MIN_ROWS;
+use renuver::core::{BatchResult, Engine, Renuver, RenuverConfig};
 use renuver::data::{arff, csv, AttrType, Relation, Schema, Value};
 use renuver::rfd::{Constraint, Rfd, RfdSet};
 use renuver::rulekit::parse_rules;
@@ -69,9 +70,9 @@ proptest! {
 
 // ---------------------------------------------------------- .rnv artifacts
 
-/// A small but structurally complete artifact (text + int columns, an
-/// RFD, a similarity index) used as the mutation base.
-fn seed_artifact() -> Vec<u8> {
+/// A small but structurally complete model (text + int columns, a null,
+/// an RFD) the artifact fuzzers mutate.
+fn seed_model() -> (Relation, RfdSet) {
     let rel = csv::read_str(
         "City:text,Zip:text,Class:int\n\
          Malibu,90265,6\n\
@@ -84,35 +85,59 @@ fn seed_artifact() -> Vec<u8> {
         vec![Constraint::new(0, 1.0)],
         Constraint::new(1, 0.0),
     )]);
-    let engine = Engine::prepare(
-        rel,
-        rfds,
-        RenuverConfig {
-            index_mode: renuver::core::IndexMode::Indexed,
-            ..RenuverConfig::default()
-        },
-    );
-    artifact::encode_engine(&engine, "fuzz-seed", 0)
+    (rel, rfds)
+}
+
+/// The mutation bases: the seed model as this build writes it, and as an
+/// earlier build wrote it with its distance cache (an `IndexMode::Indexed`
+/// engine's tag-2 matrices and index section), which must still load.
+fn seed_artifacts() -> [Vec<u8>; 2] {
+    let (rel, rfds) = seed_model();
+    [
+        artifact::encode(&rel, &rfds, "fuzz-seed", 0),
+        include_bytes!("fixtures/legacy_cached_v2.rnv").to_vec(),
+    ]
+}
+
+/// `payload` followed by its CRC-32, so the section parsers (not the
+/// checksum) see whatever the payload holds.
+fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+    let crc = artifact::crc32(&payload);
+    payload.extend_from_slice(&crc.to_le_bytes());
+    payload
 }
 
 proptest! {
     #[test]
     fn artifact_decode_never_panics_on_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..600),
+        cut in 0usize..10_000,
     ) {
         let _ = artifact::decode(&bytes);
         let _ = artifact::inspect(&bytes);
+        // A valid prefix of each seed, then the garbage, sealed.
+        for seed in seed_artifacts() {
+            let mut spliced = seed[..cut % (seed.len() - 4)].to_vec();
+            spliced.extend_from_slice(&bytes);
+            let spliced = sealed(spliced);
+            let _ = artifact::decode(&spliced);
+            let _ = artifact::inspect(&spliced);
+        }
     }
 
     #[test]
     fn artifact_decode_never_panics_on_magic_prefixed_bytes(
         tail in prop::collection::vec(any::<u8>(), 0..600),
     ) {
-        // Get past the magic/version check so the section parsers see
-        // the garbage (a random prefix almost never does).
-        let mut bytes = b"RNUV\x01\x00\x00\x00".to_vec();
-        bytes.extend(tail);
-        let _ = artifact::decode(&bytes);
+        // Get past the magic, version and fingerprint checks so the
+        // section parsers see the garbage (a random prefix almost never
+        // does): each seed's header, then the tail, sealed.
+        for seed in seed_artifacts() {
+            let mut bytes = seed[..16].to_vec();
+            bytes.extend_from_slice(&tail);
+            let _ = artifact::decode(&bytes);
+            let _ = artifact::decode(&sealed(bytes));
+        }
     }
 
     #[test]
@@ -122,16 +147,17 @@ proptest! {
         do_truncate in any::<bool>(),
         truncate_at in 0usize..10_000,
     ) {
-        let mut bytes = seed_artifact();
-        let len = bytes.len();
-        bytes[offset % len] ^= flip | 1; // always a real change
-        if do_truncate {
-            bytes.truncate(truncate_at % (len + 1));
+        for mut bytes in seed_artifacts() {
+            let len = bytes.len();
+            bytes[offset % len] ^= flip | 1; // always a real change
+            if do_truncate {
+                bytes.truncate(truncate_at % (len + 1));
+            }
+            // Every corruption is a typed error or (for a flip the
+            // checksum cannot see, which does not exist) a valid
+            // artifact — never an unwind.
+            let _ = artifact::decode(&bytes);
         }
-        // Every corruption is a typed error or (for a flip the checksum
-        // cannot see, which does not exist) a valid artifact — never an
-        // unwind.
-        let _ = artifact::decode(&bytes);
     }
 
     #[test]
@@ -141,25 +167,43 @@ proptest! {
     ) {
         // Corrupt the payload, then re-stamp a valid trailing CRC so the
         // section parsers (not the checksum) must reject the damage.
-        let mut bytes = seed_artifact();
-        let len = bytes.len();
-        let at = 8 + (offset - 8) % (len - 12);
-        bytes[at] ^= flip | 1;
-        let crc = artifact::crc32(&bytes[..len - 4]);
-        let tail = len - 4;
-        bytes[tail..].copy_from_slice(&crc.to_le_bytes());
-        let _ = artifact::decode(&bytes);
+        for mut bytes in seed_artifacts() {
+            let len = bytes.len();
+            let at = 8 + (offset - 8) % (len - 12);
+            bytes[at] ^= flip | 1;
+            bytes.truncate(len - 4);
+            let _ = artifact::decode(&sealed(bytes));
+        }
     }
 }
 
 #[test]
 fn artifact_seed_still_decodes() {
-    // Guards the mutation base itself: if encoding broke, the corruption
-    // fuzzers above would be exercising nothing.
-    let bytes = seed_artifact();
-    let loaded = artifact::decode(&bytes).expect("seed artifact must decode");
-    assert_eq!(loaded.relation.len(), 4);
-    assert!(loaded.index.is_some());
+    // Guards the mutation bases themselves: if encoding or the reader of
+    // cached files broke, the corruption fuzzers above would be
+    // exercising nothing. Both decode to the seed model, and their
+    // engines answer like one prepared on it.
+    let (rel, rfds) = seed_model();
+    let config = RenuverConfig::default();
+    let probe = vec![
+        vec![Value::from("Malibu"), Value::Null, Value::Int(6)],
+        vec![Value::from("Holywood"), Value::Null, Value::Null],
+        vec![Value::Null, Value::from("90028"), Value::Int(2)],
+    ];
+    let canon = |r: BatchResult| {
+        format!("{:?}|{:?}|{:?}|{:?}|{:?}", r.tuples, r.outcomes, r.imputed, r.explains, r.stats)
+    };
+    let mut prepared = Engine::prepare(rel.clone(), rfds.clone(), config.clone());
+    let want = canon(prepared.impute_batch(probe.clone()).unwrap());
+    assert!(want.contains("90265"), "the probe imputes nothing: {want}");
+    for (seed, bytes) in ["new", "legacy"].into_iter().zip(seed_artifacts()) {
+        let loaded = artifact::decode(&bytes).expect("seed artifact must decode");
+        assert_eq!(loaded.relation, rel, "{seed}");
+        assert_eq!(loaded.rfds, rfds, "{seed}");
+        assert_eq!(loaded.index.is_some(), rel.len() >= AUTO_MIN_ROWS, "{seed}");
+        let mut engine = loaded.into_engine(config.clone());
+        assert_eq!(canon(engine.impute_batch(probe.clone()).unwrap()), want, "{seed}");
+    }
 }
 
 // --------------------------------------------------------------- pipeline

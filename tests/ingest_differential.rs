@@ -3,15 +3,27 @@
 //! **bit-identical** to throwing the engine away and rebuilding it from
 //! scratch on the full data — the same guarantee the artifact format
 //! gives for load-vs-build, extended to incremental growth. The
-//! comparison is on serialized artifact bytes, which cover the
-//! relation, the RFD set, the dictionary-encoded distance oracle, and
-//! the similarity index, so any drift in any layer fails the test.
+//! comparison covers the serialized artifact bytes (the relation and the
+//! RFD set) and the snapshots of the dictionary-encoded distance oracle
+//! and the similarity index, which the artifact does not store, so any
+//! drift in any layer fails the test.
 
 use renuver::core::{Engine, IndexMode, RenuverConfig};
 use renuver::data::{csv, Relation, Tuple, Value};
+use renuver::distance::{AttrSnapshot, ColumnSnapshot, SimilarityIndex};
 use renuver::rfd::discovery::{discover, DiscoveryConfig};
 use renuver::rfd::RfdSet;
 use renuver::serve::artifact;
+
+/// Everything an engine holds: its artifact bytes plus the oracle's and
+/// the index's snapshots.
+fn state(engine: &Engine) -> (Vec<u8>, Vec<ColumnSnapshot>, Option<Vec<AttrSnapshot>>) {
+    (
+        artifact::encode_engine(engine, "diff", 7),
+        engine.oracle().to_snapshot(),
+        engine.index().map(SimilarityIndex::to_snapshot),
+    )
+}
 
 /// The bundled restaurant sample: 60 rows, 6 attributes, text-heavy —
 /// exercises the string dictionary and the Levenshtein matrices.
@@ -42,9 +54,10 @@ fn differential(index_mode: IndexMode, chunk: usize) {
     }
 
     let rebuilt = Engine::prepare(full, rfds, config);
+    assert_eq!(incremental.index().is_some(), index_mode == IndexMode::Indexed);
     assert_eq!(
-        artifact::encode_engine(&incremental, "diff", 7),
-        artifact::encode_engine(&rebuilt, "diff", 7),
+        state(&incremental),
+        state(&rebuilt),
         "incremental commit (chunks of {chunk}, {index_mode:?}) diverged from a full rebuild"
     );
 }
@@ -107,11 +120,11 @@ fn failed_commit_rolls_back_completely() {
     let full = full_relation();
     let (base, rfds) = base_and_rfds(&full, 40);
     let mut engine = Engine::prepare(base, rfds, RenuverConfig::default());
-    let before = artifact::encode_engine(&engine, "rb", 0);
+    let before = state(&engine);
 
     let good: Tuple = full.tuples().last().unwrap().clone();
     let bad: Tuple = good[..2].to_vec();
     engine.commit_tuples(vec![good, bad]).unwrap_err();
 
-    assert_eq!(artifact::encode_engine(&engine, "rb", 0), before);
+    assert_eq!(state(&engine), before);
 }

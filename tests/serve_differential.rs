@@ -13,14 +13,16 @@
 //!    The oracle append path (dictionary-code reuse + direct-computation
 //!    fallback) and the index append path (postings or the always-scanned
 //!    foreign set) are exactly the machinery under test here.
-//! 2. **Artifact load == fresh build.** An engine deserialized from a
-//!    `.rnv` snapshot must answer every batch identically to the engine
-//!    that was just built from the raw relation.
+//! 2. **Artifact load == fresh build.** An engine decoded from a `.rnv`
+//!    snapshot (which builds its oracle and index from the stored
+//!    relation) must answer every batch identically to the engine that
+//!    was just built from the raw relation.
 //!
 //! Comparisons canonicalize through `Debug` text (as
 //! `tests/index_differential.rs` does) so NaN distances compare equal to
 //! themselves.
 
+use renuver::core::config::AUTO_MIN_ROWS;
 use renuver::core::{BatchResult, Engine, ImputationResult, IndexMode, Renuver, RenuverConfig};
 use renuver::data::{Cell, Relation, Tuple};
 use renuver::datasets::Dataset;
@@ -123,7 +125,9 @@ fn assert_artifact_load_matches_build(
     let mut built = Engine::prepare(base.clone(), sigma.clone(), config(mode));
     let bytes = artifact::encode_engine(&built, "differential", 0);
     let loaded = artifact::decode(&bytes).expect("snapshot decodes");
-    assert_eq!(loaded.index.is_some(), built.index().is_some());
+    // Decode builds under the default config, so the index follows
+    // `IndexMode::Auto` whatever mode the encoded engine ran in.
+    assert_eq!(loaded.index.is_some(), base.len() >= AUTO_MIN_ROWS);
     let mut loaded = loaded.into_engine(config(mode));
 
     let a = built.impute_batch(batch.to_vec()).unwrap();
@@ -168,15 +172,7 @@ fn restaurant_artifact_file_round_trip() {
     let (base, batch, sigma) = restaurant_fixture();
     let engine = Engine::prepare(base.clone(), sigma.clone(), config(IndexMode::Indexed));
     let path = std::env::temp_dir().join("renuver_serve_differential.rnv");
-    artifact::save(
-        &path,
-        engine.relation(),
-        engine.sigma(),
-        engine.oracle(),
-        engine.index(),
-        "differential-file",
-    )
-    .unwrap();
+    std::fs::write(&path, artifact::encode_engine(&engine, "differential-file", 0)).unwrap();
     let loaded = artifact::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.source, "differential-file");
