@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use renuver_bench::{
-    available_cores, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
+    available_cores, median, median_ms, out_path, quick_mode, synthetic_shops, write_bench_json,
 };
 use renuver_core::{Engine, IndexMode, RenuverConfig};
 use renuver_rfd::discovery::{discover, DiscoveryConfig};
@@ -196,55 +196,68 @@ fn main() {
 
     // --- Flight-recorder overhead --------------------------------------
     // The same model under the same load with the recorder on vs off
-    // (`--no-flight`). Interleaved best-of-3 rounds damp scheduler
-    // noise; the recorder must cost under 5% of throughput.
+    // (`--no-flight`), timed in interleaved pairs that alternate which
+    // side goes first, so host drift over the measurement lands on both
+    // sides alike (as in `bench_obs`). The gate is the median of the
+    // per-pair overheads: the recorder must cost under 5% of throughput.
     let overhead_conc = 4usize;
-    let mut best = [0.0f64; 2]; // [on, off]
-    for _ in 0..3 {
-        for (slot, enabled) in [(0usize, true), (1, false)] {
-            let engine =
-                artifact::decode(&bytes).expect("decode artifact").into_engine(config.clone());
-            let mut ctx = Ctx::new(
-                engine,
-                ModelInfo {
-                    source: "bench:synthetic_shops".into(),
-                    schema_fingerprint: artifact::schema_fingerprint(rel.schema()),
-                    artifact_bytes,
-                },
-                None,
-                60_000,
-            );
-            ctx.set_flight(FlightOptions { enabled, ..FlightOptions::default() });
-            let server = Server::bind(
-                ServeConfig {
-                    addr: "127.0.0.1:0".into(),
-                    workers: 8,
-                    queue: 64,
-                    ..ServeConfig::default()
-                },
-                Arc::new(ctx),
-            )
-            .expect("bind");
-            let addr = server.local_addr().expect("local_addr");
-            let stop = server.shutdown_handle();
-            let server_thread = std::thread::spawn(move || server.run().expect("server run"));
-            let (rps, _, _) = measure_level(addr, body, overhead_conc, per_conn);
-            stop.store(true, Ordering::Relaxed);
-            server_thread.join().expect("join server");
-            best[slot] = best[slot].max(rps);
-        }
+    let pairs = if quick { 3 } else { 7 };
+    let serve_rps = |enabled: bool| {
+        let engine =
+            artifact::decode(&bytes).expect("decode artifact").into_engine(config.clone());
+        let mut ctx = Ctx::new(
+            engine,
+            ModelInfo {
+                source: "bench:synthetic_shops".into(),
+                schema_fingerprint: artifact::schema_fingerprint(rel.schema()),
+                artifact_bytes,
+            },
+            None,
+            60_000,
+        );
+        ctx.set_flight(FlightOptions { enabled, ..FlightOptions::default() });
+        let server = Server::bind(
+            ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                workers: 8,
+                queue: 64,
+                ..ServeConfig::default()
+            },
+            Arc::new(ctx),
+        )
+        .expect("bind");
+        let addr = server.local_addr().expect("local_addr");
+        let stop = server.shutdown_handle();
+        let server_thread = std::thread::spawn(move || server.run().expect("server run"));
+        let (rps, _, _) = measure_level(addr, body, overhead_conc, per_conn);
+        stop.store(true, Ordering::Relaxed);
+        server_thread.join().expect("join server");
+        rps
+    };
+    let (mut on, mut off, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (rps_on, rps_off) = if pair % 2 == 0 {
+            let rps_on = serve_rps(true);
+            (rps_on, serve_rps(false))
+        } else {
+            let rps_off = serve_rps(false);
+            (serve_rps(true), rps_off)
+        };
+        on.push(rps_on);
+        off.push(rps_off);
+        overhead.push((rps_off / rps_on - 1.0) * 100.0);
     }
-    let (rps_on, rps_off) = (best[0], best[1]);
-    let overhead_pct = (rps_off / rps_on - 1.0) * 100.0;
+    let (rps_on, rps_off) = (median(on), median(off));
+    let overhead_pct = median(overhead);
     eprintln!(
         "flight recorder: on {rps_on:.0} req/s, off {rps_off:.0} req/s \
-         ({overhead_pct:+.2}% overhead)"
+         (median per-pair overhead {overhead_pct:+.2}% over {pairs} pairs)"
     );
     if !quick {
         assert!(
             overhead_pct < 5.0,
-            "flight recorder must cost under 5% throughput, measured {overhead_pct:.2}% \
-             (on {rps_on:.0} req/s, off {rps_off:.0} req/s)"
+            "flight recorder must cost under 5% throughput, measured a median \
+             {overhead_pct:.2}% over {pairs} pairs (on {rps_on:.0} req/s, off {rps_off:.0} req/s)"
         );
     }
 
@@ -266,6 +279,7 @@ fn main() {
          \"p95_us\": {lat_p95_us},\n    \
          \"p99_us\": {lat_p99_us}\n  }},\n  \
          \"flight_recorder\": {{\n    \
+         \"pairs\": {pairs},\n    \
          \"recorder_on_req_per_s\": {rps_on:.1},\n    \
          \"recorder_off_req_per_s\": {rps_off:.1},\n    \
          \"overhead_pct\": {overhead_pct:.3},\n    \

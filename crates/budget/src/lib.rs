@@ -417,36 +417,6 @@ impl Budget {
         self.inner.trip.get().map(|(_, p)| *p)
     }
 
-    /// How close the budget is to tripping, in `[0, 1]`: the largest
-    /// consumed fraction across the configured limits (1.0 once tripped or
-    /// cancelled, 0.0 for an unlimited budget). The imputation engine uses
-    /// this to enter its degraded verification mode *before* the budget
-    /// runs dry.
-    pub fn pressure(&self) -> f64 {
-        if self.inner.trip.get().is_some() || self.is_cancelled() {
-            return 1.0;
-        }
-        let mut p = 0.0f64;
-        if let Some(d) = self.inner.deadline {
-            p = p.max(if d.is_zero() {
-                1.0
-            } else {
-                self.inner.clock.elapsed().as_secs_f64() / d.as_secs_f64()
-            });
-        }
-        if let Some(c) = self.inner.mem_ceiling {
-            p = p.max(if c == 0 { 1.0 } else { current_bytes() as f64 / c as f64 });
-        }
-        if let Some(l) = self.inner.ops_limit {
-            p = p.max(if l == 0 {
-                1.0
-            } else {
-                self.inner.ops.load(Ordering::Relaxed) as f64 / l as f64
-            });
-        }
-        p.min(1.0)
-    }
-
     /// Elapsed time since construction (per the attached clock).
     pub fn elapsed(&self) -> Duration {
         self.inner.clock.elapsed()
@@ -582,7 +552,6 @@ mod tests {
             assert!(b.check("loop").is_ok());
         }
         assert_eq!(b.trip(), None);
-        assert_eq!(b.pressure(), 0.0);
         assert!(!b.is_limited());
         assert_eq!(b.ops(), 10_000);
     }
@@ -596,12 +565,10 @@ mod tests {
         assert!(b.check("warm").is_ok());
         clock.advance(Duration::from_secs(4));
         assert!(b.check("still fine").is_ok());
-        assert!(b.pressure() >= 0.79 && b.pressure() < 1.0, "{}", b.pressure());
         clock.advance(Duration::from_secs(2));
         assert_eq!(b.check("late"), Err(BudgetTrip::Deadline));
         assert_eq!(b.trip(), Some(BudgetTrip::Deadline));
         assert_eq!(b.trip_phase(), Some("late"));
-        assert_eq!(b.pressure(), 1.0);
         // Sticky: later phases see the same trip, not a new one.
         assert_eq!(b.check("after"), Err(BudgetTrip::Deadline));
         assert_eq!(b.trip_phase(), Some("late"));
@@ -636,7 +603,6 @@ mod tests {
         assert!(b.is_cancelled());
         assert_eq!(worker.check("post"), Err(BudgetTrip::Cancelled));
         assert_eq!(b.trip(), Some(BudgetTrip::Cancelled));
-        assert_eq!(b.pressure(), 1.0);
     }
 
     #[test]
@@ -698,15 +664,6 @@ mod tests {
         // Sticky re-reports must not re-fire the hook.
         assert_eq!(b.check("later"), Err(BudgetTrip::Ops));
         assert_eq!(*seen.lock().unwrap(), vec![(BudgetTrip::Ops, "hot")]);
-    }
-
-    #[test]
-    fn pressure_tracks_ops_fraction() {
-        let b = Budget::unlimited().with_ops_limit(10);
-        for _ in 0..5 {
-            let _ = b.check("x");
-        }
-        assert!((b.pressure() - 0.5).abs() < 1e-9, "{}", b.pressure());
     }
 
     #[test]

@@ -3,14 +3,12 @@
 use renuver_budget::{BudgetReport, BudgetTrip};
 use renuver_data::{Cell, Relation};
 use renuver_distance::{DistanceOracle, SimilarityIndex, DEFAULT_DICT_CAP};
-use renuver_obs::{Counter, Field, FieldValue, Histogram, Span, Tracer};
+use renuver_obs::{Field, FieldValue, Span, Tracer};
 use renuver_rfd::check::stays_key_after_update_with_index;
 use renuver_rfd::{Rfd, RfdSet};
 
 use crate::candidates::{find_candidate_tuples_with, sort_candidates};
-use crate::config::{
-    ClusterOrder, ImputationOrder, IndexMode, RenuverConfig, AUTO_MIN_ROWS, DEGRADE_AT,
-};
+use crate::config::{ClusterOrder, ImputationOrder, IndexMode, RenuverConfig, AUTO_MIN_ROWS};
 use crate::result::{
     CellExplain, CellOutcome, DryReason, ExplainWinner, ImputationResult, ImputationStats,
     ImputedCell, TraceEvent,
@@ -120,14 +118,6 @@ impl PreparedParts {
             budget: self.budget,
         }
     }
-}
-
-/// Metric handles the per-cell loop increments, registered once per run
-/// (only when the tracer is enabled — a disabled run touches no registry).
-struct CoreMetrics {
-    candidates_per_cell: Histogram,
-    verify_full: Counter,
-    verify_changed_rows: Counter,
 }
 
 /// Flattens a [`CellExplain`] into the `cell` trace-event payload
@@ -293,22 +283,15 @@ impl Renuver {
         let mut unimputed = Vec::new();
         let mut trace: Vec<TraceEvent> = Vec::new();
         let mut explains: Vec<CellExplain> = Vec::new();
-        let metrics = tracer.is_enabled().then(|| {
-            let m = tracer.metrics();
-            CoreMetrics {
-                candidates_per_cell: m.histogram("core.candidates_per_cell"),
-                verify_full: m.counter("core.verify_full"),
-                verify_changed_rows: m.counter("core.verify_changed_rows"),
-            }
-        });
-        // Rows imputed in this run — the witness neighborhood the degraded
-        // verification rung restricts itself to.
-        let mut touched: Vec<usize> = Vec::new();
+        // Registered once per run, and only when the tracer is enabled: a
+        // disabled run touches no registry.
+        let candidates_per_cell =
+            tracer.is_enabled().then(|| tracer.metrics().histogram("core.candidates_per_cell"));
 
         // Imputation (lines 11-14): visit missing cells in the configured
         // order (paper default: tuple by tuple, attributes within). The
-        // budget ladder per cell: full verify → (pressure ≥ DEGRADE_AT)
-        // changed-cell neighborhood verify → (tripped) skip the rest.
+        // budget ladder per cell: full verify until the budget trips, then
+        // skip the rest.
         let cells_span = run_span.child("core::impute_cells");
         let cells = self.ordered_cells(rel, &incomplete);
         let mut outcomes: Vec<(Cell, CellOutcome)> = Vec::with_capacity(cells.len());
@@ -355,18 +338,8 @@ impl Renuver {
                     }
                     continue;
                 }
-                // The intermediate rung: close to the limit, verify only
-                // against rows changed this run and stop re-examining keys.
-                let degraded = budget.is_limited() && budget.pressure() >= DEGRADE_AT;
                 if self.config.trace {
                     trace.push(TraceEvent::CellStarted { cell });
-                }
-                if let Some(cm) = &metrics {
-                    if degraded {
-                        cm.verify_changed_rows.inc();
-                    } else {
-                        cm.verify_full.inc();
-                    }
                 }
                 let CellAttempt {
                     imputed: written,
@@ -383,13 +356,12 @@ impl Renuver {
                     attr,
                     sigma,
                     &active,
-                    degraded.then_some(touched.as_slice()),
                     explain_on,
                     &mut stats,
                     &mut trace,
                 );
-                if let Some(cm) = &metrics {
-                    cm.candidates_per_cell.observe(candidates as u64);
+                if let Some(h) = &candidates_per_cell {
+                    h.observe(candidates as u64);
                 }
                 let outcome = match written {
                     Some(cell_rec) => {
@@ -406,13 +378,9 @@ impl Renuver {
                         imputed.push(cell_rec);
                         stats.imputed += 1;
                         outcomes.push((cell, CellOutcome::Imputed));
-                        if !touched.contains(&row) {
-                            touched.push(row);
-                        }
                         // Line 14: an imputed value can turn a key-RFD into
                         // a usable one; only pairs involving `row` changed.
-                        // The degraded rung skips this O(n·|keys|) scan.
-                        if !self.config.skip_key_reevaluation && !degraded {
+                        if !self.config.skip_key_reevaluation {
                             dormant_keys.retain(|&k| {
                                 if stays_key_after_update_with_index(
                                     oracle,
@@ -564,7 +532,6 @@ impl Renuver {
         attr: usize,
         sigma: &RfdSet,
         active: &[bool],
-        restrict: Option<&[usize]>,
         explain_on: bool,
         stats: &mut ImputationStats,
         trace: &mut Vec<TraceEvent>,
@@ -609,15 +576,16 @@ impl Renuver {
         // handed Σ', but Definition 4.3 demands `r' ⊨ Σ`.) The plan hoists
         // the candidate-independent pair scans out of the candidate loop;
         // `VerifyPlan::admits` is equivalent to `is_faultless` on the
-        // mutated relation. The degraded budget rung restricts the witness
-        // scan to the rows this run already changed — a deliberate
-        // weakening (violations against untouched rows go unseen) traded
-        // for finishing more cells before the budget's hard stop.
-        let scope = self.config.verify_scope;
-        let plan = match restrict {
-            Some(rows) => VerifyPlan::build_over(oracle, rel, row, attr, sigma.iter(), scope, rows),
-            None => VerifyPlan::build_with(oracle, index, rel, row, attr, sigma.iter(), scope),
-        };
+        // mutated relation, over every row, whatever the budget has left.
+        let plan = VerifyPlan::build_with(
+            oracle,
+            index,
+            rel,
+            row,
+            attr,
+            sigma.iter(),
+            self.config.verify_scope,
+        );
 
         for (cluster_threshold, members) in &clusters {
             stats.clusters_visited += 1;
@@ -1301,7 +1269,10 @@ mod tests {
         // Run counters landed in the registry.
         let m = tracer.metrics();
         assert!(m.counter("core.cells_imputed").get() > 0);
-        assert_eq!(m.counter("core.verify_full").get() as usize, rel.missing_count());
+        assert_eq!(
+            m.histogram("core.candidates_per_cell").count() as usize,
+            rel.missing_count()
+        );
     }
 
     #[test]
@@ -1408,12 +1379,21 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_still_imputes() {
-        // A manual clock 95 s into a 100 s deadline holds the budget at
-        // pressure 0.95 ≥ DEGRADE_AT without tripping, so every cell takes
-        // the changed-cell-neighborhood rung. The doc example still fills
-        // its cell: restricted verification only weakens rejection, never
-        // acceptance.
+    fn nearly_spent_budget_still_verifies_against_every_row() {
+        // A manual clock 95 s into a 100 s deadline: the budget has not
+        // tripped, so every cell gets the full check.
+        let nearly_spent = || {
+            let clock = renuver_budget::ManualClock::new();
+            clock.advance(std::time::Duration::from_secs(95));
+            RenuverConfig {
+                budget: renuver_budget::Budget::unlimited()
+                    .with_deadline(std::time::Duration::from_secs(100))
+                    .with_manual_clock(clock),
+                parallelism: 1,
+                ..RenuverConfig::default()
+            }
+        };
+        // The doc example still fills its cell.
         let schema =
             Schema::new([("City", AttrType::Text), ("Zip", AttrType::Text)]).unwrap();
         let rel = Relation::new(
@@ -1428,23 +1408,40 @@ mod tests {
             vec![Constraint::new(0, 0.0)],
             Constraint::new(1, 0.0),
         )]);
-        let clock = renuver_budget::ManualClock::new();
-        clock.advance(std::time::Duration::from_secs(95));
-        let tracer = renuver_obs::Tracer::enabled();
-        let cfg = RenuverConfig {
-            budget: renuver_budget::Budget::unlimited()
-                .with_deadline(std::time::Duration::from_secs(100))
-                .with_manual_clock(clock),
-            parallelism: 1,
-            tracer: tracer.clone(),
-            ..RenuverConfig::default()
-        };
-        let result = Renuver::new(cfg).impute(&rel, &rfds);
+        let result = Renuver::new(nearly_spent()).impute(&rel, &rfds);
         assert_eq!(result.relation.value(1, 1), &Value::Text("84084".into()));
         assert_eq!(result.stats.imputed, 1);
         assert!(result.budget.tripped.is_none());
-        let m = tracer.metrics();
-        assert_eq!(m.counter("core.verify_changed_rows").get(), 1);
-        assert_eq!(m.counter("core.verify_full").get(), 0);
+
+        // The only Phone donor, row 0, has Class 6 where row 1 has 5, so
+        // writing its Phone into row 1 breaks Phone(≤0) → Class(≤0)
+        // against a row no imputation touched. The cell stays missing,
+        // as it does without a budget.
+        let schema = Schema::new([
+            ("City", AttrType::Text),
+            ("Phone", AttrType::Text),
+            ("Class", AttrType::Int),
+        ])
+        .unwrap();
+        let rel = Relation::new(
+            schema,
+            vec![
+                vec!["Salerno".into(), "089-1".into(), Value::Int(6)],
+                vec!["Salerno".into(), Value::Null, Value::Int(5)],
+            ],
+        )
+        .unwrap();
+        let rfds = RfdSet::from_vec(vec![
+            Rfd::new(vec![Constraint::new(0, 0.0)], Constraint::new(1, 0.0)),
+            Rfd::new(vec![Constraint::new(1, 0.0)], Constraint::new(2, 0.0)),
+        ]);
+        let unlimited = Renuver::new(RenuverConfig::default()).impute(&rel, &rfds);
+        assert!(unlimited.relation.is_missing(1, 1));
+        let result = Renuver::new(nearly_spent()).impute(&rel, &rfds);
+        assert!(result.budget.tripped.is_none());
+        assert!(result.relation.is_missing(1, 1), "{:?}", result.relation.value(1, 1));
+        assert_eq!(result.stats.imputed, 0);
+        assert_eq!(result.stats.verification_failures, 1);
+        assert_eq!(result.outcomes, vec![(Cell::new(1, 1), CellOutcome::NoCandidates)]);
     }
 }

@@ -86,13 +86,6 @@ pub enum IndexMode {
 /// costs more than it saves.
 pub const AUTO_MIN_ROWS: usize = 256;
 
-/// Budget-pressure fraction (see [`Budget::pressure`]) at which the engine
-/// drops from full verification to the changed-cell neighborhood check
-/// ([`crate::verify::VerifyPlan::build_over`]): the last tenth of a
-/// limited budget is spent in the cheap mode, to fill more cells before
-/// the hard stop.
-pub(crate) const DEGRADE_AT: f64 = 0.9;
-
 /// Which missing cells get a [`crate::result::CellExplain`] record (and a
 /// `cell` trace event). On very wide runs the per-cell events dominate the
 /// trace; sampling keeps traced runs small without touching any
@@ -162,9 +155,11 @@ pub struct RenuverConfig {
     pub parallelism: usize,
     /// Execution budget for the run, polled before each missing cell and
     /// inside the hot scans (oracle build, key partitioning). The default
-    /// budget is unlimited; with a limit set the run degrades instead of
-    /// overrunning — see [`crate::result::CellOutcome`] for the per-cell
-    /// taxonomy and this module's `DEGRADE_AT` for the intermediate rung.
+    /// budget is unlimited; with a limit set the run stops early instead
+    /// of overrunning. Until the budget trips, every cell is verified
+    /// against the whole instance; once it trips, the remaining cells are
+    /// skipped and stay missing — see [`crate::result::CellOutcome`] for
+    /// the per-cell taxonomy.
     pub budget: Budget,
     /// Similarity-index usage (default: [`IndexMode::Auto`]). The indexed
     /// and scan paths make identical decisions; this only trades index

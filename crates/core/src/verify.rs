@@ -1,8 +1,5 @@
 //! Post-imputation consistency verification (Algorithm 4, IS_FAULTLESS).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use renuver_data::{AttrId, Relation};
 use renuver_rfd::check::{pair_satisfies_lhs, pair_satisfies_rhs};
 use renuver_rfd::Rfd;
@@ -54,7 +51,7 @@ pub fn is_faultless<'a>(
     true
 }
 
-use renuver_distance::{intersect_sorted, DistanceOracle, MatrixView, RowCode, SimilarityIndex};
+use renuver_distance::{intersect_sorted, DistanceOracle, SimilarityIndex};
 
 /// The per-RFD witness predicate for `attr`-on-LHS entries: `j` witnesses
 /// a rejection iff it has a value on `attr`, satisfies the RFD's other LHS
@@ -125,15 +122,8 @@ fn far_witness(
 ///   precompute the rows that satisfy the whole LHS — a candidate is
 ///   rejected iff it is beyond the RHS threshold from such a row's value.
 ///
-/// When the imputed column is matrix-encoded by the [`DistanceOracle`],
-/// each witness set is additionally collapsed to a `u64`-block bitset over
-/// the column's *dictionary codes* — distinct witness values, not rows.
-/// [`VerifyPlan::admits`] then resolves the donor's code, lazily builds a
-/// "codes within threshold of this donor" mask straight from the distance
-/// matrix (memoized per `(threshold, donor code)` across entries), and
-/// decides each entry with word-AND sweeps instead of per-row oracle
-/// calls. Rows whose value fell outside the dictionary stay on the exact
-/// per-row path, so decisions are bit-identical to the row loop.
+/// The witnesses come from the whole instance: every missing cell gets
+/// this one check, whatever the budget has left.
 ///
 /// Equivalent to [`is_faultless`] (asserted by tests and the
 /// `verify_plan_matches_is_faultless` property test in `tests/`), but one
@@ -145,71 +135,21 @@ pub struct VerifyPlan {
     /// Reject when the candidate value is *beyond* the threshold from any
     /// listed row's value.
     reject_if_far: Vec<WitnessSet>,
-    /// `(threshold bits, donor code) → codes within threshold` masks,
-    /// shared across entries. `admits` runs in the sequential candidate
-    /// loop, so interior mutability through `RefCell` is safe.
-    masks: RefCell<MaskMemo>,
 }
 
-/// Memoized "codes within threshold of this donor" bitset masks, keyed by
-/// `(threshold bits, donor code)`.
-type MaskMemo = HashMap<(u64, u32), Box<[u64]>>;
-
-/// One compiled entry of a [`VerifyPlan`].
+/// One compiled entry of a [`VerifyPlan`]: a threshold on the imputed
+/// attribute and the witness rows it is measured against, ascending.
 struct WitnessSet {
     thr: f64,
-    /// All witness rows, ascending — the exact fallback path, used when
-    /// the column is not matrix-encoded or the donor's value is not in
-    /// the dictionary.
     rows: Vec<usize>,
-    /// Distinct dictionary codes of the witnesses' values on the imputed
-    /// attribute, as a `u64`-block bitset over the column dictionary;
-    /// `None` when the column is not matrix-encoded.
-    codes: Option<Box<[u64]>>,
-    /// Witness rows whose value lies outside the dictionary — always
-    /// checked per-row through the oracle.
-    foreign: Vec<usize>,
-}
-
-impl WitnessSet {
-    fn build(view: Option<&MatrixView<'_>>, thr: f64, rows: Vec<usize>) -> WitnessSet {
-        let Some(view) = view else {
-            return WitnessSet { thr, rows, codes: None, foreign: Vec::new() };
-        };
-        let mut codes = vec![0u64; view.dict_len().div_ceil(64)].into_boxed_slice();
-        let mut foreign = Vec::new();
-        for &j in &rows {
-            match view.code(j) {
-                RowCode::Code(c) => codes[(c / 64) as usize] |= 1 << (c % 64),
-                // Foreign values take the per-row oracle path; a null here
-                // is impossible (witness predicates require a value) but
-                // the per-row path answers it correctly regardless.
-                RowCode::Foreign | RowCode::Null => foreign.push(j),
-            }
-        }
-        WitnessSet { thr, rows, codes: Some(codes), foreign }
-    }
-}
-
-/// Bitset of the dictionary codes within `thr` of code `d`, read straight
-/// off the distance matrix row.
-fn within_mask(view: &MatrixView<'_>, d: u32, thr: f64) -> Box<[u64]> {
-    let k = view.dict_len();
-    let mut mask = vec![0u64; k.div_ceil(64)].into_boxed_slice();
-    for c in 0..k as u32 {
-        if view.distance(d, c) <= thr {
-            mask[(c / 64) as usize] |= 1 << (c % 64);
-        }
-    }
-    mask
 }
 
 /// Row collection for plan building: the rows satisfying `pred`, in
-/// ascending order, from the full `0..n` scan or — in the degraded
-/// (budget-pressure) mode — from the explicitly listed rows only. Callers
-/// exclude the imputed row inside `pred`.
-fn collect_rows(n: usize, restrict: Option<&[usize]>, pred: impl Fn(usize) -> bool) -> Vec<usize> {
-    match restrict {
+/// ascending order, from the index-seeded `base` when there is one and
+/// from the full `0..n` scan otherwise. Callers exclude the imputed row
+/// inside `pred`.
+fn collect_rows(n: usize, base: Option<&[usize]>, pred: impl Fn(usize) -> bool) -> Vec<usize> {
+    match base {
         Some(rows) => rows.iter().copied().filter(|&j| pred(j)).collect(),
         None => (0..n).filter(|&j| pred(j)).collect(),
     }
@@ -226,7 +166,7 @@ impl VerifyPlan {
         sigma: impl Iterator<Item = &'a Rfd>,
         scope: VerifyScope,
     ) -> VerifyPlan {
-        Self::build_inner(oracle, None, rel, row, attr, sigma, scope, None)
+        Self::build_with(oracle, None, rel, row, attr, sigma, scope)
     }
 
     /// [`VerifyPlan::build`] with an optional [`SimilarityIndex`]: each
@@ -234,7 +174,8 @@ impl VerifyPlan {
     /// rows satisfying its indexed candidate-independent LHS constraints,
     /// then filtered by the same exact predicate the scan applies to all
     /// rows — the resulting plan is identical, it was just built from
-    /// fewer exact checks.
+    /// fewer exact checks. An empty witness list can never reject, so it
+    /// is dropped.
     pub fn build_with<'a>(
         oracle: &DistanceOracle,
         index: Option<&SimilarityIndex>,
@@ -244,53 +185,11 @@ impl VerifyPlan {
         sigma: impl Iterator<Item = &'a Rfd>,
         scope: VerifyScope,
     ) -> VerifyPlan {
-        Self::build_inner(oracle, index, rel, row, attr, sigma, scope, None)
-    }
-
-    /// [`VerifyPlan::build`] restricted to `rows` as the only potential
-    /// violation witnesses — the degraded rung of the budget ladder. Under
-    /// budget pressure the engine verifies candidates only against the
-    /// tuples *changed this run* (the neighborhood where a fresh
-    /// inconsistency is most likely), trading the full `O(n)` pair scan
-    /// for an `O(|rows|)` one. Weaker than the full check, but still
-    /// rejects the violations imputation chains most commonly introduce.
-    pub fn build_over<'a>(
-        oracle: &DistanceOracle,
-        rel: &Relation,
-        row: usize,
-        attr: AttrId,
-        sigma: impl Iterator<Item = &'a Rfd>,
-        scope: VerifyScope,
-        rows: &[usize],
-    ) -> VerifyPlan {
-        Self::build_inner(oracle, None, rel, row, attr, sigma, scope, Some(rows))
-    }
-
-    /// Scans the relation once per relevant RFD for its violation
-    /// witnesses and compiles each non-empty list into a [`WitnessSet`]:
-    /// code bitsets for matrix-encoded columns, exact row lists otherwise.
-    /// An empty list can never reject, so it is dropped.
-    #[allow(clippy::too_many_arguments)]
-    fn build_inner<'a>(
-        oracle: &DistanceOracle,
-        index: Option<&SimilarityIndex>,
-        rel: &Relation,
-        row: usize,
-        attr: AttrId,
-        sigma: impl Iterator<Item = &'a Rfd>,
-        scope: VerifyScope,
-        restrict: Option<&[usize]>,
-    ) -> VerifyPlan {
         debug_assert!(rel.is_missing(row, attr));
         // Superset of the rows within threshold of `row` on every *indexed*
         // constraint in `lhs` (minus the `skip` attribute); `None` when no
-        // constraint is indexed and the full scan is needed. Already-
-        // restricted (degraded-mode) builds skip the index: the witness
-        // list is small by construction.
+        // constraint is indexed and the full scan is needed.
         let index_base = |lhs: &[renuver_rfd::Constraint], skip: Option<AttrId>| {
-            if restrict.is_some() {
-                return None;
-            }
             let mut base: Option<Vec<usize>> = None;
             for c in lhs {
                 if Some(c.attr) == skip {
@@ -310,7 +209,6 @@ impl VerifyPlan {
             }
             base
         };
-        let view = oracle.matrix_view(attr);
         let mut reject_if_close = Vec::new();
         let mut reject_if_far = Vec::new();
         let t = rel.tuple(row);
@@ -321,38 +219,36 @@ impl VerifyPlan {
                 if t[rfd.rhs().attr].is_null() {
                     continue; // RHS not evaluable → cannot violate
                 }
-                let Some(attr_thr) =
+                let Some(thr) =
                     rfd.lhs().iter().find(|c| c.attr == attr).map(|c| c.threshold)
                 else {
                     continue; // unreachable: lhs_contains checked above
                 };
                 let base = index_base(rfd.lhs(), Some(attr));
-                let rows = collect_rows(rel.len(), base.as_deref().or(restrict), |j| {
+                let rows = collect_rows(rel.len(), base.as_deref(), |j| {
                     close_witness(oracle, rel, row, attr, rfd, j)
                 });
                 if !rows.is_empty() {
-                    reject_if_close.push(WitnessSet::build(view.as_ref(), attr_thr, rows));
+                    reject_if_close.push(WitnessSet { thr, rows });
                 }
             } else if scope == VerifyScope::Full && rfd.rhs_attr() == attr {
                 // LHS is fully candidate-independent.
                 let base = index_base(rfd.lhs(), None);
-                let rows = collect_rows(rel.len(), base.as_deref().or(restrict), |j| {
+                let rows = collect_rows(rel.len(), base.as_deref(), |j| {
                     far_witness(oracle, rel, row, attr, rfd, j)
                 });
                 if !rows.is_empty() {
-                    let thr = rfd.rhs_threshold();
-                    reject_if_far.push(WitnessSet::build(view.as_ref(), thr, rows));
+                    reject_if_far.push(WitnessSet { thr: rfd.rhs_threshold(), rows });
                 }
             }
         }
-        VerifyPlan { reject_if_close, reject_if_far, masks: RefCell::new(HashMap::new()) }
+        VerifyPlan { reject_if_close, reject_if_far }
     }
 
     /// `true` iff imputing the cell with the value of `donor_row` on the
     /// imputed attribute keeps the instance consistent. Candidates are
     /// always values of existing tuples (Algorithm 3), so the comparison
-    /// is a pair of oracle lookups per constraining row — or, on the
-    /// matrix fast path, one word-AND sweep per entry.
+    /// is one oracle lookup per witness row.
     pub fn admits(
         &self,
         oracle: &DistanceOracle,
@@ -360,59 +256,16 @@ impl VerifyPlan {
         attr: AttrId,
         donor_row: usize,
     ) -> bool {
-        let view = oracle.matrix_view(attr);
-        let donor_code = view.as_ref().and_then(|v| match v.code(donor_row) {
-            RowCode::Code(c) => Some(c),
-            RowCode::Foreign | RowCode::Null => None,
-        });
-        for set in &self.reject_if_close {
-            if self.rejects(oracle, rel, attr, donor_row, view.as_ref(), donor_code, set, true) {
-                return false;
-            }
-        }
-        for set in &self.reject_if_far {
-            if self.rejects(oracle, rel, attr, donor_row, view.as_ref(), donor_code, set, false) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Decides one entry: `close` rejects on a witness *within* `thr`,
-    /// `!close` (far) on a witness *beyond* it. Both reduce to "some
-    /// witness whose within-ness equals `close`".
-    #[allow(clippy::too_many_arguments)]
-    fn rejects(
-        &self,
-        oracle: &DistanceOracle,
-        rel: &Relation,
-        attr: AttrId,
-        donor_row: usize,
-        view: Option<&MatrixView<'_>>,
-        donor_code: Option<u32>,
-        set: &WitnessSet,
-        close: bool,
-    ) -> bool {
-        if let (Some(view), Some(d), Some(codes)) = (view, donor_code, set.codes.as_ref()) {
-            let coded_hit = {
-                let mut masks = self.masks.borrow_mut();
-                let mask = masks
-                    .entry((set.thr.to_bits(), d))
-                    .or_insert_with(|| within_mask(view, d, set.thr));
-                if close {
-                    codes.iter().zip(mask.iter()).any(|(&w, &m)| w & m != 0)
-                } else {
-                    codes.iter().zip(mask.iter()).any(|(&w, &m)| w & !m != 0)
-                }
-            };
-            return coded_hit
-                || set.foreign.iter().any(|&j| {
-                    oracle.distance_bounded(rel, attr, donor_row, j, set.thr).is_some() == close
-                });
-        }
-        set.rows
-            .iter()
-            .any(|&j| oracle.distance_bounded(rel, attr, donor_row, j, set.thr).is_some() == close)
+        // `close` entries reject on a witness *within* `thr`, far ones on a
+        // witness *beyond* it: both are "some witness whose within-ness
+        // equals `close`".
+        let rejects = |set: &WitnessSet, close: bool| {
+            set.rows.iter().any(|&j| {
+                oracle.distance_bounded(rel, attr, donor_row, j, set.thr).is_some() == close
+            })
+        };
+        !self.reject_if_close.iter().any(|set| rejects(set, true))
+            && !self.reject_if_far.iter().any(|set| rejects(set, false))
     }
 }
 
@@ -517,29 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn build_over_restricts_witnesses() {
-        // Imputing t7[Phone] with t3's phone violates Phone(≤1) → Class(≤0)
-        // via witness row 2 (t3). The restricted plan only sees the rows it
-        // is given: with row 2 listed it rejects like the full plan; with a
-        // disjoint row list the violation is invisible — the documented
-        // weakening of the degraded mode.
-        let rel = restaurant_sample();
-        let oracle = DistanceOracle::direct(&rel);
-        let phi = Rfd::new(vec![Constraint::new(2, 1.0)], Constraint::new(4, 0.0));
-        let full =
-            VerifyPlan::build(&oracle, &rel, 6, 2, [&phi].into_iter(), VerifyScope::LhsOnly);
-        assert!(!full.admits(&oracle, &rel, 2, 2));
-        let seeing = VerifyPlan::build_over(
-            &oracle, &rel, 6, 2, [&phi].into_iter(), VerifyScope::LhsOnly, &[2],
-        );
-        assert!(!seeing.admits(&oracle, &rel, 2, 2));
-        let blind = VerifyPlan::build_over(
-            &oracle, &rel, 6, 2, [&phi].into_iter(), VerifyScope::LhsOnly, &[0, 4],
-        );
-        assert!(blind.admits(&oracle, &rel, 2, 2));
-    }
-
-    #[test]
     fn indexed_plan_admits_exactly_like_scan_plan() {
         let rel = restaurant_sample();
         let oracle = DistanceOracle::build(&rel, 3000);
@@ -581,11 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn bitset_plan_admits_exactly_like_direct_plan() {
-        // The same plan compiled against a matrix-backed oracle (code
-        // bitsets + word-AND sweeps) and a direct oracle (per-row distance
-        // calls) must admit identically for every donor — the fast path is
-        // an encoding of the row loop, not an approximation of it.
+    fn matrix_and_direct_oracles_admit_the_same_donors() {
+        // The same plan built against a matrix-backed oracle (dictionary
+        // lookups) and a direct oracle (distance kernels) must admit
+        // identically for every donor: the matrix caches distances, it
+        // does not approximate them.
         let rel = restaurant_sample();
         let matrix = DistanceOracle::build(&rel, 3000);
         let direct = DistanceOracle::direct(&rel);
@@ -600,15 +430,15 @@ mod tests {
         ];
         for scope in [VerifyScope::LhsOnly, VerifyScope::Full] {
             for (row, attr) in [(6, 2), (3, 2), (5, 1), (4, 3)] {
-                let fast = VerifyPlan::build(&matrix, &rel, row, attr, sigma.iter(), scope);
-                let slow = VerifyPlan::build(&direct, &rel, row, attr, sigma.iter(), scope);
+                let cached = VerifyPlan::build(&matrix, &rel, row, attr, sigma.iter(), scope);
+                let computed = VerifyPlan::build(&direct, &rel, row, attr, sigma.iter(), scope);
                 for donor in 0..rel.len() {
                     if rel.is_missing(donor, attr) {
                         continue;
                     }
                     assert_eq!(
-                        fast.admits(&matrix, &rel, attr, donor),
-                        slow.admits(&direct, &rel, attr, donor),
+                        cached.admits(&matrix, &rel, attr, donor),
+                        computed.admits(&direct, &rel, attr, donor),
                         "scope {scope:?} cell ({row},{attr}) donor {donor}"
                     );
                 }

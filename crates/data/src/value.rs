@@ -98,6 +98,23 @@ impl Value {
         }
     }
 
+    /// Converts the value to attribute type `ty`. A CSV header without
+    /// type annotations reads every column as text; this re-types its
+    /// values under a model's schema. A value that already has type `ty`
+    /// is kept, an integer widens to a float, and anything else is parsed
+    /// again from its rendering ([`Value::parse`]).
+    pub fn coerce(&self, ty: AttrType) -> Value {
+        match (self, ty) {
+            (Value::Null, _) => Value::Null,
+            (Value::Text(_), AttrType::Text)
+            | (Value::Int(_), AttrType::Int)
+            | (Value::Float(_), AttrType::Float)
+            | (Value::Bool(_), AttrType::Bool) => self.clone(),
+            (Value::Int(n), AttrType::Float) => Value::Float(*n as f64),
+            _ => Value::parse(&self.render(), ty),
+        }
+    }
+
     /// Renders the value the way the CSV writer and the paper's tables do:
     /// `_` for missing values, bare literals otherwise.
     pub fn render(&self) -> String {
@@ -247,6 +264,18 @@ mod tests {
             Value::parse("Los Angeles", AttrType::Text),
             Value::Text("Los Angeles".into())
         );
+    }
+
+    #[test]
+    fn coerce_retypes_untyped_values() {
+        assert_eq!(Value::from("42").coerce(AttrType::Int), Value::Int(42));
+        assert_eq!(Value::from("2.5").coerce(AttrType::Float), Value::Float(2.5));
+        assert_eq!(Value::from("yes").coerce(AttrType::Bool), Value::Bool(true));
+        assert_eq!(Value::from("x").coerce(AttrType::Int), Value::Null);
+        assert_eq!(Value::Int(3).coerce(AttrType::Float), Value::Float(3.0));
+        assert_eq!(Value::Int(3).coerce(AttrType::Text), Value::Text("3".into()));
+        assert_eq!(Value::from("Salerno").coerce(AttrType::Text), Value::from("Salerno"));
+        assert_eq!(Value::Null.coerce(AttrType::Int), Value::Null);
     }
 
     #[test]

@@ -19,5 +19,5 @@ pub use functions::{
 };
 pub use index::{intersect_sorted, union_sorted, AttrSnapshot, SimilarityIndex};
 pub use kernels::{myers_levenshtein, myers_levenshtein_bounded, MyersPattern};
-pub use oracle::{ColumnSnapshot, DistanceOracle, MatrixView, RowCode, DEFAULT_DICT_CAP};
+pub use oracle::{ColumnSnapshot, DistanceOracle, RowCode, DEFAULT_DICT_CAP};
 pub use pattern::DistancePattern;

@@ -355,22 +355,6 @@ impl DistanceOracle {
         }
     }
 
-    /// A borrowed view over one matrix-encoded column, or `None` when the
-    /// column has no precomputed matrix (numeric, over-cap, degraded).
-    /// Bulk consumers — the [`crate::SimilarityIndex`] rebuild paths and
-    /// the core crate's bitset verification — use this to work in
-    /// dictionary-code space without per-row `Vec` materialization.
-    pub fn matrix_view(&self, attr: AttrId) -> Option<MatrixView<'_>> {
-        match &self.tables[attr] {
-            ColumnTable::Matrix { dict_len, data, .. } => Some(MatrixView {
-                codes: &self.codes[attr],
-                dict_len: *dict_len,
-                data,
-            }),
-            _ => None,
-        }
-    }
-
     /// Re-interns a cell after its value changed (e.g. an imputation).
     /// A value not present in the column's dictionary falls back to direct
     /// computation for that cell — imputers that copy existing values
@@ -560,40 +544,6 @@ impl DistanceOracle {
                 }
             })
             .collect()
-    }
-}
-
-/// Read-only view of a matrix-encoded text column: per-row dictionary
-/// status plus O(1) code-to-code distances. See
-/// [`DistanceOracle::matrix_view`].
-pub struct MatrixView<'a> {
-    codes: &'a [u32],
-    dict_len: usize,
-    data: &'a [f32],
-}
-
-impl MatrixView<'_> {
-    /// Number of distinct values in the dictionary.
-    pub fn dict_len(&self) -> usize {
-        self.dict_len
-    }
-
-    /// Dictionary status of one relation row.
-    #[inline]
-    pub fn code(&self, row: usize) -> RowCode {
-        match self.codes[row] {
-            NULL_CODE => RowCode::Null,
-            DIRECT_CODE => RowCode::Foreign,
-            c => RowCode::Code(c),
-        }
-    }
-
-    /// Distance between two dictionary codes — the same value the
-    /// matrix-backed [`DistanceOracle::distance`] answers for rows
-    /// carrying those codes.
-    #[inline]
-    pub fn distance(&self, a: u32, b: u32) -> f64 {
-        self.data[a as usize * self.dict_len + b as usize] as f64
     }
 }
 

@@ -803,14 +803,6 @@ impl Registry {
         &self.inner.schema
     }
 
-    /// The layout's shard count: 1 for every registry. Kept for callers
-    /// written against the sharded registry; it goes together with the
-    /// unused shard-count arguments of [`Registry::build`] and
-    /// [`Registry::open_durable`].
-    pub fn n_shards(&self) -> usize {
-        1
-    }
-
     /// The registry's schema fingerprint.
     pub fn schema_fp(&self) -> u64 {
         self.inner.schema_fp

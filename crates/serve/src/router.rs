@@ -18,7 +18,11 @@
 //!   coerced to the model's types). Query parameters: `timeout_ms` (budget
 //!   for this request, capped by the server ceiling), `explain`
 //!   (include per-cell explain records), `explain_sample`
-//!   (`all` | `dry` | an integer `k` for every k-th cell).
+//!   (`all` | `dry` | an integer `k` for every k-th cell). The response's
+//!   `degraded` field is `true` iff the budget tripped: the cells after
+//!   the trip were skipped and stay `null`. Every value written before
+//!   it passed the full consistency check, against the model's rows and
+//!   the request's own.
 //! - `POST /v1/ingest` — same body formats as `/v1/impute`, but the
 //!   repaired batch is *committed*: appended to the WAL (fsynced before
 //!   the response), folded into the model relation, oracle, and index,
@@ -650,7 +654,7 @@ fn parse_tuples(schema: &Schema, req: &Request) -> Result<Vec<Tuple>, Response> 
             .map(|t| {
                 t.iter()
                     .enumerate()
-                    .map(|(col, v)| coerce(v, schema.ty(col)))
+                    .map(|(col, v)| v.coerce(schema.ty(col)))
                     .collect()
             })
             .collect())
@@ -685,20 +689,6 @@ fn parse_tuples(schema: &Schema, req: &Request) -> Result<Vec<Tuple>, Response> 
         Err(bad_request(format!(
             "unsupported Content-Type {content_type:?} (use application/json or text/csv)"
         )))
-    }
-}
-
-/// Converts a CSV-sourced value to the model's attribute type. Same
-/// leniency as dataset loading: unparseable values become `Null`.
-fn coerce(v: &Value, ty: AttrType) -> Value {
-    match (v, ty) {
-        (Value::Null, _) => Value::Null,
-        (Value::Text(_), AttrType::Text)
-        | (Value::Int(_), AttrType::Int)
-        | (Value::Float(_), AttrType::Float)
-        | (Value::Bool(_), AttrType::Bool) => v.clone(),
-        (Value::Int(n), AttrType::Float) => Value::Float(*n as f64),
-        _ => Value::parse(&v.render(), ty),
     }
 }
 

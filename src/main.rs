@@ -1233,7 +1233,6 @@ fn cli_event(
 /// `tests/wal_recovery.rs` kills this command at every crash point and
 /// checks exactly that.)
 fn ingest_cmd(args: &Args) -> Result<(), String> {
-    use renuver::data::{AttrType, Value};
     use renuver::serve::artifact;
     let (model_path, batch_path) = match args.positional() {
         [m, b] => (*m, *b),
@@ -1285,18 +1284,7 @@ fn ingest_cmd(args: &Args) -> Result<(), String> {
         .map(|t| {
             t.iter()
                 .enumerate()
-                .map(|(col, v)| {
-                    let ty = schema.ty(col);
-                    match (v, ty) {
-                        (Value::Null, _) => Value::Null,
-                        (Value::Text(_), AttrType::Text)
-                        | (Value::Int(_), AttrType::Int)
-                        | (Value::Float(_), AttrType::Float)
-                        | (Value::Bool(_), AttrType::Bool) => v.clone(),
-                        (Value::Int(n), AttrType::Float) => Value::Float(*n as f64),
-                        _ => Value::parse(&v.render(), ty),
-                    }
-                })
+                .map(|(col, v)| v.coerce(schema.ty(col)))
                 .collect()
         })
         .collect();

@@ -450,3 +450,43 @@ fn impute_discovers_when_no_rfds_given() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.starts_with("City:text"), "{stdout}");
 }
+
+#[test]
+fn ingest_coerces_an_untyped_batch_header_like_a_typed_one() {
+    // A batch CSV may leave out the type annotations; its columns then read
+    // as text and are coerced to the model's types. Both batches must
+    // repair and commit the same rows, byte for byte on disk.
+    let rows = "Salerno,_,130000\nNapoli,80100,960000\n";
+    let mut states = Vec::new();
+    for (tag, header) in [("typed", "City:text,Zip:text,Pop:int"), ("untyped", "City,Zip,Pop")] {
+        let dir = tempdir(&format!("ingest-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("data.csv"), DATA).unwrap();
+        std::fs::write(dir.join("batch.csv"), format!("{header}\n{rows}")).unwrap();
+        let run = |args: &[&str]| {
+            let out = bin().current_dir(&dir).args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{tag} {args:?}: {stderr}");
+            out
+        };
+        run(&["prepare", "data.csv", "--limit", "3", "-o", "model.rnv"]);
+        let out = run(&["ingest", "model.rnv", "batch.csv", "--compact"]);
+        let repaired = String::from_utf8(out.stdout).unwrap();
+        assert!(repaired.contains("Salerno,84084,130000"), "{tag}: {repaired}");
+        let mut layout: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("model.rnv."))
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        layout.sort();
+        assert!(!layout.is_empty(), "{tag}: ingest wrote no durable layout");
+        states.push((repaired, layout));
+    }
+    assert_eq!(states[0].0, states[1].0, "the repaired batches differ");
+    assert!(states[0].1 == states[1].1, "the committed layouts differ");
+}

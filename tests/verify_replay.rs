@@ -3,9 +3,8 @@
 //!
 //! The engine never calls [`is_faultless`] in its loop: each missing cell
 //! gets one [`renuver::core::VerifyPlan`] (witness scans hoisted out of
-//! the candidate loop, dictionary-code bitsets, a per-threshold mask
-//! memo, index-seeded scans), and imputed values become donors and
-//! witnesses for every later cell. These tests take a traced run and
+//! the candidate loop and seeded by the index), and imputed values become
+//! donors and witnesses for every later cell. These tests take a traced run and
 //! replay its `CandidateRejected` / `Imputed` events in order over the
 //! input relation, asking the reference check each time:
 //!
@@ -14,9 +13,9 @@
 //! - the replayed writes must rebuild the run's repaired relation exactly.
 //!
 //! The reference uses the full Σ, dormant keys included (the engine's
-//! documented choice, Definition 4.3), and the run's [`VerifyScope`]. The
-//! degraded budget rung verifies only against rows changed earlier in the
-//! run, so its replay restricts the reference to those rows.
+//! documented choice, Definition 4.3), and the run's [`VerifyScope`]. A
+//! budget that has not tripped changes nothing: the same reference holds
+//! however little of it is left.
 //!
 //! Inputs cover random relations (NaN/∞ thresholds and values, nulls,
 //! unicode), the paper's Restaurant and Bridges stand-ins with discovered
@@ -38,7 +37,6 @@ use renuver::data::{AttrType, Cell, Relation, Schema, Value};
 use renuver::datasets::Dataset;
 use renuver::eval::inject;
 use renuver::obs::Tracer;
-use renuver::rfd::check::{pair_satisfies_lhs, pair_satisfies_rhs};
 use renuver::rfd::discovery::{discover, DiscoveryConfig};
 use renuver::rfd::{Constraint, Rfd, RfdSet};
 
@@ -54,45 +52,16 @@ fn config(mode: IndexMode, scope: VerifyScope) -> RenuverConfig {
     }
 }
 
-/// The reference check for imputing `(row, attr)` with the value already
-/// written into `rel`: [`is_faultless`] over every row, or — for the
-/// degraded rung — the same pair predicates over the listed rows only.
-fn faultless(
-    rel: &Relation,
-    row: usize,
-    attr: usize,
-    sigma: &RfdSet,
-    scope: VerifyScope,
-    over: Option<&[usize]>,
-) -> bool {
-    let Some(rows) = over else {
-        return is_faultless(rel, row, attr, sigma.iter(), scope);
-    };
-    sigma.iter().all(|rfd| {
-        let relevant = match scope {
-            VerifyScope::LhsOnly => rfd.lhs_contains(attr),
-            VerifyScope::Full => rfd.lhs_contains(attr) || rfd.rhs_attr() == attr,
-        };
-        !relevant
-            || rows.iter().filter(|&&j| j != row).all(|&j| {
-                let (i, j) = (row.min(j), row.max(j));
-                !pair_satisfies_lhs(rel, rfd, i, j) || pair_satisfies_rhs(rel, rfd, i, j)
-            })
-    })
-}
-
 /// Replays `result.trace` over `input` (see the module docs) and returns
-/// the number of decisions checked. `degraded` selects the restricted
-/// reference of the changed-rows rung.
+/// the number of decisions checked.
 fn replay(
     input: &Relation,
     sigma: &RfdSet,
     result: &ImputationResult,
     scope: VerifyScope,
-    degraded: bool,
 ) -> usize {
     let mut rel = input.clone();
-    let mut touched: Vec<usize> = Vec::new();
+    let mut accepted_writes = 0;
     let mut decisions = 0;
     for event in &result.trace {
         let (cell, donor_row, accepted) = match *event {
@@ -105,19 +74,16 @@ fn replay(
         let value = rel.value(donor_row, col).clone();
         assert!(!value.is_null(), "donor row {donor_row} has no value for {cell:?}");
         rel.set_value(row, col, value);
-        let over = degraded.then_some(touched.as_slice());
         assert_eq!(
-            faultless(&rel, row, col, sigma, scope, over),
+            is_faultless(&rel, row, col, sigma.iter(), scope),
             accepted,
             "{cell:?} with donor {donor_row}: the run {} what IS_FAULTLESS {} \
-             (scope={scope:?}, degraded={degraded})",
+             (scope={scope:?})",
             if accepted { "accepted" } else { "rejected" },
             if accepted { "rejects" } else { "accepts" },
         );
         if accepted {
-            if !touched.contains(&row) {
-                touched.push(row);
-            }
+            accepted_writes += 1;
         } else {
             rel.set_value(row, col, Value::Null);
         }
@@ -129,7 +95,7 @@ fn replay(
         format!("{:?}", result.relation),
         "replayed writes do not rebuild the repaired relation"
     );
-    assert_eq!(touched.is_empty(), result.imputed.is_empty());
+    assert_eq!(accepted_writes, result.imputed.len());
     decisions
 }
 
@@ -137,7 +103,7 @@ fn replay(
 fn run_and_replay(rel: &Relation, sigma: &RfdSet, cfg: RenuverConfig) -> ImputationResult {
     let scope = cfg.verify_scope;
     let result = Renuver::new(cfg).impute(rel, sigma);
-    replay(rel, sigma, &result, scope, false);
+    replay(rel, sigma, &result, scope);
     result
 }
 
@@ -289,7 +255,8 @@ fn bridges_sample_replays_against_is_faultless() {
 
 /// 5 000 rows with planted RFDs: the index seeds every witness and
 /// candidate scan, and text columns are dictionary-encoded, so the plan's
-/// code bitsets and mask memo decide. Mirrors `tests/index_differential.rs`.
+/// distances come from the oracle's matrices. Mirrors
+/// `tests/index_differential.rs`.
 #[test]
 fn synthetic_5k_replays_against_is_faultless() {
     let schema = Schema::new([
@@ -442,8 +409,8 @@ fn reactivated_key_replays_against_is_faultless() {
     assert_eq!(result.stats.keys_reactivated, 1, "fixture must reactivate a key");
 }
 
-/// NaN thresholds and NaN/±0.0/∞ values: the plan's mask memo is keyed by
-/// the threshold's bits, and NaN never satisfies a constraint.
+/// NaN thresholds and NaN/±0.0/∞ values: NaN never satisfies a
+/// constraint.
 #[test]
 fn nan_thresholds_and_signed_zeros_replay_against_is_faultless() {
     let schema = Schema::new([("N", AttrType::Float), ("B", AttrType::Text)]).unwrap();
@@ -522,13 +489,13 @@ fn multi_attr_lhs_with_unicode_replays_against_is_faultless() {
     assert!(result.stats.imputed > 0, "degenerate fixture: nothing imputed");
 }
 
-// ------------------------------------------- budget rung and entry points
+// ----------------------------------------- nearly spent budget, entry points
 
-/// A manual clock 95 s into a 100 s deadline holds the budget at pressure
-/// 0.95 without tripping, so every cell takes the degraded rung, whose
-/// plan sees only the rows this run already changed.
+/// A manual clock 95 s into a 100 s deadline: the budget is nearly spent
+/// but has not tripped, so every decision must still be the one
+/// IS_FAULTLESS makes over the whole instance.
 #[test]
-fn degraded_rung_replays_against_changed_rows() {
+fn nearly_spent_budget_replays_against_is_faultless() {
     let rel = Dataset::Restaurant.relation(11);
     let (incomplete, _truth) = inject(&rel, 0.03, 11);
     let sigma = discovered(&incomplete);
@@ -545,13 +512,11 @@ fn degraded_rung_replays_against_changed_rows() {
         };
         let result = Renuver::new(cfg).impute(&incomplete, &sigma);
         assert!(result.budget.tripped.is_none());
-        let m = tracer.metrics();
-        assert_eq!(m.counter("core.verify_full").get(), 0);
         assert_eq!(
-            m.counter("core.verify_changed_rows").get(),
+            tracer.metrics().histogram("core.candidates_per_cell").count(),
             result.stats.missing_total as u64
         );
-        assert!(replay(&incomplete, &sigma, &result, scope, true) > 0);
+        assert!(replay(&incomplete, &sigma, &result, scope) > 0);
         assert!(result.stats.imputed > 0, "degenerate fixture: nothing imputed");
     }
 }
@@ -566,7 +531,7 @@ fn appended_rows_replay_against_is_faultless() {
     for scope in SCOPES {
         let cfg = config(IndexMode::Auto, scope);
         let result = Renuver::new(cfg).impute_appended(&incomplete, first_new_row, &sigma);
-        replay(&incomplete, &sigma, &result, scope, false);
+        replay(&incomplete, &sigma, &result, scope);
         assert!(result.stats.imputed > 0, "degenerate fixture: nothing imputed");
         assert!(result.imputed.iter().all(|rec| rec.cell.row >= first_new_row));
     }
@@ -584,7 +549,7 @@ fn prepared_engine_runs_replay_against_is_faultless() {
         let mut engine =
             Engine::prepare(incomplete.clone(), sigma.clone(), config(IndexMode::Indexed, scope));
         let first = engine.impute_and_restore();
-        replay(&incomplete, &sigma, &first, scope, false);
+        replay(&incomplete, &sigma, &first, scope);
         assert!(first.stats.imputed > 0, "degenerate fixture: nothing imputed");
         assert_eq!(format!("{:?}", engine.relation()), format!("{incomplete:?}"));
         let second = engine.impute_and_restore();

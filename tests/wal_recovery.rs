@@ -259,7 +259,7 @@ fn single_file_wal_migrates_into_a_one_shard_layout() {
     use renuver::core::{Engine, RenuverConfig};
     use renuver::data::{csv, Value};
     use renuver::rfd::RfdSet;
-    use renuver::serve::{artifact, fault, DurabilityOptions, Registry, Wal};
+    use renuver::serve::{artifact, fault, DurabilityOptions, Manifest, Registry, Wal};
 
     let rel = csv::read_str(DATA).unwrap();
     let rfds = RfdSet::from_text("City(<=0) -> Zip(<=0)\nZip(<=0) -> City(<=0)", rel.schema())
@@ -306,7 +306,8 @@ fn single_file_wal_migrates_into_a_one_shard_layout() {
         let (reg, report) = open().expect("migrating open");
         let expected_replays = if crash_before_unlink { 0 } else { logged.len() };
         assert_eq!(report.replayed, expected_replays, "crash_before_unlink={crash_before_unlink}");
-        assert_eq!((reg.n_shards(), reg.seq()), (1, 2));
+        let manifest = Manifest::load(&dir.join("model.rnv.manifest")).unwrap();
+        assert_eq!((manifest.n_shards, reg.seq()), (1, 2));
         assert!(!legacy.exists(), "the migrated log is removed");
 
         // Every record exactly once, in log order, like an engine that
